@@ -13,14 +13,11 @@
 //
 // The assembly cost of the cached arm is cell-count-independent: its
 // wall-clock grows only with the (cheap) link+run work, which is the whole
-// point of the two-phase pipeline.
-#include <algorithm>
-#include <filesystem>
+// point of the two-phase pipeline. A last row times the full cube through
+// Session::run — the path `advm matrix` takes — on a cold session cache.
 #include <iostream>
 
 #include "advm/environment.h"
-#include "advm/exec/backend.h"
-#include "advm/exec/workplan.h"
 #include "advm/objcache.h"
 #include "advm/regression.h"
 #include "advm/session.h"
@@ -83,7 +80,10 @@ int main() {
       "cells.\nBaseline re-assembles per cell; the pipeline assembles each "
       "test exactly once.");
 
-  support::VirtualFileSystem vfs;
+  SessionConfig session_config;
+  session_config.jobs = kJobs;
+  Session session(std::move(session_config));
+  support::VirtualFileSystem& vfs = session.vfs();
   SystemConfig config;
   config.environments = {
       {"PAGE_MODULE", ModuleKind::Register, 15, true},
@@ -106,6 +106,7 @@ int main() {
   double full_cached_seconds = 0;
   std::size_t full_tests = 0;
   double full_speedup = 0;
+  std::vector<RegressionReport> full_reports;
   for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                         std::size_t{8}}) {
     const std::vector<MatrixCell> cells(all_cells.begin(),
@@ -144,148 +145,36 @@ int main() {
       full_cached_seconds = cached_ms / 1e3;
       full_tests = tests;
       full_speedup = speedup;
+      full_reports = std::move(reports);
     }
   }
   table.print();
   bench::emit_json("e10_matrix", "scaling", table);
 
-  // Execution-backend datapoint on the full 8-cell cube: the in-process
-  // thread backend vs `advm worker` subprocess shards (the orchestration
-  // substrate for corpus-scale fan-out). Wall-clock includes the process
-  // backend's tree export and worker spawn overhead — that overhead is
-  // what this row exists to keep on record. Two process rows: "pooled"
-  // (one worker pool serving the whole cube — spawn and tree import paid
-  // once per worker) vs "oneshot" (one backend invocation per cell, the
-  // cold-start cost repeated matrix laps used to pay per slice). Outcome
-  // digests must match the thread backend cell for cell.
+  // The same full cube through the public entry point: Session::run on a
+  // cold session cache, which is what `advm matrix` executes. Its outcome
+  // digests must match the cached arm's cell for cell.
   {
-    std::vector<std::string> derivative_names;
-    for (const soc::DerivativeSpec* spec : soc::all_derivatives()) {
-      derivative_names.push_back(spec->name);
-    }
-    core::MatrixRequest request;
+    MatrixRequest request;
     request.root = layout.root;
-    request.derivatives = derivative_names;
     request.platforms = {"golden-model", "hdl-rtl"};
-    request.max_instructions = kMaxInstructions;
-
-    core::ObjectCache cache;
-    core::BoardPool boards;
-    core::exec::ThreadBackend thread_backend(
-        core::SessionContext{vfs, cache, boards, kJobs});
-    const core::exec::MatrixPlan plan = core::exec::plan_matrix(request, 4);
-    bench::Stopwatch thread_watch;
-    const auto thread_run = thread_backend.run_matrix(plan);
-    const double thread_ms = thread_watch.millis();
-
-    bench::Table backends({"backend", "shards", "wall ms", "digests match"});
-    backends.add_row("thread", 1, thread_ms, "yes");
-    if (std::filesystem::exists(ADVM_CLI_PATH)) {
-      core::exec::ProcessBackendConfig config;
-      config.worker_exe = ADVM_CLI_PATH;
-      config.jobs_per_worker = kJobs;
-      core::exec::ProcessBackend process_backend(vfs, config);
-      bench::Stopwatch process_watch;
-      const auto process_run = process_backend.run_matrix(plan);
-      const double process_ms = process_watch.millis();
-      bool match = process_run.status.ok() &&
-                   process_run.cells.size() == thread_run.cells.size();
-      if (match) {
-        for (std::size_t i = 0; i < process_run.cells.size(); ++i) {
-          match = match && process_run.cells[i].outcome_digest() ==
-                               thread_run.cells[i].outcome_digest();
-        }
-      }
-      backends.add_row("process-pooled", plan.slices.size(), process_ms,
-                       match ? "yes" : "NO");
-
-      // One-shot arm: a fresh single-cell plan (and therefore a fresh
-      // worker spawn + tree export + import) per cell — what N separate
-      // `advm run --backend process` invocations cost, and the pre-pool
-      // per-slice cold start.
-      bench::Stopwatch oneshot_watch;
-      bool oneshot_match = true;
-      std::size_t cube_index = 0;  // derivative-major, matches plan order
-      for (std::size_t i = 0; i < request.derivatives.size(); ++i) {
-        for (const std::string& platform : request.platforms) {
-          core::MatrixRequest one_cell;
-          one_cell.root = layout.root;
-          one_cell.derivatives = {request.derivatives[i]};
-          one_cell.platforms = {platform};
-          one_cell.max_instructions = kMaxInstructions;
-          core::exec::ProcessBackend cold(vfs, config);
-          const auto run =
-              cold.run_matrix(core::exec::plan_matrix(one_cell, 1));
-          oneshot_match =
-              oneshot_match && run.status.ok() && run.cells.size() == 1 &&
-              cube_index < thread_run.cells.size() &&
-              run.cells[0].outcome_digest() ==
-                  thread_run.cells[cube_index].outcome_digest();
-          ++cube_index;
-        }
-      }
-      const double oneshot_ms = oneshot_watch.millis();
-      backends.add_row("process-oneshot", thread_run.cells.size(),
-                       oneshot_ms, oneshot_match ? "yes" : "NO");
-
-      // Cost-model laps over the skewed cube (the 8 cells differ in cost
-      // by construction: golden-model vs RTL platforms, ported vs
-      // un-ported derivatives). Three pooled laps share one cache dir:
-      // cold (no cost-model file yet — dispatch seeds from test counts
-      // and records every cell's measured wall-clock), warm (dispatch
-      // seeded cost-descending from the measurements; tiny cells may
-      // batch under the auto threshold), and warm with the threshold
-      // forced high enough that every cell batches. The digests column
-      // is the invariant: batching must never change the roll-up.
-      const std::filesystem::path cost_cache =
-          std::filesystem::temp_directory_path() /
-          "advm-bench-e10-costmodel";
-      std::filesystem::remove_all(cost_cache);
-      bench::Table costs({"lap", "cost source", "seeded cells",
-                          "batched reqs", "wall ms", "digests match"});
-      const auto cost_lap = [&](const char* name,
-                                std::size_t threshold_ms) -> double {
-        core::exec::ProcessBackendConfig lap_config = config;
-        lap_config.cache_dir = cost_cache.string();
-        lap_config.batch_threshold_ms = threshold_ms;
-        core::exec::ProcessBackend backend(vfs, lap_config);
-        bench::Stopwatch watch;
-        const auto run = backend.run_matrix(plan);
-        const double ms = watch.millis();
-        bool ok = run.status.ok() &&
-                  run.cells.size() == thread_run.cells.size();
-        if (ok) {
-          for (std::size_t i = 0; i < run.cells.size(); ++i) {
-            ok = ok && run.cells[i].outcome_digest() ==
-                           thread_run.cells[i].outcome_digest();
-          }
-        }
-        costs.add_row(name, run.cost_model.source,
-                      run.cost_model.seeded_cells, run.batched_requests,
-                      ms, ok ? "yes" : "NO");
-        return ms;
-      };
-      const double cold_ms = cost_lap(
-          "cold", core::exec::ProcessBackendConfig::kAutoBatchThreshold);
-      const double warm_ms = cost_lap(
-          "warm", core::exec::ProcessBackendConfig::kAutoBatchThreshold);
-      const double batch_ms = cost_lap("warm+batch-all", 1'000'000);
-      std::filesystem::remove_all(cost_cache);
-      costs.print();
-      bench::emit_json("e10_matrix", "cost-model", costs);
-      // Informational, not exit-gated: single-lap wall-clock on a small
-      // cube is noisy, and the byte-identity column above is the gate.
-      const double best_warm = std::min(warm_ms, batch_ms);
-      std::cout << "claim: a warm cost model never dispatches worse than "
-                   "the cold test-count order.\nmeasured: best warm lap "
-                << best_warm << " ms vs cold " << cold_ms << " ms ("
-                << (best_warm <= cold_ms ? "warm <= cold"
-                                         : "warm > cold (noise)")
-                << ")\n\n";
-    } else {
-      std::cout << "(advm CLI not built; skipping the process-backend "
-                   "datapoint)\n";
+    request.derivatives.clear();  // drop the SC88-A default
+    for (std::size_t i = 0; i < full_reports.size();
+         i += request.platforms.size()) {
+      request.derivatives.push_back(full_reports[i].derivative);
     }
+    request.max_instructions = kMaxInstructions;
+    bench::Stopwatch watch;
+    const MatrixResult result = session.run(request);
+    const double session_ms = watch.millis();
+    bool match = result.status.ok() &&
+                 result.cells.size() == full_reports.size();
+    for (std::size_t i = 0; match && i < result.cells.size(); ++i) {
+      match = result.cells[i].outcome_digest() ==
+              full_reports[i].outcome_digest();
+    }
+    bench::Table backends({"backend", "wall ms", "digests match"});
+    backends.add_row("thread", session_ms, match ? "yes" : "NO");
     backends.print();
     bench::emit_json("e10_matrix", "backends", backends);
   }

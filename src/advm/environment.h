@@ -75,8 +75,8 @@ inline constexpr const char* kTestplanFile = "TESTPLAN.TXT";
 inline constexpr const char* kTestSourceFile = "test.asm";
 
 /// One generated file, before it lands in a VFS. Corpus generation renders
-/// into these buffers so environments can be generated in parallel (and on
-/// shard workers) while the VFS — which is not thread-safe — is only
+/// into these buffers so environments can be generated in parallel while
+/// the VFS — which is not thread-safe — is only
 /// written from one thread, in deterministic order.
 struct GeneratedFile {
   std::string path;

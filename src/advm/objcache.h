@@ -41,7 +41,7 @@
 // contents, probed-miss shadowing) — counted as a `persistent_hit` on top
 // of the in-memory miss, so the hit/miss counters keep their historical
 // meaning. Successful builds are published to disk with atomic renames, so
-// concurrent shard workers can share one cache directory. The byte budget
+// concurrent processes can share one cache directory. The byte budget
 // spans both tiers: memory evicts LRU first, then the disk tier trims its
 // oldest entries until memory + disk fits.
 #pragma once

@@ -1,12 +1,11 @@
 // Persistent tier of the content-addressed object cache.
 //
 // The in-memory ObjectCache dies with its process, so every `advm`
-// invocation and every shard worker of the process execution backend used
-// to start cold. This store keeps successful cache entries on disk, keyed
-// by the same 64-bit content digest the in-memory map uses, so consecutive
-// CLI invocations and concurrently running shard workers share one cache by
-// construction (SessionConfig::cache_dir points them at the same
-// directory).
+// invocation used to start cold. This store keeps successful cache entries
+// on disk, keyed by the same 64-bit content digest the in-memory map uses,
+// so consecutive CLI invocations (and concurrently running ones, or a
+// restarted `advm serve` daemon) share one cache by construction
+// (SessionConfig::cache_dir points them at the same directory).
 //
 // Entries carry everything revalidation needs — source/options digests, the
 // resolved include list, the probed-and-missing include candidates, and the

@@ -130,9 +130,8 @@ class RegressionRunner {
 
 /// Environment discovery under a system root, in deterministic VFS order:
 /// every directory with a TESTPLAN.TXT except the global libraries.
-/// Returns absolute environment directories. This is the discovery half of
-/// the execution planners (src/advm/exec/workplan.h); the runner uses the
-/// same function, so a plan and a run always agree on the tree.
+/// Returns absolute environment directories. The runner and the lint
+/// driver use this one function, so every verb agrees on the tree.
 [[nodiscard]] std::vector<std::string> discover_environments(
     const support::VirtualFileSystem& vfs, std::string_view system_root);
 

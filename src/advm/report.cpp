@@ -170,136 +170,6 @@ std::string rollup_to_json(const MatrixResult& result) {
   return os.str();
 }
 
-namespace {
-
-std::optional<soc::Verdict> verdict_from_string(std::string_view name) {
-  for (soc::Verdict v :
-       {soc::Verdict::None, soc::Verdict::Pass, soc::Verdict::Fail}) {
-    if (soc::to_string(v) == name) return v;
-  }
-  return std::nullopt;
-}
-
-std::optional<sim::StopReason> stop_from_string(std::string_view name) {
-  for (sim::StopReason r :
-       {sim::StopReason::Running, sim::StopReason::Halted,
-        sim::StopReason::Breakpoint, sim::StopReason::CycleLimit,
-        sim::StopReason::UnhandledTrap, sim::StopReason::DoubleFault}) {
-    if (sim::to_string(r) == name) return r;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::uint64_t> digest_from_string(std::string_view hex) {
-  if (hex.empty() || hex.size() > 16) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : hex) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return std::nullopt;
-    }
-  }
-  return value;
-}
-
-std::optional<TestRunRecord> record_from_json(
-    const support::json::Value& value) {
-  if (!value.is_object()) return std::nullopt;
-  TestRunRecord record;
-  const auto* environment = value.find("environment");
-  const auto* test = value.find("test");
-  const auto* build_ok = value.find("build_ok");
-  const auto* verdict = value.find("verdict");
-  const auto* stop = value.find("stop");
-  const auto* instructions = value.find("instructions");
-  const auto* cycles = value.find("cycles");
-  const auto* state_digest = value.find("state_digest");
-  const auto* modeled_seconds = value.find("modeled_seconds");
-
-  const auto environment_name =
-      environment ? environment->as_string() : std::nullopt;
-  const auto test_id = test ? test->as_string() : std::nullopt;
-  const auto built = build_ok ? build_ok->as_bool() : std::nullopt;
-  const auto verdict_name = verdict ? verdict->as_string() : std::nullopt;
-  const auto stop_name = stop ? stop->as_string() : std::nullopt;
-  const auto instruction_count =
-      instructions ? instructions->as_uint64() : std::nullopt;
-  const auto cycle_count = cycles ? cycles->as_uint64() : std::nullopt;
-  const auto digest_hex =
-      state_digest ? state_digest->as_string() : std::nullopt;
-  const auto seconds =
-      modeled_seconds ? modeled_seconds->as_double() : std::nullopt;
-  if (!environment_name || !test_id || !built || !verdict_name ||
-      !stop_name || !instruction_count || !cycle_count || !digest_hex ||
-      !seconds) {
-    return std::nullopt;
-  }
-  const auto verdict_value = verdict_from_string(*verdict_name);
-  const auto stop_value = stop_from_string(*stop_name);
-  const auto digest_value = digest_from_string(*digest_hex);
-  if (!verdict_value || !stop_value || !digest_value) return std::nullopt;
-
-  record.environment = *environment_name;
-  record.test_id = *test_id;
-  record.build_ok = *built;
-  record.verdict = *verdict_value;
-  record.stop = *stop_value;
-  record.instructions = *instruction_count;
-  record.cycles = *cycle_count;
-  record.state_digest = *digest_value;
-  record.modeled_seconds = *seconds;
-  if (const auto* detail = value.find("detail")) {
-    const auto text = detail->as_string();
-    if (!text) return std::nullopt;
-    record.detail = *text;
-  }
-  return record;
-}
-
-}  // namespace
-
-std::optional<RegressionReport> report_from_json(
-    const support::json::Value& value) {
-  if (!value.is_object()) return std::nullopt;
-  RegressionReport report;
-  const auto* derivative = value.find("derivative");
-  const auto* platform = value.find("platform");
-  const auto* records = value.find("records");
-  const auto derivative_name =
-      derivative ? derivative->as_string() : std::nullopt;
-  const auto platform_name = platform ? platform->as_string() : std::nullopt;
-  if (!derivative_name || !platform_name || records == nullptr ||
-      !records->is_array()) {
-    return std::nullopt;
-  }
-  const auto platform_value = sim::platform_from_name(*platform_name);
-  if (!platform_value) return std::nullopt;
-  report.derivative = *derivative_name;
-  report.platform = *platform_value;
-  for (const auto& item : records->items) {
-    auto record = record_from_json(item);
-    if (!record) return std::nullopt;
-    report.records.push_back(std::move(*record));
-  }
-  if (const auto* cache = value.find("cache"); cache && cache->is_object()) {
-    const auto read = [cache](const char* key) -> std::uint64_t {
-      const auto* field = cache->find(key);
-      const auto number = field ? field->as_uint64() : std::nullopt;
-      return number.value_or(0);
-    };
-    report.cache.hits = read("hits");
-    report.cache.misses = read("misses");
-    report.cache.bytes = read("bytes");
-    report.cache.evictions = read("evictions");
-    report.cache.persistent_hits = read("persistent_hits");
-  }
-  return report;
-}
-
 std::string to_json(const BuildResult& result) {
   if (!result.status.ok()) return error_document("init", result.status);
   auto os = make_stream();
@@ -330,36 +200,10 @@ std::string to_json(const RunResult& result) {
 std::string to_json(const MatrixResult& result) {
   if (!result.status.ok()) return error_document("matrix", result.status);
   auto os = make_stream();
-  os << "{\"ok\":true,\"verb\":\"matrix\",\"backend\":";
-  append_quoted(os, result.backend);
-  os << ",\"shards\":" << result.shards;
-  // Pool bookkeeping exists only on the process backend; thread-backend
-  // documents keep their historical shape (and golden bytes).
-  if (!result.workers.empty()) {
-    os << ",\"jobs_per_worker\":" << result.jobs_per_worker;
-    os << ",\"worker_reuse\":" << result.worker_reuse();
-    os << ",\"workers\":[";
-    for (std::size_t i = 0; i < result.workers.size(); ++i) {
-      const MatrixWorkerStats& worker = result.workers[i];
-      if (i != 0) os << ",";
-      os << "{\"worker\":" << worker.worker
-         << ",\"requests\":" << worker.requests
-         << ",\"cells\":" << worker.cells << "}";
-    }
-    os << "]";
-    os << ",\"cost_model\":{\"source\":";
-    append_quoted(os, result.cost_model.source);
-    os << ",\"seeded_cells\":" << result.cost_model.seeded_cells
-       << ",\"recorded\":" << result.cost_model.recorded << "}";
-    os << ",\"batched_requests\":" << result.batched_requests;
-    os << ",\"request_timeout_ms\":" << result.request_timeout_ms;
-    os << ",\"fault\":{\"retries\":" << result.fault.retries
-       << ",\"requeued_cells\":" << result.fault.requeued_cells
-       << ",\"respawns\":" << result.fault.respawns
-       << ",\"quarantined_cells\":" << result.fault.quarantined_cells
-       << ",\"degraded\":" << (result.fault.degraded ? "true" : "false")
-       << "}";
-  }
+  // "backend" and "shards" are fixed: one in-process execution path. The
+  // keys stay so existing consumers (and the goldens) keep their bytes.
+  os << "{\"ok\":true,\"verb\":\"matrix\",\"backend\":\"thread\","
+        "\"shards\":1";
   os << ",\"cells\":[";
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     if (i != 0) os << ",";

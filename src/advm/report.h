@@ -15,12 +15,10 @@
 // `format_matrix_rollup` below remain the human half.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 
 #include "advm/session.h"
-#include "support/json.h"
 
 namespace advm::core {
 
@@ -41,14 +39,6 @@ namespace advm::core {
 /// documents; exposed for callers composing their own documents).
 [[nodiscard]] std::string report_to_json(const RegressionReport& report);
 
-/// Inverse of report_to_json — how the process execution backend folds an
-/// `advm worker` shard report back into the typed result. Derived fields
-/// (passed counts, outcome digest) are recomputed from the parsed records,
-/// so a report that survives the round trip carries the same digest it was
-/// serialized with. nullopt on a structurally damaged document.
-[[nodiscard]] std::optional<RegressionReport> report_from_json(
-    const support::json::Value& value);
-
 /// The five-key cache-counter object every report document embeds
 /// ({"hits":...,"misses":...,"bytes":...,"evictions":...,
 /// "persistent_hits":...}) — exposed so the serve daemon's stats document
@@ -58,16 +48,16 @@ namespace advm::core {
 
 /// The {"ok":false,"verb":...,"error":{code,message}} document every verb
 /// shares — exposed so the CLI can render pre-request failures (bad
-/// --jobs/--shards, unreadable slice files) through the same contract.
+/// --jobs, unknown flags) through the same contract.
 [[nodiscard]] std::string error_to_json(std::string_view verb,
                                         const Status& status);
 
-/// The backend-invariant roll-up of a matrix result as a JSON array — one
+/// The cache-invariant roll-up of a matrix result as a JSON array — one
 /// entry per cell with its identity, pass counts and outcome digest. This
-/// is the byte-identical surface the shard-determinism CI gate compares
-/// across execution backends (cache counters and modeled-seconds totals
-/// legitimately differ between a shared-cache thread run and sharded
-/// worker processes, so the full cell documents cannot be).
+/// is the byte-identical surface the --jobs determinism CI gate compares
+/// across pool sizes and warm/cold caches (cache counters legitimately
+/// differ between a cold and a warm lap, so the full cell documents
+/// cannot be).
 [[nodiscard]] std::string rollup_to_json(const MatrixResult& result);
 
 /// The human-readable derivative × platform roll-up table (one row per

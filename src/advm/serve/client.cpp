@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "advm/exec/workerpool.h"
 #include "advm/serve/endpoint.h"
 
 namespace advm::core::serve {
@@ -17,20 +16,19 @@ namespace {
 Status read_frame_line(int fd, std::string* carry, std::string* line,
                        std::size_t timeout_ms, const char* what) {
   int io_errno = 0;
-  switch (exec::read_line_deadline(fd, carry, line, timeout_ms,
-                                   &io_errno)) {
-    case exec::LineRead::Line:
+  switch (read_line_deadline(fd, carry, line, timeout_ms, &io_errno)) {
+    case LineRead::Line:
       return {};
-    case exec::LineRead::Eof:
+    case LineRead::Eof:
       return Status::error("advm.serve-protocol",
                            std::string("daemon closed the connection "
                                        "before sending the ") +
                                what);
-    case exec::LineRead::Timeout:
+    case LineRead::Timeout:
       return Status::error("advm.serve-timeout",
                            std::string("no ") + what + " within " +
                                std::to_string(timeout_ms) + "ms");
-    case exec::LineRead::Error:
+    case LineRead::Error:
       return Status::error("advm.serve-protocol",
                            std::string("reading the ") + what +
                                " failed (" + std::strerror(io_errno) +
@@ -50,7 +48,7 @@ Status attach_roundtrip(const AttachOptions& options, const Frame& request,
     return status;
   }
   Status status;
-  if (!exec::write_all_fd(fd, encode_frame(request))) {
+  if (!write_all_fd(fd, encode_frame(request))) {
     const int write_errno = errno;
     status = Status::error("advm.serve-protocol",
                            std::string("request write failed (") +

@@ -6,10 +6,9 @@
 // `exit` is the local exit code, so the CLI's attach path is a pure
 // transport: print one of payload/text, return exit.
 //
-// Liveness reuses the pool's poll-deadline machinery
-// (exec::read_line_deadline): a daemon that dies mid-response surfaces
-// as a typed Status, a wedged one as advm.serve-timeout — never a CLI
-// hung in read(2).
+// Liveness rides a poll(2) deadline (read_line_deadline, endpoint.h): a
+// daemon that dies mid-response surfaces as a typed Status, a wedged one
+// as advm.serve-timeout — never a CLI hung in read(2).
 #pragma once
 
 #include <cstddef>

@@ -306,9 +306,7 @@ struct Daemon::Impl {
     std::ostringstream os;
     os.imbue(std::locale::classic());
     os << "{\"ok\":true,\"verb\":\"serve\",\"socket\":\""
-       << json_escape(config.socket_path) << "\",\"backend\":\""
-       << (config.session.backend == ExecBackendKind::Process ? "process"
-                                                              : "thread")
+       << json_escape(config.socket_path)
        << "\",\"uptime_ms\":" << stats.uptime_ms
        << ",\"clients_served\":" << stats.clients_served
        << ",\"clients_lost\":" << stats.clients_lost
@@ -327,10 +325,7 @@ struct Daemon::Impl {
        << ",\"reused\":" << boards.reused
        << ",\"discarded\":" << boards.discarded
        << ",\"trimmed\":" << boards.trimmed
-       << ",\"stale_evicted\":" << boards.stale_evicted << "}";
-    os << ",\"cost_model\":{\"enabled\":"
-       << (session->cost_model().enabled() ? "true" : "false")
-       << ",\"keys\":" << session->cost_model().keys() << "}}";
+       << ",\"stale_evicted\":" << boards.stale_evicted << "}}";
     return os.str();
   }
 
@@ -751,10 +746,6 @@ int Daemon::serve() {
   impl.tasks_cv.notify_all();
   for (std::thread& executor : impl.executors) executor.join();
   impl.executors.clear();
-
-  // Flush the resident cost model so the next daemon (or a cold CLI lap
-  // against the same --cache-dir) starts measured, not estimated.
-  (void)impl.session->cost_model().publish();
 
   ::sigaction(SIGTERM, &old_term, nullptr);
   ::sigaction(SIGINT, &old_int, nullptr);

@@ -1,12 +1,12 @@
 // serve::Daemon — the resident verification service.
 //
 // One warm advm::Session (VFS, object cache + persistent store, board
-// pool, resident cost model, process worker-pool policy) behind a
-// SOCK_STREAM unix socket. A poll(2)-driven event loop multiplexes
-// concurrent clients: each connection carries exactly one two-line
-// serve::Frame request, verbs execute on a small executor pool, and the
-// response frame is written back from the loop (non-blocking, partial
-// writes resumed via POLLOUT) before the connection closes.
+// pool, thread-pool size) behind a SOCK_STREAM unix socket. A
+// poll(2)-driven event loop multiplexes concurrent clients: each
+// connection carries exactly one two-line serve::Frame request, verbs
+// execute on a small executor pool, and the response frame is written
+// back from the loop (non-blocking, partial writes resumed via POLLOUT)
+// before the connection closes.
 //
 // Concurrent sessions are serialized onto the shared Session with an
 // ownership rule: read-only verbs (run/matrix/check) hold the session
@@ -19,12 +19,11 @@
 // clients hammering the same tree still run concurrently.
 //
 // Lifecycle is first-class: a client that vanishes mid-request only
-// loses its own response (the work completes, the daemon stays healthy —
-// PR 7's retire-the-caller-not-the-service semantics), --idle-timeout
-// and SIGTERM/SIGINT both drain in-flight work, flush the cost model
-// and unlink the socket, a stale socket file is probed and replaced on
-// startup (endpoint.h), and a `stats` frame answers with a live stats
-// document at any time.
+// loses its own response (the work completes, the daemon stays healthy),
+// --idle-timeout and SIGTERM/SIGINT both drain in-flight work and unlink
+// the socket, a stale socket file is probed and replaced on startup
+// (endpoint.h), and a `stats` frame answers with a live stats document at
+// any time.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +37,8 @@ namespace advm::core::serve {
 
 struct DaemonConfig {
   std::string socket_path;
-  /// Configuration of the one shared Session (backend, shards, jobs,
-  /// cache dir, ... — the same flags a local CLI run takes).
+  /// Configuration of the one shared Session (jobs, cache dir, ... — the
+  /// same flags a local CLI run takes).
   SessionConfig session;
   /// Exit cleanly after this long with no clients and no in-flight work;
   /// 0 = run until --stop / SIGTERM / SIGINT.
@@ -76,8 +75,7 @@ class Daemon {
   [[nodiscard]] Status start();
 
   /// Runs the event loop until a shutdown frame, the idle timeout, or
-  /// SIGTERM/SIGINT; drains in-flight work, flushes the cost model, and
-  /// unlinks the socket. Returns the process exit code (0 on any clean
+  /// SIGTERM/SIGINT; drains in-flight work and unlinks the socket. Returns the process exit code (0 on any clean
   /// shutdown path).
   int serve();
 

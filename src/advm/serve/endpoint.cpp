@@ -6,7 +6,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 namespace advm::core::serve {
@@ -141,6 +143,65 @@ Status connect_endpoint(const std::string& path, std::size_t timeout_ms,
   }
   *fd = sock;
   return {};
+}
+
+bool write_all_fd(int fd, std::string_view bytes) {
+  std::size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + written,
+                             bytes.size() - written, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    written += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+LineRead read_line_deadline(int fd, std::string* carry, std::string* line,
+                            std::size_t timeout_ms, int* io_errno) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  for (;;) {
+    const std::size_t newline = carry->find('\n');
+    if (newline != std::string::npos) {
+      *line = carry->substr(0, newline);
+      carry->erase(0, newline + 1);
+      return LineRead::Line;
+    }
+    // Bound each wait with poll(2): 60s chunks re-check the deadline (and
+    // keep an infinite wait interruptible at the same cadence).
+    int wait_ms = 60'000;
+    if (timeout_ms != 0) {
+      const auto remaining =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              deadline - std::chrono::steady_clock::now())
+              .count();
+      if (remaining <= 0) return LineRead::Timeout;
+      wait_ms = static_cast<int>(std::min<long long>(remaining, 60'000));
+    }
+    struct pollfd pfd = {fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, wait_ms);
+    if (ready < 0) {
+      const int poll_errno = errno;
+      if (poll_errno == EINTR) continue;
+      if (io_errno != nullptr) *io_errno = poll_errno;
+      return LineRead::Error;
+    }
+    if (ready == 0) continue;  // re-check the deadline
+    char chunk[4096];
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n < 0) {
+      const int read_errno = errno;
+      if (read_errno == EINTR) continue;
+      if (read_errno == EAGAIN || read_errno == EWOULDBLOCK) continue;
+      if (io_errno != nullptr) *io_errno = read_errno;
+      return LineRead::Error;
+    }
+    if (n == 0) return LineRead::Eof;
+    carry->append(chunk, static_cast<std::size_t>(n));
+  }
 }
 
 }  // namespace advm::core::serve

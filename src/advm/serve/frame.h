@@ -1,9 +1,7 @@
 // serve::Frame — the wire unit of the attach protocol.
 //
-// PR 5's worker serve protocol (exec::ServeRequest) frames one JSON
-// document per line over a private pipe; the daemon generalizes that to
-// a shared unix socket where many clients interleave, so each message
-// gains an id and an envelope. A frame is exactly two lines:
+// Many clients interleave on one shared unix socket, so each message
+// carries an id and an envelope. A frame is exactly two lines:
 //
 //   {"id":N,"verb":"matrix","exit":0,"text":"<escaped human text>"}
 //   <payload document>

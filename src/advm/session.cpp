@@ -1,11 +1,7 @@
 #include "advm/session.h"
 
-#include <memory>
 #include <utility>
 
-#include "advm/exec/backend.h"
-#include "advm/exec/workerpool.h"
-#include "advm/exec/workplan.h"
 #include "advm/random_globals.h"
 #include "soc/derivative.h"
 #include "sim/platform.h"
@@ -15,35 +11,12 @@ namespace advm::core {
 
 using support::join_path;
 
-const char* to_string(ExecBackendKind kind) {
-  switch (kind) {
-    case ExecBackendKind::Thread:
-      return "thread";
-    case ExecBackendKind::Process:
-      return "process";
-  }
-  return "?";
-}
-
 bool MatrixResult::all_passed() const {
   if (cells.empty()) return false;
   for (const RegressionReport& cell : cells) {
     if (!cell.all_passed()) return false;
   }
   return true;
-}
-
-exec::CostModel& Session::cost_model() {
-  std::call_once(cost_model_loaded_, [this] { cost_model_.load(); });
-  return cost_model_;
-}
-
-std::size_t MatrixResult::worker_reuse() const {
-  std::size_t reuse = 0;
-  for (const MatrixWorkerStats& worker : workers) {
-    if (worker.requests > 1) reuse += worker.requests - 1;
-  }
-  return reuse;
 }
 
 namespace {
@@ -106,25 +79,6 @@ Status SessionConfig::validate() const {
         "jobs value " + std::to_string(jobs) + " exceeds the limit " +
             std::to_string(kMaxJobs) +
             " (0 = one worker per hardware thread)");
-  }
-  if (shards == 0 || shards > kMaxShards) {
-    return Status::error("advm.bad-shards",
-                         "shards value " + std::to_string(shards) +
-                             " out of range [1, " +
-                             std::to_string(kMaxShards) + "]");
-  }
-  if (request_timeout_ms > kMaxRequestTimeoutMs) {
-    return Status::error(
-        "advm.bad-timeout",
-        "request timeout " + std::to_string(request_timeout_ms) +
-            "ms exceeds the limit " + std::to_string(kMaxRequestTimeoutMs) +
-            "ms (0 = wait forever)");
-  }
-  if (!fault_plan.empty()) {
-    std::string parse_error;
-    if (!exec::parse_fault_plan(fault_plan, &parse_error)) {
-      return Status::error("advm.bad-fault-plan", parse_error);
-    }
   }
   return {};
 }
@@ -201,21 +155,6 @@ RunResult Session::run(const RunRequest& request) {
     return result;
   }
 
-  if (config_.backend == ExecBackendKind::Process) {
-    // A run is a one-cell matrix; the plan's slicing granularity is the
-    // cell, so it executes on exactly one worker (process isolation, not
-    // parallelism — the worker's own pool still uses `jobs`).
-    MatrixRequest one_cell;
-    one_cell.root = request.root;
-    one_cell.derivatives = {request.derivative};
-    one_cell.platforms = {request.platform};
-    one_cell.max_instructions = request.max_instructions;
-    MatrixResult matrix = run_matrix_on_backend(one_cell);
-    result.status = matrix.status;
-    if (!matrix.cells.empty()) result.report = std::move(matrix.cells[0]);
-    return result;
-  }
-
   RegressionRunner runner(context());
   result.report = runner.run_system(request.root, *spec, *platform,
                                     request.max_instructions);
@@ -226,19 +165,25 @@ MatrixResult Session::run(const MatrixRequest& request) {
   MatrixResult result;
   result.status = config_.validate();
   if (!result.status.ok()) return result;
+  std::vector<const soc::DerivativeSpec*> specs;
   for (const std::string& name : request.derivatives) {
-    if (find_spec(name) == nullptr) {
+    const soc::DerivativeSpec* spec = find_spec(name);
+    if (spec == nullptr) {
       result.status = unknown_derivative(name);
       return result;
     }
+    specs.push_back(spec);
   }
+  std::vector<sim::PlatformKind> platforms;
   for (const std::string& name : request.platforms) {
-    if (!find_platform(name)) {
+    const auto platform = find_platform(name);
+    if (!platform) {
       result.status = unknown_platform(name);
       return result;
     }
+    platforms.push_back(*platform);
   }
-  if (request.derivatives.empty() || request.platforms.empty()) {
+  if (specs.empty() || platforms.empty()) {
     result.status = Status::error(
         "advm.empty-matrix", "matrix needs at least one derivative and one "
                              "platform");
@@ -249,73 +194,18 @@ MatrixResult Session::run(const MatrixRequest& request) {
     return result;
   }
 
-  return run_matrix_on_backend(request);
-}
-
-MatrixResult Session::run_matrix_on_backend(const MatrixRequest& request) {
-  MatrixResult result;
-  const exec::MatrixPlan plan = exec::plan_matrix(request, config_.shards);
-
-  std::unique_ptr<exec::ExecutionBackend> backend;
-  if (config_.backend == ExecBackendKind::Process) {
-    exec::ProcessBackendConfig process_config;
-    process_config.worker_exe = config_.worker_exe;
-    process_config.scratch_dir = config_.scratch_dir;
-    process_config.cache_dir = config_.cache_dir;
-    process_config.cache_max_bytes = config_.cache_max_bytes;
-    // The --jobs budget is the whole session's, not each worker's:
-    // divide it across the live workers so `--shards S --jobs N` never
-    // oversubscribes N×S threads.
-    process_config.jobs_per_worker =
-        exec::divide_jobs(config_.jobs, plan.slices.size());
-    // Both use the same "auto" sentinel value, so the session default
-    // passes through unchanged.
-    process_config.batch_threshold_ms = config_.batch_threshold_ms;
-    process_config.request_timeout_ms = config_.request_timeout_ms;
-    process_config.max_respawns = config_.max_respawns;
-    // The session-resident model: one history shared (and kept warm in
-    // memory) across every lap this session runs.
-    process_config.cost_model = &cost_model();
-    if (!config_.fault_plan.empty()) {
-      // Validated (advm.bad-fault-plan) before any verb runs; a plan that
-      // stopped parsing between validate() and here would be a bug, so
-      // the empty fallback is fine.
-      if (auto plan = exec::parse_fault_plan(config_.fault_plan)) {
-        process_config.fault_plan = std::move(*plan);
-      }
+  // Derivative-major cube order: the report order every consumer (roll-up,
+  // goldens, CI gates) relies on.
+  std::vector<MatrixCell> cells;
+  cells.reserve(specs.size() * platforms.size());
+  for (const soc::DerivativeSpec* spec : specs) {
+    for (const sim::PlatformKind platform : platforms) {
+      cells.push_back({spec, platform});
     }
-    result.request_timeout_ms = config_.request_timeout_ms;
-    // The session's own context doubles as the degradation fallback: if
-    // every worker dies, the backend finishes the remaining cells
-    // in-process instead of failing the lap.
-    backend = std::make_unique<exec::ProcessBackend>(vfs_, process_config,
-                                                     context());
-  } else {
-    backend = std::make_unique<exec::ThreadBackend>(context());
   }
-  result.backend = backend->name();
-  result.shards = plan.slices.size();
-
-  exec::MatrixExecution execution = backend->run_matrix(plan);
-  result.status = std::move(execution.status);
-  result.cells = std::move(execution.cells);
-  result.jobs_per_worker = execution.jobs_per_worker;
-  result.workers.reserve(execution.workers.size());
-  for (const exec::WorkerDispatchStats& worker : execution.workers) {
-    result.workers.push_back({worker.worker, worker.requests, worker.cells});
-  }
-  result.cost_model = {execution.cost_model.source,
-                       execution.cost_model.seeded_cells,
-                       execution.cost_model.recorded};
-  result.batched_requests = execution.batched_requests;
-  result.fault = {execution.fault.retries, execution.fault.requeued_cells,
-                  execution.fault.respawns,
-                  execution.fault.quarantined_cells,
-                  execution.fault.degraded};
-  if (!result.status.ok()) {
-    result.cells.clear();
-    result.workers.clear();
-  }
+  RegressionRunner runner(context());
+  result.cells =
+      runner.run_matrix(request.root, cells, request.max_instructions);
   return result;
 }
 

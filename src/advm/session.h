@@ -5,7 +5,7 @@
 // treatment. A Session owns the resources every operation needs — the
 // VirtualFileSystem the environments live in, the derivative registry, the
 // shared content-addressed ObjectCache, the soc::Board pool and the
-// worker-pool policy — and exposes one typed request/result pair per verb:
+// thread-pool size — and exposes one typed request/result pair per verb:
 //
 //   BuildRequest   → BuildResult     generate a system environment (init)
 //   RunRequest     → RunResult       regression on one (derivative, platform)
@@ -19,8 +19,7 @@
 // Callers construct a request struct and call `session.run(request)`;
 // validation (unknown derivative/platform, bad root) comes back as a typed
 // Status instead of subsystem wiring errors. Every operation in one process
-// shares one cache and one board pool *by construction* — a shard worker at
-// corpus scale is just a Session fed a MatrixRequest slice.
+// shares one cache and one board pool *by construction*.
 //
 // Every result serializes to stable JSON through src/advm/report.h, which
 // is what `advm --format json` prints for machine consumers.
@@ -35,7 +34,6 @@
 #include "advm/boardpool.h"
 #include "advm/context.h"
 #include "advm/environment.h"
-#include "advm/exec/costmodel.h"
 #include "advm/lint/lint.h"
 #include "advm/objcache.h"
 #include "advm/porting.h"
@@ -107,57 +105,11 @@ struct MatrixRequest {
   std::uint64_t max_instructions = 2'000'000;
 };
 
-/// Per-worker dispatch counters of a pooled process-backend matrix run
-/// (mirrors exec::WorkerDispatchStats without pulling exec headers into
-/// the request surface).
-struct MatrixWorkerStats {
-  std::size_t worker = 0;
-  std::size_t requests = 0;  ///< serve Run round trips this worker served
-  std::size_t cells = 0;     ///< cells executed across those requests
-};
-
-/// How the process backend's dispatch queue was seeded (mirrors
-/// exec::CostModelStats): "measured" when the persistent cost model had
-/// a wall-clock estimate for every cell, "estimate" on the cold
-/// test-count fallback. `recorded` counts the observations this run
-/// persisted for the next lap.
-struct MatrixCostModelStats {
-  std::string source = "estimate";
-  std::size_t seeded_cells = 0;
-  std::size_t recorded = 0;
-};
-
-/// Fault-tolerance counters of a pooled process-backend matrix run
-/// (mirrors exec::FaultStats). All zero / false when nothing died.
-struct MatrixFaultStats {
-  std::size_t retries = 0;           ///< requeued request groups
-  std::size_t requeued_cells = 0;    ///< cells across those groups
-  std::size_t respawns = 0;          ///< dead worker slots refilled
-  std::size_t quarantined_cells = 0; ///< advm.exec-cell-poisoned outcomes
-  bool degraded = false;  ///< remainder ran in-process (all workers died)
-};
-
 struct MatrixResult {
   Status status;
   std::vector<RegressionReport> cells;  ///< derivative-major order
-  std::string backend = "thread";  ///< execution backend that ran the cube
-  std::size_t shards = 1;          ///< work-plan slices actually used
-  /// Pooled process backend only: per-worker dispatch counters (empty on
-  /// the thread backend), the effective per-worker pool size after the
-  /// session's --jobs budget is divided across live workers, the
-  /// cost-model seed/feedback counters, and how many Run requests
-  /// carried more than one (tiny) cell.
-  std::vector<MatrixWorkerStats> workers;
-  std::size_t jobs_per_worker = 0;
-  MatrixCostModelStats cost_model;
-  std::size_t batched_requests = 0;
-  MatrixFaultStats fault;
-  std::size_t request_timeout_ms = 0;  ///< effective per-request deadline
 
   [[nodiscard]] bool all_passed() const;
-  /// Requests served beyond each worker's first — the spawn-amortization
-  /// the persistent pool exists for. 0 means every worker ran one slice.
-  [[nodiscard]] std::size_t worker_reuse() const;
 };
 
 /// `port`: retarget the tree in place to another derivative (abstraction
@@ -234,32 +186,15 @@ struct RandomResult {
 
 // ---------------------------------------------------------------- session --
 
-/// How matrix/run work is executed (src/advm/exec/backend.h): on a worker
-/// pool inside this process, or sharded across `advm worker` subprocesses.
-enum class ExecBackendKind : std::uint8_t { Thread, Process };
-
-[[nodiscard]] const char* to_string(ExecBackendKind kind);
-
 struct SessionConfig {
   /// Worker-pool size for every operation: 1 = serial, 0 = one worker per
   /// hardware thread. Values above kMaxJobs fail request validation.
   std::size_t jobs = 1;
-  /// Work-plan slices for matrix execution. Must be ≥ 1 (0 fails request
-  /// validation — a degenerate shard count must not silently serialise).
-  /// The thread backend treats the plan as one in-process cube; the
-  /// process backend spawns one worker per (non-empty) slice.
-  std::size_t shards = 1;
-  /// Applies to the matrix and run verbs. Build (corpus generation) stays
-  /// in-process here because its output is this session's VFS, which a
-  /// subprocess cannot share; sharded corpus generation targets a *disk*
-  /// tree instead — exec::plan_corpus + generate_corpus_with_workers,
-  /// orchestrated by `advm init --backend process`.
-  ExecBackendKind backend = ExecBackendKind::Thread;
   /// Object-cache byte budget, spanning the in-memory and persistent
   /// tiers (LRU eviction); 0 = unbounded.
   std::uint64_t cache_max_bytes = 0;
   /// Persistent object-cache directory; empty = in-memory cache only.
-  /// Shard workers and consecutive CLI invocations pointed at the same
+  /// Consecutive sessions (and CLI invocations) pointed at the same
   /// directory share one cache by construction.
   std::string cache_dir;
   /// Board-pool trim policy: per-shard free boards kept per (derivative ×
@@ -267,44 +202,14 @@ struct SessionConfig {
   std::size_t board_pool_max_free_per_key = 0;
   /// VFS directory release snapshots land under.
   std::string release_root = "/releases";
-  /// Process backend: the `advm` binary to spawn as workers; empty =
-  /// this process's own executable (right when the caller *is* advm).
-  std::string worker_exe;
-  /// Process backend: scratch directory for the exported tree and the
-  /// slice/report files; empty = the system temp directory.
-  std::string scratch_dir;
-  /// Process backend: tiny-cell batching threshold in milliseconds.
-  /// Cells the persistent cost model estimates under the threshold are
-  /// packed into one multi-cell serve request. kAutoBatchThreshold (the
-  /// default) lets the backend pick its default; 0 disables batching.
-  std::size_t batch_threshold_ms = kAutoBatchThreshold;
-  /// Process backend: per-request response deadline in milliseconds
-  /// (`--request-timeout-ms`); 0 waits forever. A worker that misses it
-  /// is killed and its cells are requeued on the survivors.
-  std::size_t request_timeout_ms = kDefaultRequestTimeoutMs;
-  /// Process backend: how many times each dead worker slot may be
-  /// replaced with a fresh process (`--max-respawns`); 0 never respawns.
-  std::size_t max_respawns = 1;
-  /// Process backend: deterministic fault-injection plan (hidden
-  /// `--fault-plan` / ADVM_FAULT_PLAN; see exec::FaultClause for the
-  /// clause grammar). Empty in production; validated as advm.bad-fault-plan.
-  std::string fault_plan;
 
-  /// Upper bounds request validation enforces (guards against a typo'd
-  /// --jobs/--shards silently fanning out the whole machine).
+  /// Upper bound request validation enforces (guards against a typo'd
+  /// --jobs silently fanning out the whole machine).
   static constexpr std::size_t kMaxJobs = 1'000'000;
-  static constexpr std::size_t kMaxShards = 4096;
-  /// Sentinel for batch_threshold_ms: backend-chosen default.
-  static constexpr std::size_t kAutoBatchThreshold =
-      static_cast<std::size_t>(-1);
-  static constexpr std::size_t kDefaultRequestTimeoutMs = 600'000;
-  /// 24 hours — anything beyond this is a typo'd --request-timeout-ms,
-  /// not a deadline (advm.bad-timeout).
-  static constexpr std::size_t kMaxRequestTimeoutMs = 86'400'000;
 
-  /// Pool-size/shard-count sanity, applied by every verb that fans work
-  /// out: a degenerate value fails as a typed Status, never silently
-  /// serialises (shards = 0) or fans out across the machine (absurd jobs).
+  /// Pool-size sanity, applied by every verb that fans work out: an
+  /// absurd value fails as a typed Status, never fans out across the
+  /// machine.
   [[nodiscard]] Status validate() const;
 };
 
@@ -313,8 +218,7 @@ class Session {
   explicit Session(SessionConfig config = {})
       : config_(std::move(config)),
         cache_(config_.cache_max_bytes, config_.cache_dir),
-        boards_(config_.board_pool_max_free_per_key),
-        cost_model_(config_.cache_dir) {}
+        boards_(config_.board_pool_max_free_per_key) {}
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
@@ -323,15 +227,6 @@ class Session {
   [[nodiscard]] const support::VirtualFileSystem& vfs() const { return vfs_; }
   [[nodiscard]] ObjectCache& cache() { return cache_; }
   [[nodiscard]] BoardPool& boards() { return boards_; }
-
-  /// The session-resident per-cell cost model (loaded lazily from
-  /// `cache_dir` on first use, internally locked). Every process-backend
-  /// matrix lap this session runs seeds dispatch from it and feeds
-  /// measurements back — so a resident session (the serve daemon) keeps
-  /// its history warm across laps in memory, not just via the record
-  /// file. Disabled (no estimates, publish a no-op) when the session has
-  /// no cache_dir, like the persistent object store.
-  [[nodiscard]] exec::CostModel& cost_model();
 
   /// Non-owning view of the shared resources, for constructing subsystems
   /// directly when a flow outgrows the request verbs.
@@ -349,18 +244,10 @@ class Session {
   [[nodiscard]] RandomResult run(const RandomRequest& request);
 
  private:
-  /// Shared matrix execution path: plans the cube, selects the configured
-  /// ExecutionBackend, and runs the plan (used by both the matrix verb and
-  /// a process-backend `run`). Requests reaching here are validated.
-  [[nodiscard]] MatrixResult run_matrix_on_backend(
-      const MatrixRequest& request);
-
   SessionConfig config_;
   support::VirtualFileSystem vfs_;
   ObjectCache cache_;
   BoardPool boards_;
-  exec::CostModel cost_model_;
-  std::once_flag cost_model_loaded_;
 };
 
 /// Reconstructs a SystemLayout from a tree in the VFS (directory-driven,

@@ -1,11 +1,11 @@
 // Minimal JSON reader — the parse half of the report layer's contract.
 //
 // src/advm/report.cpp renders every Session result as stable JSON; the
-// process execution backend and the `advm worker` shard protocol need the
-// opposite direction: a worker prints its shard report as JSON on stdout
-// and the orchestrator folds it back into typed results. This parser reads
-// exactly the documents that writer produces (RFC 8259 subset: no comments,
-// no trailing commas) into a tagged tree the callers walk by hand.
+// `advm serve` attach protocol needs the opposite direction: the daemon
+// and its clients read frame headers and verb requests back into typed
+// values. This parser reads exactly the documents that writer produces
+// (RFC 8259 subset: no comments, no trailing commas) into a tagged tree
+// the callers walk by hand.
 //
 // Numbers keep their raw source text alongside the converted double so that
 // 64-bit counters round-trip exactly (a double only holds 53 bits; an

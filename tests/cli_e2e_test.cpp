@@ -2,19 +2,27 @@
 // init → run → check → port → run workflow through the disk/VFS boundary in
 // a temp directory and diffs each command's stdout against checked-in
 // goldens (tests/golden/). This is the workflow a verification team would
-// run from a shell, exercised exactly as they would run it.
+// run from a shell, exercised exactly as they would run it. The flag
+// parser's contract rides along: unknown flags are typed advm.bad-option
+// errors and boolean flags never swallow the next argument, with identical
+// output whether a verb runs locally or on an attached `advm serve` daemon.
 //
 // ADVM_CLI_PATH and ADVM_GOLDEN_DIR are injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "support/text.h"
 
@@ -45,7 +53,10 @@ class CliE2E : public ::testing::Test {
     env_dir_ = (scratch_ / "system_env").string();
   }
 
-  void TearDown() override { fs::remove_all(scratch_); }
+  void TearDown() override {
+    stop_daemon();
+    fs::remove_all(scratch_);
+  }
 
   /// Runs `advm <args>`, capturing exit code, stdout and stderr.
   CommandResult run_cli(const std::string& args) {
@@ -74,8 +85,46 @@ class CliE2E : public ::testing::Test {
     return slurp(path);
   }
 
+  /// Starts `advm serve` on a socket in the scratch dir and waits until it
+  /// answers --stats. Returns the ` --attach <socket>` suffix for verbs.
+  std::string start_daemon() {
+    socket_ = (scratch_ / "daemon.sock").string();
+    daemon_pid_ = ::fork();
+    if (daemon_pid_ == 0) {
+      // Keep the readiness line out of the test log.
+      const int devnull = ::open("/dev/null", O_WRONLY);
+      if (devnull >= 0) ::dup2(devnull, STDERR_FILENO);
+      ::execl(ADVM_CLI_PATH, ADVM_CLI_PATH, "serve", "--socket",
+              socket_.c_str(), static_cast<char*>(nullptr));
+      std::_Exit(127);
+    }
+    EXPECT_GT(daemon_pid_, 0);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    bool up = false;
+    while (!up && std::chrono::steady_clock::now() < deadline) {
+      up = run_cli("serve --socket \"" + socket_ + "\" --stats").exit_code ==
+           0;
+      if (!up) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_TRUE(up) << "daemon never answered on " << socket_;
+    return " --attach \"" + socket_ + "\"";
+  }
+
+  void stop_daemon() {
+    if (daemon_pid_ <= 0) return;
+    // A daemon that cannot take --stop must not hang the suite.
+    if (run_cli("serve --socket \"" + socket_ + "\" --stop").exit_code != 0) {
+      ::kill(daemon_pid_, SIGKILL);
+    }
+    ::waitpid(daemon_pid_, nullptr, 0);
+    daemon_pid_ = -1;
+  }
+
   fs::path scratch_;
   std::string env_dir_;
+  std::string socket_;
+  pid_t daemon_pid_ = -1;
 };
 
 TEST_F(CliE2E, FullWorkflowMatchesGoldens) {
@@ -228,6 +277,71 @@ TEST_F(CliE2E, UsageAndBadArgumentsExitNonZero) {
   auto negative_jobs = run_cli("run \"" + env_dir_ + "\" --jobs -1");
   EXPECT_EQ(negative_jobs.exit_code, 2);
   EXPECT_NE(negative_jobs.err.find("invalid --jobs"), std::string::npos);
+
+  // There is no worker verb: execution is in-process only.
+  auto worker = run_cli("worker --serve");
+  EXPECT_EQ(worker.exit_code, 2);
+  EXPECT_NE(worker.err.find("unknown verb 'worker'"), std::string::npos)
+      << worker.err;
+}
+
+TEST_F(CliE2E, UnknownFlagsAreTypedBadOptionsLocallyAndAttached) {
+  auto init = run_cli("init \"" + env_dir_ + "\" --tests 2");
+  ASSERT_EQ(init.exit_code, 0) << init.err;
+  const std::string attach = start_daemon();
+  const std::string matrix = "matrix \"" + env_dir_ + "\"";
+
+  // Flags the CLI does not have (the knobs of the former multi-process
+  // backend) and a typo of --jobs that used to run silently at --jobs 1.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {matrix + " --backend process", "--backend"},
+      {matrix + " --shards 4", "--shards"},
+      {matrix + " --batch-threshold 5", "--batch-threshold"},
+      {matrix + " --request-timeout-ms 1000", "--request-timeout-ms"},
+      {matrix + " --max-respawns 0", "--max-respawns"},
+      {matrix + " --fault-plan 0:crash@1", "--fault-plan"},
+      {matrix + " --derivatives SC88-A --platforms golden-model --jbos 4",
+       "--jbos"},
+  };
+  for (const auto& [args, flag] : cases) {
+    const auto local = run_cli(args);
+    EXPECT_EQ(local.exit_code, 2) << args;
+    EXPECT_EQ(local.out, "") << args;
+    EXPECT_EQ(local.err, "unknown option '" + flag + "'\n") << args;
+    const auto attached = run_cli(args + attach);
+    EXPECT_EQ(attached.exit_code, local.exit_code) << args;
+    EXPECT_EQ(attached.out, local.out) << args;
+    EXPECT_EQ(attached.err, local.err) << args;
+
+    const auto json = run_cli(args + " --format json");
+    EXPECT_EQ(json.exit_code, 2) << args;
+    EXPECT_EQ(json.out,
+              "{\"ok\":false,\"verb\":\"matrix\",\"error\":{\"code\":"
+              "\"advm.bad-option\",\"message\":\"unknown option '" +
+                  flag + "'\"}}\n")
+        << args;
+    const auto attached_json = run_cli(args + " --format json" + attach);
+    EXPECT_EQ(attached_json.exit_code, json.exit_code) << args;
+    EXPECT_EQ(attached_json.out, json.out) << args;
+  }
+}
+
+TEST_F(CliE2E, BooleanFlagsNeverSwallowTheDirectory) {
+  auto init = run_cli("init \"" + env_dir_ + "\" --tests 2");
+  ASSERT_EQ(init.exit_code, 0) << init.err;
+  const std::string attach = start_daemon();
+
+  // `--lint` before the directory used to take it as its value and leave
+  // the verb without a tree (usage, exit 2).
+  const std::string args = "run --lint \"" + env_dir_ + "\"";
+  const auto local = run_cli(args);
+  EXPECT_EQ(local.exit_code, 0) << local.err << local.out;
+  EXPECT_NE(local.out.find("passed"), std::string::npos) << local.out;
+  EXPECT_EQ(local.out, run_cli("run \"" + env_dir_ + "\" --lint").out);
+  const auto attached = run_cli(args + attach);
+  EXPECT_EQ(attached.exit_code, local.exit_code);
+  EXPECT_EQ(attached.out, local.out);
+  EXPECT_EQ(attached.err, local.err);
 }
 
 }  // namespace

@@ -465,9 +465,9 @@ TEST(PersistentObjectCache, StoredObjectRoundTripsExactly) {
 }
 
 TEST(PersistentObjectCache, ConcurrentWritersPublishWholeEntries) {
-  // Shard workers share one cache directory with no coordination beyond
-  // atomic renames: racing same-key writers must leave a complete entry
-  // (any of theirs) and no torn files behind.
+  // Concurrent processes share one cache directory with no coordination
+  // beyond atomic renames: racing same-key writers must leave a complete
+  // entry (any of theirs) and no torn files behind.
   ScratchDir scratch("race");
   auto vfs = tiny_program();
   AssemblerOptions options;

@@ -1,16 +1,16 @@
 // End-to-end suite for `advm serve` — the resident verification daemon —
 // and its attach protocol. A real daemon process is spawned per test
-// (this very repo's CLI binary, like the exec suite's workers), thin
-// clients attach over the unix socket, and the assertions pin the
-// contracts ISSUE 8 names: byte-identical report documents between
-// attached and local runs, warm second laps, concurrent clients, a
-// healthy daemon after a client vanishes mid-request, idle-timeout and
-// --stop shutdown that flush the cost model and unlink the socket, the
-// stale-socket probe, and the live stats document.
+// (this very repo's CLI binary), thin clients attach over the unix
+// socket, and the assertions pin the daemon's contracts: byte-identical
+// report documents between attached and local runs, warm second laps,
+// concurrent clients, a healthy daemon after a client vanishes
+// mid-request, idle-timeout and --stop shutdown that drain and unlink the
+// socket, the stale-socket probe, and the live stats document.
 //
 // ADVM_CLI_PATH is injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -25,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "advm/exec/workerpool.h"
 #include "advm/serve/client.h"
 #include "advm/serve/endpoint.h"
 #include "advm/serve/frame.h"
@@ -49,6 +48,39 @@ std::string slurp(const fs::path& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+/// How kill_and_reap ended a child process.
+struct ReapOutcome {
+  bool reaped = false;     ///< waitpid produced a wait status
+  bool escalated = false;  ///< SIGKILL was needed (the grace expired)
+};
+
+/// Polls waitpid(WNOHANG) in 10ms steps for `grace_ms` (a daemon
+/// honouring --stop is reaped without a signal), then SIGKILLs and reaps
+/// unconditionally. EINTR-safe; safe on a process that already exited.
+ReapOutcome kill_and_reap(pid_t pid, std::size_t grace_ms) {
+  ReapOutcome outcome;
+  if (pid <= 0) return outcome;
+  pid_t reaped = 0;
+  for (std::size_t attempt = 0; attempt < grace_ms / 10; ++attempt) {
+    reaped = ::waitpid(pid, nullptr, WNOHANG);
+    if (reaped < 0 && errno == EINTR) {
+      reaped = 0;
+      continue;
+    }
+    if (reaped != 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (reaped == 0) {
+    outcome.escalated = true;
+    ::kill(pid, SIGKILL);
+    do {
+      reaped = ::waitpid(pid, nullptr, 0);
+    } while (reaped < 0 && errno == EINTR);
+  }
+  outcome.reaped = reaped > 0;
+  return outcome;
 }
 
 class ServeE2E : public ::testing::Test {
@@ -130,8 +162,7 @@ class ServeE2E : public ::testing::Test {
   void stop_daemon(bool expect_clean = true) {
     if (daemon_pid_ <= 0) return;
     (void)run_cli("serve --socket \"" + socket_path_ + "\" --stop");
-    const exec::ReapOutcome outcome =
-        exec::kill_and_reap(daemon_pid_, 10'000);
+    const ReapOutcome outcome = kill_and_reap(daemon_pid_, 10'000);
     daemon_pid_ = -1;
     if (expect_clean) {
       EXPECT_TRUE(outcome.reaped);
@@ -339,41 +370,41 @@ TEST_F(ServeE2E, AttachedErrorsArriveTypedWithExitTwo) {
 TEST_F(ServeE2E, SecondAttachedLapRunsWarm) {
   make_tree();
   const std::string cache_dir = (scratch_ / "cache").string();
-  spawn_daemon("--backend process --shards 2 --jobs 4 --cache-dir \"" +
-               cache_dir + "\"");
+  spawn_daemon("--jobs 4 --cache-dir \"" + cache_dir + "\"");
   const std::string command = "matrix \"" + env_dir_ +
                               "\" --derivatives SC88-A,SC88-D"
                               " --platforms golden-model,hdl-rtl"
-                              " --format json" +
-                              attach_flag();
+                              " --format json";
   // SC88-D cells fail on an SC88-A tree (exit 1) — the warm-lap counters
   // are what this test pins, and failing cells exercise them just as
   // well; the exit code only has to agree between laps.
-  const auto lap1 = run_cli(command);
+  const auto lap1 = run_cli(command + attach_flag());
   ASSERT_EQ(lap1.exit_code, 1) << lap1.err << lap1.out;
-  const auto lap2 = run_cli(command);
+  const auto lap2 = run_cli(command + attach_flag());
   ASSERT_EQ(lap2.exit_code, 1) << lap2.err;
+  // A restarted daemon on the same cache dir: its cold in-memory cache
+  // must be served from the disk tier the first daemon populated.
+  stop_daemon();
+  spawn_daemon("--jobs 4 --cache-dir \"" + cache_dir + "\"");
+  const auto restarted = run_cli(command + attach_flag());
+  ASSERT_EQ(restarted.exit_code, 1) << restarted.err;
 
-  const auto doc1 = support::json::parse(lap1.out);
   const auto doc2 = support::json::parse(lap2.out);
-  ASSERT_TRUE(doc1 && doc2);
-  const auto persistent_hits = [](const support::json::Value& doc) {
+  const auto doc3 = support::json::parse(restarted.out);
+  ASSERT_TRUE(doc2 && doc3);
+  const auto cache_sum = [](const support::json::Value& doc,
+                            const char* key) {
     std::uint64_t total = 0;
     for (const auto& cell : doc.find("cells")->items) {
-      total += *cell.find("cache")->find("persistent_hits")->as_uint64();
+      total += *cell.find("cache")->find(key)->as_uint64();
     }
     return total;
   };
-  // Lap 2 rides the warm persistent store and reuses pooled workers.
-  EXPECT_GT(persistent_hits(*doc2), 0u);
-  EXPECT_GT(*doc2->find("worker_reuse")->as_uint64(), 0u);
-  // The resident cost model carries lap 1's measurements to lap 2
-  // without a round trip through disk.
-  EXPECT_EQ(*doc1->find("cost_model")->find("source")->as_string(),
-            "estimate");
-  EXPECT_EQ(*doc2->find("cost_model")->find("source")->as_string(),
-            "measured");
-  // The roll-up — the backend-invariant surface — is byte-stable across
+  // Lap 2 rides the resident session: every object is an in-memory hit.
+  EXPECT_EQ(cache_sum(*doc2, "misses"), 0u);
+  EXPECT_GT(cache_sum(*doc2, "hits"), 0u);
+  EXPECT_GT(cache_sum(*doc3, "persistent_hits"), 0u);
+  // The roll-up — the cache-invariant surface — is byte-stable across
   // laps even though cache counters legitimately warm up.
   const auto rollup = [](const std::string& out) {
     const std::size_t at = out.find("\"rollup\":");
@@ -381,6 +412,7 @@ TEST_F(ServeE2E, SecondAttachedLapRunsWarm) {
     return out.substr(at);
   };
   EXPECT_EQ(rollup(lap1.out), rollup(lap2.out));
+  EXPECT_EQ(rollup(lap1.out), rollup(restarted.out));
 }
 
 // -------------------------------------------------------- e2e: lifecycle --
@@ -422,7 +454,7 @@ TEST_F(ServeE2E, ClientVanishingMidRequestLeavesDaemonHealthy) {
     frame.id = 7;
     frame.verb = "matrix";
     frame.payload = serve::to_json(request);
-    ASSERT_TRUE(exec::write_all_fd(fd, serve::encode_frame(frame)));
+    ASSERT_TRUE(serve::write_all_fd(fd, serve::encode_frame(frame)));
     ::close(fd);
   }
   // The daemon finishes the orphaned work, counts the lost client, and
@@ -448,12 +480,9 @@ TEST_F(ServeE2E, ClientVanishingMidRequestLeavesDaemonHealthy) {
   EXPECT_EQ(lost, 1u);
 }
 
-TEST_F(ServeE2E, IdleTimeoutDrainsFlushesCostModelAndUnlinksSocket) {
+TEST_F(ServeE2E, IdleTimeoutDrainsAndUnlinksSocket) {
   make_tree();
-  const std::string cache_dir = (scratch_ / "cache").string();
-  spawn_daemon("--backend process --shards 2 --idle-timeout-ms 700"
-               " --cache-dir \"" +
-               cache_dir + "\"");
+  spawn_daemon("--idle-timeout-ms 700");
   const auto lap = run_cli("matrix \"" + env_dir_ +
                            "\" --derivatives SC88-A"
                            " --platforms golden-model --format json" +
@@ -463,8 +492,6 @@ TEST_F(ServeE2E, IdleTimeoutDrainsFlushesCostModelAndUnlinksSocket) {
   EXPECT_TRUE(daemon_exited(15'000))
       << slurp(scratch_ / "daemon.log");
   EXPECT_FALSE(fs::exists(socket_path_));
-  // The shutdown drain published the measured costs for the next lap.
-  EXPECT_TRUE(fs::exists(fs::path(cache_dir) / "cost-model.jsonl"));
 }
 
 TEST_F(ServeE2E, StaleSocketFileIsProbedAndReplaced) {
@@ -507,12 +534,11 @@ TEST_F(ServeE2E, StatsDocumentPinsItsContract) {
   ASSERT_EQ(stats.exit_code, 0) << stats.err;
   // Fixed key order, one line — the report-document contract.
   const std::vector<std::string> keys = {
-      "{\"ok\":true,\"verb\":\"serve\",\"socket\":",  "\"backend\":",
+      "{\"ok\":true,\"verb\":\"serve\",\"socket\":",
       "\"uptime_ms\":",       "\"clients_served\":",  "\"clients_lost\":",
       "\"requests_ok\":",     "\"requests_failed\":", "\"requests\":{",
       "\"trees\":",           "\"cache\":{\"hits\":", "\"persistent_hits\":",
-      "\"boards\":{\"constructed\":",                 "\"stale_evicted\":",
-      "\"cost_model\":{\"enabled\":",                 "\"keys\":"};
+      "\"boards\":{\"constructed\":",                 "\"stale_evicted\":"};
   std::size_t at = 0;
   for (const std::string& key : keys) {
     const std::size_t found = stats.out.find(key, at);

@@ -1,15 +1,18 @@
 // advm::Session — the typed request/result API.
 //
-// Covers the contract the CLI and future shard workers rely on: request
+// Covers the contract the CLI and the serve daemon rely on: request
 // validation comes back as typed Status errors (unknown derivative /
-// platform / bad root), consecutive verbs on one session share one object
-// cache and one board pool by construction, and the JSON documents for
-// `run` and `matrix` are byte-stable against checked-in goldens
-// (tests/golden/session_*.json — the same bytes `advm --format json`
-// prints).
+// platform / bad root / absurd jobs), consecutive verbs on one session
+// share one object cache and one board pool by construction, matrix cells
+// come back derivative-major, two sessions pointed at one cache_dir share
+// its persistent tier, and the JSON documents for `run` and `matrix` are
+// byte-stable against checked-in goldens (tests/golden/session_*.json —
+// the same bytes `advm --format json` prints).
 //
 // ADVM_GOLDEN_DIR is injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -17,8 +20,10 @@
 #include <sstream>
 #include <string>
 
+#include "advm/regression.h"
 #include "advm/report.h"
 #include "advm/session.h"
+#include "soc/derivative.h"
 
 namespace {
 
@@ -43,6 +48,14 @@ BuildResult build_small_system(Session& session) {
   request.root = "/SYS";
   request.tests_per_module = 2;
   return session.run(request);
+}
+
+/// The 2 × 2 cube the matrix ordering and persistence tests run.
+MatrixRequest small_cube() {
+  MatrixRequest request;
+  request.derivatives = {"SC88-A", "SC88-B"};
+  request.platforms = {"golden-model", "accelerator"};
+  return request;
 }
 
 // ------------------------------------------------------ request validation --
@@ -116,33 +129,13 @@ TEST(SessionValidation, PortValidatesTargetName) {
   EXPECT_EQ(session.run(request).status.code, "advm.unknown-derivative");
 }
 
-TEST(SessionValidation, ZeroShardsIsATypedError) {
-  // shards = 0 used to be representable and silently degenerate; it must
-  // fail validation before any work is planned.
-  SessionConfig config;
-  config.shards = 0;
-  Session session(std::move(config));
-
-  // Limits are checked before anything else — even building is refused.
-  MatrixResult matrix = session.run(MatrixRequest{});
-  EXPECT_EQ(matrix.status.code, "advm.bad-shards");
-  EXPECT_TRUE(matrix.cells.empty());
-  EXPECT_EQ(session.run(RunRequest{}).status.code, "advm.bad-shards");
-  EXPECT_EQ(session.run(BuildRequest{}).status.code, "advm.bad-shards");
-}
-
-TEST(SessionValidation, ShardAndJobLimitsAreTypedErrors) {
-  {
-    SessionConfig config;
-    config.shards = SessionConfig::kMaxShards + 1;
-    Session session(std::move(config));
-    EXPECT_EQ(session.run(MatrixRequest{}).status.code, "advm.bad-shards");
-  }
+TEST(SessionValidation, JobLimitIsATypedError) {
   {
     SessionConfig config;
     config.jobs = SessionConfig::kMaxJobs + 1;
     Session session(std::move(config));
     EXPECT_EQ(session.run(RunRequest{}).status.code, "advm.bad-jobs");
+    EXPECT_EQ(session.run(MatrixRequest{}).status.code, "advm.bad-jobs");
     EXPECT_EQ(session.run(BuildRequest{}).status.code, "advm.bad-jobs");
     EXPECT_EQ(session.run(ReleaseRequest{}).status.code, "advm.bad-jobs");
   }
@@ -154,31 +147,6 @@ TEST(SessionValidation, ShardAndJobLimitsAreTypedErrors) {
     ASSERT_TRUE(build_small_system(session).status.ok());
     EXPECT_TRUE(session.run(RunRequest{}).status.ok());
   }
-}
-
-TEST(SessionValidation, OversizedRequestTimeoutIsATypedError) {
-  SessionConfig config;
-  config.request_timeout_ms = SessionConfig::kMaxRequestTimeoutMs + 1;
-  Session session(std::move(config));
-  MatrixResult matrix = session.run(MatrixRequest{});
-  EXPECT_EQ(matrix.status.code, "advm.bad-timeout");
-  EXPECT_TRUE(matrix.cells.empty());
-  // 0 stays legal: it means wait forever (the pre-deadline behaviour).
-  SessionConfig forever;
-  forever.request_timeout_ms = 0;
-  Session patient(std::move(forever));
-  ASSERT_TRUE(build_small_system(patient).status.ok());
-  EXPECT_TRUE(patient.run(RunRequest{}).status.ok());
-}
-
-TEST(SessionValidation, MalformedFaultPlanIsATypedError) {
-  SessionConfig config;
-  config.fault_plan = "0:melt@1";
-  Session session(std::move(config));
-  MatrixResult matrix = session.run(MatrixRequest{});
-  EXPECT_EQ(matrix.status.code, "advm.bad-fault-plan");
-  EXPECT_NE(matrix.status.message.find("melt"), std::string::npos);
-  EXPECT_TRUE(matrix.cells.empty());
 }
 
 // ------------------------------------------------------------ happy paths --
@@ -365,6 +333,72 @@ TEST(BoardPool, StaleFreeBoardsAreEvictedEagerlyOnRelease) {
   // Only the current-spec board remains leasable.
   { auto lease = pool.acquire(spec, sim::PlatformKind::GoldenModel); }
   EXPECT_EQ(pool.stats().reused, 1u);
+}
+
+TEST(Session, MatrixCellsComeBackDerivativeMajor) {
+  Session session;
+  ASSERT_TRUE(build_small_system(session).status.ok());
+  const MatrixResult result = session.run(small_cube());
+  ASSERT_TRUE(result.status.ok()) << result.status.message;
+  ASSERT_EQ(result.cells.size(), 4u);
+  EXPECT_EQ(result.cells[0].derivative, "SC88-A");
+  EXPECT_EQ(result.cells[0].platform, sim::PlatformKind::GoldenModel);
+  EXPECT_EQ(result.cells[1].derivative, "SC88-A");
+  EXPECT_EQ(result.cells[1].platform, sim::PlatformKind::Accelerator);
+  EXPECT_EQ(result.cells[2].derivative, "SC88-B");
+  EXPECT_EQ(result.cells[2].platform, sim::PlatformKind::GoldenModel);
+  EXPECT_EQ(result.cells[3].derivative, "SC88-B");
+  EXPECT_EQ(result.cells[3].platform, sim::PlatformKind::Accelerator);
+}
+
+TEST(Session, MatrixMatchesTheDirectRunner) {
+  Session session;
+  ASSERT_TRUE(build_small_system(session).status.ok());
+  const MatrixResult result = session.run(small_cube());
+  ASSERT_TRUE(result.status.ok()) << result.status.message;
+
+  Session direct;
+  ASSERT_TRUE(build_small_system(direct).status.ok());
+  RegressionRunner runner(direct.context());
+  const std::vector<RegressionReport> expected = runner.run_matrix(
+      "/SYS", {{soc::find_derivative("SC88-A"), sim::PlatformKind::GoldenModel},
+               {soc::find_derivative("SC88-A"), sim::PlatformKind::Accelerator},
+               {soc::find_derivative("SC88-B"), sim::PlatformKind::GoldenModel},
+               {soc::find_derivative("SC88-B"), sim::PlatformKind::Accelerator}});
+  ASSERT_EQ(result.cells.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(result.cells[i].outcome_digest(), expected[i].outcome_digest())
+        << "cell " << i;
+  }
+}
+
+TEST(Session, TwoSessionsShareThePersistentCacheAcrossLifetimes) {
+  const std::filesystem::path cache_dir =
+      std::filesystem::temp_directory_path() /
+      ("advm_session_cache_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(cache_dir);
+  const auto run_once = [&] {
+    SessionConfig config;
+    config.cache_dir = cache_dir.string();
+    Session session(std::move(config));
+    EXPECT_TRUE(build_small_system(session).status.ok());
+    return session.run(small_cube());
+  };
+
+  const MatrixResult cold = run_once();
+  ASSERT_TRUE(cold.status.ok()) << cold.status.message;
+  // The second session starts with a cold in-memory cache, so its misses
+  // must be served from the disk tier the first one populated.
+  const MatrixResult warm = run_once();
+  ASSERT_TRUE(warm.status.ok()) << warm.status.message;
+  std::filesystem::remove_all(cache_dir);
+
+  std::uint64_t persistent_hits = 0;
+  for (const RegressionReport& cell : warm.cells) {
+    persistent_hits += cell.cache.persistent_hits;
+  }
+  EXPECT_GT(persistent_hits, 0u);
+  EXPECT_EQ(rollup_to_json(warm), rollup_to_json(cold));
 }
 
 TEST(Session, ConfigPlumbsTrimPolicyAndPersistentCache) {

@@ -3,12 +3,11 @@
 // The workflow a verification team would actually run, against environments
 // that live on disk (paper §3 keeps them under revision control):
 //
-//   advm init  <dir> [--derivative SC88-A] [--tests N] [--backend B]
-//                    [--shards N] [--jobs N]             create a system env
+//   advm init  <dir> [--derivative SC88-A] [--tests N] [--jobs N]
+//                                                        create a system env
 //   advm run   <dir> [--derivative D] [--platform P] [--jobs N]
-//                    [--backend B] [--cache-dir DIR]     build + regress
+//                    [--cache-dir DIR]                   build + regress
 //   advm matrix <dir> --derivatives A,B,C --platforms P,Q [--jobs N]
-//                    [--backend thread|process] [--shards N]
 //                    [--cache-dir DIR]                   derivative × platform
 //                                                        cube, one report per
 //                                                        cell + roll-up
@@ -29,49 +28,31 @@
 //                                                        unix socket; --stats /
 //                                                        --stop control a live
 //                                                        one
-//   advm worker --slice <file>                           execute one work-plan
-//                                                        slice (one-shot; used
-//                                                        by sharded init)
-//   advm worker --serve                                  persistent worker:
-//                                                        line-delimited JSON
-//                                                        requests on stdin
-//                                                        (spawned as a pool by
-//                                                        the process backend)
 //
 // Every verb is the same thin adapter: parse arguments into a typed
 // request, run it on one advm::Session (which owns the VFS, object cache,
-// board pool and worker-pool policy), render the typed result. `--format
+// board pool and thread-pool size), render the typed result. `--format
 // json` (any verb) renders the result as the stable machine-readable
-// document from src/advm/report.h instead of the human text.
+// document from src/advm/report.h instead of the human text. Flags come
+// from one table (kFlags); an unknown flag is a typed advm.bad-option.
 //
-// `--backend process` shards matrix cells (or corpus environments, for
-// init) across `advm worker` subprocesses — this very binary, re-entered
-// through the worker verb. `--cache-dir` points the content-addressed
-// object cache at a persistent directory that workers and consecutive
-// invocations share. `--attach <socket>` (or ADVM_SOCKET) ships any verb
-// to a resident `advm serve` daemon instead — same flags, same documents,
-// same exit codes, but a warm shared Session on the far side.
+// `--cache-dir` points the content-addressed object cache at a persistent
+// directory that consecutive invocations share. `--attach <socket>` (or
+// ADVM_SOCKET) ships any verb to a resident `advm serve` daemon instead —
+// same flags, same documents, same exit codes, but a warm shared Session
+// on the far side.
 //
 // Environments are imported from disk into the session's VFS, transformed,
 // and written back — so `port` literally edits only the abstraction layer
 // files in your working copy.
-#include <chrono>
-#include <csignal>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
-#include <optional>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
+#include <string_view>
 
-#include "advm/exec/backend.h"
-#include "advm/exec/workerpool.h"
-#include "advm/exec/workplan.h"
 #include "advm/report.h"
 #include "advm/serve/client.h"
 #include "advm/serve/daemon.h"
@@ -88,11 +69,37 @@ using namespace advm::core;
 
 constexpr const char* kVfsRoot = "/SYS";
 
+/// Every flag the CLI knows, and whether it takes a value. A value flag
+/// consumes the next argument; a boolean flag never does.
+struct FlagSpec {
+  std::string_view name;
+  bool takes_value;
+};
+
+constexpr FlagSpec kFlags[] = {
+    {"attach", true},        {"cache-dir", true},  {"derivative", true},
+    {"derivatives", true},   {"format", true},     {"idle-timeout-ms", true},
+    {"jobs", true},          {"lint", false},      {"name", true},
+    {"platform", true},      {"platforms", true},  {"seed", true},
+    {"serve-threads", true}, {"socket", true},     {"stats", false},
+    {"stop", false},         {"tests", true},      {"to", true},
+};
+
+const FlagSpec* find_flag(std::string_view name) {
+  for (const FlagSpec& flag : kFlags) {
+    if (flag.name == name) return &flag;
+  }
+  return nullptr;
+}
+
 struct Args {
   std::string command;
   std::string dir;
   std::map<std::string, std::string> options;
   bool json = false;
+  /// First unknown flag or missing flag value (advm.bad-option); the rest
+  /// of the line is still parsed so --format json shapes the error.
+  Status error;
 };
 
 Args parse_args(int argc, char** argv) {
@@ -100,21 +107,34 @@ Args parse_args(int argc, char** argv) {
   if (argc >= 2) args.command = argv[1];
   int positional = 0;
   for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      std::string key = arg.substr(2);
-      std::string value = i + 1 < argc ? argv[i + 1] : "";
-      if (!value.empty() && value.rfind("--", 0) != 0) {
-        args.options.insert_or_assign(key, std::move(value));
-        ++i;
-      } else {
-        // insert_or_assign with a sized string: `options[key] = "1"` hits
-        // GCC 12's -Wrestrict false positive (PR105651) under -O3 -Werror.
-        args.options.insert_or_assign(key, std::string(1, '1'));
-      }
-    } else if (positional++ == 0) {
-      args.dir = arg;
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      if (positional++ == 0) args.dir = arg;
+      continue;
     }
+    const std::string key = arg.substr(2);
+    const FlagSpec* flag = find_flag(key);
+    if (flag == nullptr) {
+      if (args.error.ok()) {
+        args.error = Status::error("advm.bad-option",
+                                   "unknown option '" + arg + "'");
+      }
+      continue;
+    }
+    if (!flag->takes_value) {
+      // insert_or_assign with a sized string: `options[key] = "1"` hits
+      // GCC 12's -Wrestrict false positive (PR105651) under -O3 -Werror.
+      args.options.insert_or_assign(key, std::string(1, '1'));
+      continue;
+    }
+    if (i + 1 >= argc || std::string_view(argv[i + 1]).rfind("--", 0) == 0) {
+      if (args.error.ok()) {
+        args.error = Status::error("advm.bad-option",
+                                   "option '" + arg + "' needs a value");
+      }
+      continue;
+    }
+    args.options.insert_or_assign(key, std::string(argv[++i]));
   }
   auto format = args.options.find("format");
   args.json = format != args.options.end() && format->second == "json";
@@ -124,9 +144,8 @@ Args parse_args(int argc, char** argv) {
 /// Parses a numeric option strictly: digits only. strtoul would silently
 /// accept "-1" (wrapping to ULONG_MAX — i.e. maximum fan-out, the exact
 /// accident to prevent), so negative and non-numeric values come back as a
-/// typed Status instead. Range validation (0 shards, absurd jobs) is the
-/// Session's job — numeric values pass through so the typed error has one
-/// home.
+/// typed Status instead. Range validation (absurd jobs) is the Session's
+/// job — numeric values pass through so the typed error has one home.
 Status parse_count(const Args& args, const char* key, const char* code,
                    std::size_t* out) {
   auto it = args.options.find(key);
@@ -151,66 +170,19 @@ std::string option_or(const Args& args, const char* key,
   return it == args.options.end() ? fallback : it->second;
 }
 
-/// SessionConfig from the shared execution flags (--jobs, --shards,
-/// --backend, --cache-dir). Typed Status on malformed values.
+/// SessionConfig from the shared execution flags (--jobs, --cache-dir).
+/// Typed Status on malformed values.
 Status config_from_args(const Args& args, SessionConfig* config) {
   if (Status status = parse_count(args, "jobs", "advm.bad-jobs",
                                   &config->jobs);
       !status.ok()) {
     return status;
   }
-  if (Status status = parse_count(args, "shards", "advm.bad-shards",
-                                  &config->shards);
-      !status.ok()) {
-    return status;
-  }
-  const std::string backend = option_or(args, "backend", "thread");
-  if (backend == "process") {
-    config->backend = ExecBackendKind::Process;
-  } else if (backend != "thread") {
-    return Status::error("advm.bad-backend",
-                         "invalid --backend value '" + backend +
-                             "' (expected thread or process)");
-  }
   config->cache_dir = option_or(args, "cache-dir", "");
-  // --batch-threshold MS|auto|0: tiny-cell batching on the process
-  // backend. "auto" (the default) lets the backend pick; 0 disables.
-  const std::string batch = option_or(args, "batch-threshold", "auto");
-  if (batch != "auto") {
-    if (Status status =
-            parse_count(args, "batch-threshold",
-                        "advm.bad-batch-threshold",
-                        &config->batch_threshold_ms);
-        !status.ok()) {
-      return status;
-    }
-  }
-  // --request-timeout-ms MS: per-request worker deadline on the process
-  // backend (0 = wait forever). Range-checked by SessionConfig::validate.
-  if (Status status = parse_count(args, "request-timeout-ms",
-                                  "advm.bad-timeout",
-                                  &config->request_timeout_ms);
-      !status.ok()) {
-    return status;
-  }
-  if (Status status = parse_count(args, "max-respawns",
-                                  "advm.bad-respawns",
-                                  &config->max_respawns);
-      !status.ok()) {
-    return status;
-  }
-  // Hidden fault-injection seam (tests, the ci.sh chaos gate): the flag
-  // wins over the environment so a wrapper script can still override.
-  config->fault_plan = option_or(args, "fault-plan", "");
-  if (config->fault_plan.empty()) {
-    if (const char* env = std::getenv("ADVM_FAULT_PLAN")) {
-      config->fault_plan = env;
-    }
-  }
   return {};
 }
 
-/// Renders a pre-request failure (bad flag value) through the same
+/// Renders a pre-request failure (bad flag or value) through the same
 /// contract request validation uses: JSON error document on stdout in
 /// --format json mode, bare message on stderr otherwise, exit code 2.
 int render_status(const Args& args, const char* verb, const Status& status) {
@@ -427,288 +399,24 @@ int cmd_serve(const Args& args) {
   return daemon.serve();
 }
 
-/// Runs the planned cells on a resident session and renders the matrix
-/// shard document ({"ok":true,"verb":"worker","kind":"matrix","cells":
-/// [{"index":N,"micros":U,"report":{...}}]}) — the response shape shared
-/// by the one-shot --slice verb and the --serve Run command. `micros` is
-/// the cell's measured wall-clock (what the orchestrator's cost model
-/// records); an integer so the wire format has no locale/precision
-/// pitfalls. nullopt (with the failing Status in `error`) when a cell
-/// request fails.
-std::optional<std::string> run_cells_document(
-    Session& session, const std::vector<exec::PlannedCell>& cells,
-    std::uint64_t max_instructions, Status* error) {
-  std::ostringstream os;
-  os << "{\"ok\":true,\"verb\":\"worker\",\"kind\":\"matrix\",\"cells\":[";
-  bool first = true;
-  for (const exec::PlannedCell& cell : cells) {
-    RunRequest request;
-    request.root = kVfsRoot;
-    request.derivative = cell.derivative;
-    request.platform = cell.platform;
-    request.max_instructions = max_instructions;
-    const auto started = std::chrono::steady_clock::now();
-    RunResult result = session.run(request);
-    const auto micros =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - started)
-            .count();
-    if (!result.status.ok()) {
-      *error = result.status;
-      return std::nullopt;
-    }
-    if (!first) os << ",";
-    first = false;
-    os << "{\"index\":" << cell.index << ",\"micros\":" << micros
-       << ",\"report\":" << report_to_json(result.report) << "}";
-  }
-  os << "]}";
-  return os.str();
-}
-
-/// `advm worker --serve` — the persistent-pool protocol endpoint. Reads
-/// line-delimited JSON serve requests (exec::ServeRequest) from stdin and
-/// answers each with a single-line JSON document on stdout: an Init
-/// constructs the resident Session and imports the exported tree, every
-/// Run executes its cells on that same session (warm cache, warm board
-/// pool — spawn and import are paid once per worker, not per slice), a
-/// Shutdown (or EOF on stdin) exits 0. A malformed request or a failed
-/// Run answers with the shared error document; the worker stays resident
-/// and lets the orchestrator decide.
-int cmd_worker_serve() {
-  const auto respond = [](const std::string& line) {
-    std::cout << line << "\n" << std::flush;
-  };
-  std::unique_ptr<Session> session;
-  // Injected faults (Init's fault_plan; empty in production). A
-  // request-count clause matches exactly one value of `run_count`; a
-  // cell clause matches every Run request naming its planned index.
-  std::vector<exec::FaultClause> faults;
-  std::size_t run_count = 0;
-  const auto match_fault =
-      [&](const std::vector<exec::PlannedCell>& cells)
-      -> const exec::FaultClause* {
-    for (const exec::FaultClause& fault : faults) {
-      if (fault.cell != exec::FaultClause::kNoCell) {
-        for (const exec::PlannedCell& cell : cells) {
-          if (cell.index == fault.cell) return &fault;
-        }
-      } else if (fault.request == run_count) {
-        return &fault;
-      }
-    }
-    return nullptr;
-  };
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    std::string parse_error;
-    const auto request = exec::parse_serve_request(line, &parse_error);
-    if (!request) {
-      respond(error_to_json(
-          "worker", Status::error("advm.bad-serve-request", parse_error)));
-      continue;
-    }
-    switch (request->kind) {
-      case exec::ServeRequest::Kind::Init: {
-        auto parsed = exec::parse_worker_fault_actions(request->fault_plan,
-                                                       &parse_error);
-        if (!parsed) {
-          respond(error_to_json(
-              "worker",
-              Status::error("advm.bad-serve-request", parse_error)));
-          break;
-        }
-        SessionConfig config;
-        config.jobs = request->jobs;
-        config.cache_dir = request->cache_dir;
-        config.cache_max_bytes = request->cache_max_bytes;
-        auto fresh = std::make_unique<Session>(std::move(config));
-        try {
-          support::import_from_disk(fresh->vfs(), request->tree_dir,
-                                    kVfsRoot);
-        } catch (const std::exception& e) {
-          respond(error_to_json(
-              "worker", Status::error("advm.import-failed", e.what())));
-          break;
-        }
-        session = std::move(fresh);
-        faults = std::move(*parsed);
-        run_count = 0;
-        respond("{\"ok\":true,\"verb\":\"worker\",\"kind\":\"serve-init\"}");
-        break;
-      }
-      case exec::ServeRequest::Kind::Run: {
-        if (!session) {
-          respond(error_to_json(
-              "worker", Status::error("advm.bad-serve-request",
-                                      "run before init")));
-          break;
-        }
-        run_count += 1;
-        if (const exec::FaultClause* fault = match_fault(request->cells)) {
-          switch (fault->action) {
-            case exec::FaultClause::Action::Crash:
-              // Die without a reply — the orchestrator sees EOF
-              // mid-request, exactly like a segfaulting simulated test.
-              std::raise(SIGKILL);
-              break;
-            case exec::FaultClause::Action::Exit:
-              std::_Exit(3);
-              break;
-            case exec::FaultClause::Action::Garbage:
-              respond("@@fault-injected-garbage@@");
-              continue;
-            case exec::FaultClause::Action::Wedge:
-              // Outlive any sane request deadline; the orchestrator's
-              // poll(2) timeout fires and SIGKILLs this process.
-              std::this_thread::sleep_for(std::chrono::hours(1));
-              break;
-          }
-        }
-        Status error;
-        const auto document = run_cells_document(
-            *session, request->cells, request->max_instructions, &error);
-        if (!document) {
-          respond(error_to_json("worker", error));
-          break;
-        }
-        respond(*document);
-        break;
-      }
-      case exec::ServeRequest::Kind::Shutdown:
-        respond("{\"ok\":true,\"verb\":\"worker\",\"kind\":\"shutdown\"}");
-        return 0;
-    }
-  }
-  return 0;  // EOF on stdin is the orchestrator's shutdown signal.
-}
-
-/// `advm worker --slice <file>` (one-shot, kept for the corpus path and
-/// back-compat) or `advm worker --serve` (persistent pool endpoint).
-/// Output is always a JSON document on stdout
-/// ({"ok":true,"verb":"worker",...} or the shared error document), exit
-/// code 0 when the slice executed (test failures live inside the
-/// reports), 2 when it could not.
-int cmd_worker(const Args& args) {
-  if (args.options.count("serve")) return cmd_worker_serve();
-  const auto slice_option = args.options.find("slice");
-  if (slice_option == args.options.end()) {
-    std::cout << error_to_json(
-                     "worker",
-                     Status::error("advm.bad-slice", "missing --slice file"))
-              << "\n";
-    return 2;
-  }
-  std::ifstream in(slice_option->second, std::ios::binary);
-  std::ostringstream text;
-  text << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    std::cout << error_to_json(
-                     "worker",
-                     Status::error("advm.bad-slice", "unreadable slice file " +
-                                                         slice_option->second))
-              << "\n";
-    return 2;
-  }
-  std::string parse_error;
-  const auto slice = exec::parse_worker_slice(text.str(), &parse_error);
-  if (!slice) {
-    std::cout << error_to_json("worker",
-                               Status::error("advm.bad-slice", parse_error))
-              << "\n";
-    return 2;
-  }
-
-  SessionConfig config;
-  config.jobs = slice->jobs;
-  config.cache_dir = slice->cache_dir;
-  config.cache_max_bytes = slice->cache_max_bytes;
-  Session session(std::move(config));
-
-  if (slice->kind == exec::WorkerSlice::Kind::Matrix) {
-    try {
-      support::import_from_disk(session.vfs(), slice->tree_dir, kVfsRoot);
-    } catch (const std::exception& e) {
-      std::cout << error_to_json(
-                       "worker", Status::error("advm.import-failed", e.what()))
-                << "\n";
-      return 2;
-    }
-    Status error;
-    const auto document = run_cells_document(
-        session, slice->cells, slice->max_instructions, &error);
-    if (!document) {
-      std::cout << error_to_json("worker", error) << "\n";
-      return 2;
-    }
-    std::cout << *document << "\n";
-    return 0;
-  }
-
-  // Corpus slice: generate this shard's environments in the session VFS
-  // and export exactly those directories — the orchestrator owns the
-  // global layer, and sibling shards own theirs.
-  BuildRequest request;
-  request.root = kVfsRoot;
-  request.derivative = slice->derivative;
-  for (const exec::PlannedEnvironment& env : slice->environments) {
-    request.environments.push_back(env.config);
-  }
-  BuildResult built = session.run(request);
-  if (!built.status.ok()) {
-    std::cout << error_to_json("worker", built.status) << "\n";
-    return 2;
-  }
-  std::size_t files = 0;
-  std::ostringstream os;
-  os << "{\"ok\":true,\"verb\":\"worker\",\"kind\":\"corpus\","
-        "\"environments\":[";
-  for (std::size_t i = 0; i < slice->environments.size(); ++i) {
-    const std::string& name = slice->environments[i].config.name;
-    try {
-      files += support::export_to_disk(
-          session.vfs(), std::string(kVfsRoot) + "/" + name,
-          slice->tree_dir + "/" + name);
-    } catch (const std::exception& e) {
-      std::cout << error_to_json(
-                       "worker", Status::error("advm.export-failed", e.what()))
-                << "\n";
-      return 2;
-    }
-    if (i != 0) os << ",";
-    os << "\"" << json_escape(name) << "\"";
-  }
-  os << "],\"files\":" << files << "}";
-  std::cout << os.str() << "\n";
-  return 0;
-}
-
 int usage() {
   std::cerr
       << "advm — assembler-driven verification methodology toolchain\n"
          "usage:\n"
-         "  advm init  <dir> [--derivative SC88-A] [--tests N]"
-         " [--backend B] [--shards N] [--jobs N]\n"
+         "  advm init  <dir> [--derivative SC88-A] [--tests N] [--jobs N]\n"
          "  advm run   <dir> [--derivative D] [--platform P] [--jobs N]"
-         " [--backend B] [--cache-dir DIR]\n"
-         "  advm matrix <dir> [--derivatives A,B,C] [--platforms P,Q]"
-         " [--jobs N]\n"
-         "             [--backend thread|process] [--shards N]"
          " [--cache-dir DIR]\n"
-         "             [--batch-threshold MS|auto]"
-         " [--request-timeout-ms MS] [--max-respawns N]\n"
+         "  advm matrix <dir> [--derivatives A,B,C] [--platforms P,Q]"
+         " [--jobs N] [--cache-dir DIR]\n"
          "  advm port  <dir> --to <derivative>\n"
          "  advm check <dir> [--derivative D]\n"
          "  advm lint  <dir> [--derivative D] [--jobs N]\n"
          "  advm release <dir> [--name R1] [--derivative D] [--platform P]"
          " [--jobs N]\n"
          "  advm random <dir> --seed K [--derivative D]\n"
-         "  advm serve --socket <path> [--backend B] [--shards N]"
-         " [--jobs N] [--cache-dir DIR]\n"
+         "  advm serve --socket <path> [--jobs N] [--cache-dir DIR]\n"
          "             [--idle-timeout-ms MS] [--serve-threads N]"
          " | --stats | --stop\n"
-         "  advm worker --slice <file> | --serve\n"
          "options: --format json renders any verb's result as JSON;\n"
          "         --attach <socket> (or ADVM_SOCKET) runs any verb on a"
          " resident daemon;\n"
@@ -717,16 +425,29 @@ int usage() {
   return 2;
 }
 
+bool is_verb(std::string_view command) {
+  for (std::string_view verb : {"init", "run", "matrix", "port", "check",
+                                "lint", "release", "random", "serve"}) {
+    if (command == verb) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args = parse_args(argc, argv);
-  // The worker verb is addressed by --slice, and serve by --socket — no
-  // positional directory for either.
-  if (args.dir.empty() && args.command != "worker" &&
-      args.command != "serve") {
+  if (!is_verb(args.command)) {
+    if (!args.command.empty()) {
+      std::cerr << "unknown verb '" << args.command << "'\n";
+    }
     return usage();
   }
+  if (!args.error.ok()) {
+    return render_status(args, args.command.c_str(), args.error);
+  }
+  // serve is addressed by --socket — no positional directory.
+  if (args.dir.empty() && args.command != "serve") return usage();
   // Strict like --jobs: a typo'd --format must not silently feed human
   // text to a JSON consumer.
   auto format = args.options.find("format");
@@ -737,17 +458,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    if (args.command == "worker") return cmd_worker(args);
     if (args.command == "serve") return cmd_serve(args);
-    if (args.command == "init" || args.command == "run" ||
-        args.command == "matrix" || args.command == "port" ||
-        args.command == "check" || args.command == "lint" ||
-        args.command == "release" || args.command == "random") {
-      return cmd_verb(args, args.command.c_str());
-    }
+    return cmd_verb(args, args.command.c_str());
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
-  return usage();
 }

@@ -91,6 +91,22 @@ class BenchTrendTest(unittest.TestCase):
         retry = run_trend(self.dir, self.history)
         self.assertEqual(retry.returncode, 1, "retry laundered the drop")
 
+    def test_modeled_rate_constants_are_not_gated(self):
+        # The e4 platform table's "modeled instr/s" column prints the
+        # platform model's constants; a table of them yields no metric.
+        record = {
+            "bench": "e4_platforms",
+            "table": "modeled-rates",
+            "headers": ["platform", "modeled instr/s"],
+            "rows": [["golden-model", "1e+07"], ["hdl-rtl", "20000"]],
+        }
+        (self.dir / "BENCH_e4_platforms.json").write_text(
+            json.dumps(record) + "\n")
+        proc = run_trend(self.dir, self.history)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("nothing to gate", proc.stdout)
+        self.assertEqual(history_lines(self.history), [])
+
     def test_small_dip_within_the_gate_passes(self):
         write_record(self.dir, 100.0)
         run_trend(self.dir, self.history)

@@ -82,221 +82,117 @@ print("lint gate ok: clean corpus clean, seeded defect caught as %s"
       % f["code"])
 PY
 
-echo "==> shard-determinism gate (thread vs pooled process backend on the e10 cube)"
-rm -rf build/shard-env build/shard-cache
-./build/tools/advm init build/shard-env --tests 2 > /dev/null
-SHARD_AXES="--derivatives SC88-A,SC88-B,SC88-C,SC88-D --platforms golden-model,hdl-rtl"
+echo "==> --jobs determinism gate (e10 cube: pool sizes and warm cache)"
+# The e10 cube at --jobs 1 (filling a fresh --cache-dir), 4 and 0 (one
+# worker per hardware thread), then a second lap on the same --cache-dir.
 # Exit codes are informational here (un-ported derivatives legitimately
-# fail their cells); the gate is that both backends fail *identically*.
-./build/tools/advm matrix build/shard-env $SHARD_AXES \
-  --format json > build/shard-thread.json || true
-./build/tools/advm matrix build/shard-env $SHARD_AXES \
-  --backend process --shards 4 --jobs 8 --cache-dir build/shard-cache \
-  --format json > build/shard-process.json || true
-./build/tools/advm matrix build/shard-env $SHARD_AXES \
-  --backend process --shards 4 --jobs 8 --cache-dir build/shard-cache \
-  --format json > build/shard-process-warm.json || true
-# Fourth lap: the cost model is warm now, so force every cell under the
-# batching threshold and prove the multi-cell request path merges to the
-# same bytes as everything above.
-./build/tools/advm matrix build/shard-env $SHARD_AXES \
-  --backend process --shards 4 --jobs 8 --cache-dir build/shard-cache \
-  --batch-threshold 1000000 \
-  --format json > build/shard-process-batched.json || true
-python3 - build/shard-thread.json build/shard-process.json \
-  build/shard-process-warm.json build/shard-process-batched.json <<'PY'
+# fail their cells); the gate is that every lap fails *identically*:
+# byte-identical roll-ups, and a warm lap served from the persistent cache.
+rm -rf build/jobs-env build/jobs-cache
+./build/tools/advm init build/jobs-env --tests 2 > /dev/null
+E10_AXES="--derivatives SC88-A,SC88-B,SC88-C,SC88-D --platforms golden-model,hdl-rtl"
+./build/tools/advm matrix build/jobs-env $E10_AXES --jobs 1 \
+  --cache-dir build/jobs-cache --format json > build/jobs-1.json || true
+for jobs in 4 0; do
+  ./build/tools/advm matrix build/jobs-env $E10_AXES --jobs "$jobs" \
+    --format json > "build/jobs-$jobs.json" || true
+done
+./build/tools/advm matrix build/jobs-env $E10_AXES --jobs 4 \
+  --cache-dir build/jobs-cache --format json > build/jobs-warm.json || true
+python3 - build/jobs-1.json build/jobs-4.json build/jobs-0.json \
+  build/jobs-warm.json <<'PY'
 import json, sys
-thread, process, warm, batched = (json.load(open(p)) for p in sys.argv[1:5])
-assert process["backend"] == "process" and process["shards"] == 4, process
-roll_thread = json.dumps(thread["rollup"], sort_keys=True)
-roll_process = json.dumps(process["rollup"], sort_keys=True)
-roll_warm = json.dumps(warm["rollup"], sort_keys=True)
-roll_batched = json.dumps(batched["rollup"], sort_keys=True)
-assert roll_thread == roll_process, "thread vs process roll-up mismatch"
-assert roll_thread == roll_warm, "warm-cache roll-up mismatch"
-assert roll_thread == roll_batched, "batched-request roll-up mismatch"
-digests = [c["outcome_digest"] for c in thread["rollup"]]
-assert digests == [c["outcome_digest"] for c in process["rollup"]]
+serial, four, auto, warm = (json.load(open(p)) for p in sys.argv[1:5])
+roll = lambda doc: json.dumps(doc["rollup"], sort_keys=True)
+assert len(serial["rollup"]) == 8, len(serial["rollup"])
+assert roll(serial) == roll(four), "--jobs 4 roll-up diverged from --jobs 1"
+assert roll(serial) == roll(auto), "--jobs 0 roll-up diverged from --jobs 1"
+assert roll(serial) == roll(warm), "warm-cache roll-up diverged"
 hits = sum(c["cache"]["persistent_hits"] for c in warm["cells"])
-assert hits > 0, "second cold-process run had no persistent-cache hits"
-# Pooled dispatch: 4 resident workers serve the 8-cell cube — every
-# worker sees at least one request, the 8 requests amortize the 4
-# spawns (reuse > 0), and --jobs 8 is divided 2-per-worker, never 8x4.
-workers = process["workers"]
-assert len(workers) == 4, workers
-assert all(w["requests"] >= 1 for w in workers), workers
-assert sum(w["cells"] for w in workers) == len(process["cells"]), workers
-assert process["worker_reuse"] > 0, process["worker_reuse"]
-assert process["jobs_per_worker"] == 2, process["jobs_per_worker"]
-assert "workers" not in thread, "thread backend must not report a pool"
-# Cost model: the first process lap runs against an empty cache dir, so
-# dispatch seeds from test-count estimates and every cell's measured
-# wall-clock gets recorded; the warm lap must then seed from those
-# measurements. Both counters are process-backend-only.
-cold_cm = process["cost_model"]
-assert cold_cm["source"] == "estimate", cold_cm
-assert cold_cm["seeded_cells"] == 0, cold_cm
-assert cold_cm["recorded"] == len(process["cells"]), cold_cm
-warm_cm = warm["cost_model"]
-assert warm_cm["source"] == "measured", warm_cm
-assert warm_cm["seeded_cells"] == len(warm["cells"]), warm_cm
-assert "cost_model" not in thread, "thread backend must not report a cost model"
-assert "batched_requests" not in thread, thread.keys()
-# Forced batching: with every estimate under the threshold, tiny cells
-# coalesce into multi-cell requests — fewer round trips than cells, at
-# least one batched request, and (asserted above) identical roll-up bytes.
-assert batched["cost_model"]["source"] == "measured", batched["cost_model"]
-assert batched["batched_requests"] > 0, batched["batched_requests"]
-batched_reqs = sum(w["requests"] for w in batched["workers"])
-assert batched_reqs < len(batched["cells"]), (batched_reqs, len(batched["cells"]))
-print("shard determinism ok: %d cells byte-identical across backends, "
-      "%d persistent-cache hits on the warm rerun, worker reuse %d, "
-      "warm cost model seeded %d cells, %d batched request(s)" %
-      (len(digests), hits, process["worker_reuse"],
-       warm_cm["seeded_cells"], batched["batched_requests"]))
-PY
-
-echo "==> chaos gate (fault-injected process backend vs the thread reference)"
-# Reuses the e10 cube from the shard gate above. Faults are injected with
-# the hidden --fault-plan serve-loop seam; the gate is that a lap that
-# loses workers still produces the same roll-up bytes as the undisturbed
-# thread lap — recovery must be invisible in the report, visible only in
-# the fault counters.
-#
-# Lap 1: worker 0 is SIGKILLed on its first request, no respawn budget —
-# its cells must requeue onto the survivors.
-./build/tools/advm matrix build/shard-env $SHARD_AXES \
-  --backend process --shards 4 --jobs 8 --cache-dir build/shard-cache \
-  --fault-plan "0:crash@1" --max-respawns 0 --request-timeout-ms 120000 \
-  --format json > build/chaos-crash.json || true
-# Lap 2: every incarnation dies on its first request and nothing may
-# respawn — the orchestrator must degrade to the in-process backend.
-./build/tools/advm matrix build/shard-env $SHARD_AXES \
-  --backend process --shards 4 --jobs 8 --cache-dir build/shard-cache \
-  --fault-plan "*:crash@1" --max-respawns 0 \
-  --format json > build/chaos-degraded.json || true
-python3 - build/shard-thread.json build/chaos-crash.json \
-  build/chaos-degraded.json <<'PY'
-import json, sys
-thread, crash, degraded = (json.load(open(p)) for p in sys.argv[1:4])
-roll_thread = json.dumps(thread["rollup"], sort_keys=True)
-assert roll_thread == json.dumps(crash["rollup"], sort_keys=True), \
-    "crash-lap roll-up diverged from the thread reference"
-assert roll_thread == json.dumps(degraded["rollup"], sort_keys=True), \
-    "degraded-lap roll-up diverged from the thread reference"
-fault = crash["fault"]
-assert fault["retries"] >= 1, fault
-assert fault["requeued_cells"] >= 1, fault
-assert fault["respawns"] == 0, fault
-assert fault["quarantined_cells"] == 0, fault
-assert fault["degraded"] is False, fault
-assert crash["request_timeout_ms"] == 120000, crash["request_timeout_ms"]
-assert degraded["fault"]["degraded"] is True, degraded["fault"]
-assert degraded["fault"]["quarantined_cells"] == 0, degraded["fault"]
-assert "fault" not in thread, "thread backend must not report fault stats"
-print("chaos ok: crash lap requeued %d cell(s) over %d retri(es), "
-      "all-dead lap degraded cleanly, roll-ups byte-identical" %
-      (fault["requeued_cells"], fault["retries"]))
-PY
-
-echo "==> quarantine gate (a poisoned cell is a typed outcome, not a failed run)"
-# A green 2-cell cube where cell 1 kills every worker that touches it:
-# the run must finish with a non-zero exit (a quarantined cell is a
-# failure), exactly one poisoned cell, and the other cell intact.
-if ./build/tools/advm matrix build/json-contract-env \
-  --derivatives SC88-A,SC88-B --platforms golden-model \
-  --backend process --shards 2 \
-  --fault-plan "*:crash@cell=1" \
-  --format json > build/chaos-poison.json; then
-  echo "quarantine lap exited 0 despite a poisoned cell" >&2
-  exit 1
-fi
-python3 - build/chaos-poison.json <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["ok"] is True, "the run itself must complete"
-assert doc["all_passed"] is False, "a poisoned cell cannot count as green"
-fault = doc["fault"]
-assert fault["quarantined_cells"] == 1, fault
-poisoned = [c for c in doc["cells"]
-            if any(r["test"] == "advm.exec-cell-poisoned"
-                   for r in c["records"])]
-assert len(poisoned) == 1, "expected exactly one poisoned cell"
-assert poisoned[0]["derivative"] == "SC88-B", poisoned[0]["derivative"]
-healthy = [c for c in doc["cells"] if c is not poisoned[0]]
-assert all(c["all_passed"] for c in healthy), "healthy cells were damaged"
-print("quarantine ok: cell (%s, %s) poisoned after %d respawn(s), "
-      "neighbours green" % (poisoned[0]["derivative"],
-                            poisoned[0]["platform"], fault["respawns"]))
+assert hits > 0, "second lap on the cache dir had no persistent-cache hits"
+print("jobs determinism ok: %d cells byte-identical at --jobs 1/4/0, "
+      "%d persistent-cache hits on the warm lap" % (len(serial["rollup"]), hits))
 PY
 
 echo "==> serve daemon gate (warm resident session vs cold CLI)"
-# One daemon owns a warm Session (process pool + persistent cache + cost
-# model); every lap below is a thin `--attach` client. The gate pins three
-# things: (a) attached roll-ups are byte-identical to the local thread
-# reference, (b) the *second* attached lap actually runs warm
-# (persistent-cache hits, pooled-worker reuse, measured cost model — all
-# resident state, no disk round trip between laps), and (c) the daemon
-# drains cleanly on --stop. Wall-clock for a cold CLI lap vs a warm
-# attached lap is recorded as a bench datapoint for the trend gate.
+# One daemon owns a warm Session (thread pool + persistent cache); every
+# lap below is a thin `--attach` client. The gate pins three things: (a)
+# attached roll-ups are byte-identical to the local reference, (b) warm
+# laps actually run warm — a restarted daemon starts from the persistent
+# cache its predecessor wrote, and the laps after that are served from
+# the resident in-memory cache — and (c) the daemon drains cleanly on
+# --stop. Wall-clock for a cold CLI lap vs a warm attached lap is recorded
+# as a bench datapoint for the trend gate.
 rm -rf build/serve-cache build/serve-cold-cache
 rm -f build/serve.sock
-./build/tools/advm serve --socket build/serve.sock \
-  --backend process --shards 4 --jobs 8 --cache-dir build/serve-cache \
-  2> build/serve-daemon.log &
-SERVE_PID=$!
+start_daemon() {
+  ./build/tools/advm serve --socket build/serve.sock \
+    --jobs 8 --cache-dir build/serve-cache 2>> build/serve-daemon.log &
+  SERVE_PID=$!
+  for _ in $(seq 1 100); do
+    ./build/tools/advm serve --stats --socket build/serve.sock \
+      > /dev/null 2>&1 && break
+    sleep 0.1
+  done
+}
+stop_daemon() {
+  ./build/tools/advm serve --stop --socket build/serve.sock > /dev/null
+  wait "$SERVE_PID"
+  if [[ -e build/serve.sock ]]; then
+    echo "daemon exited without unlinking its socket" >&2
+    exit 1
+  fi
+}
+: > build/serve-daemon.log
+start_daemon
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-  ./build/tools/advm serve --stats --socket build/serve.sock \
-    > /dev/null 2>&1 && break
-  sleep 0.1
-done
-# Cold reference: a standalone CLI lap pays session construction, worker
-# spawns, and an empty cost model every time (fresh cache dir per lap).
-# Exit codes are informational, as in the shard gate: the e10 cube has
-# legitimately failing cells.
+# Cold reference: a standalone CLI lap pays session construction and an
+# empty cache every time (fresh cache dir per lap). Exit codes are
+# informational, as in the --jobs gate: the e10 cube has legitimately
+# failing cells.
 COLD_NS=""
 for _ in 1 2; do
   rm -rf build/serve-cold-cache
   t0=$(date +%s%N)
-  ./build/tools/advm matrix build/shard-env $SHARD_AXES \
-    --backend process --shards 4 --jobs 8 \
+  ./build/tools/advm matrix build/jobs-env $E10_AXES --jobs 8 \
     --cache-dir build/serve-cold-cache \
     --format json > build/serve-cold.json || true
   COLD_NS="$COLD_NS $(( $(date +%s%N) - t0 ))"
 done
-# Attached laps: lap 1 warms the resident session, later laps ride it.
-./build/tools/advm matrix build/shard-env $SHARD_AXES \
+# Lap 1 fills the daemon's cache dir; a restarted daemon must then start
+# from it (persistent hits), and later laps ride the resident session.
+./build/tools/advm matrix build/jobs-env $E10_AXES \
   --attach build/serve.sock --format json > build/serve-lap1.json || true
+stop_daemon
+start_daemon
+./build/tools/advm matrix build/jobs-env $E10_AXES \
+  --attach build/serve.sock --format json > build/serve-restart.json || true
 WARM_NS=""
 for _ in 1 2 3; do
   t0=$(date +%s%N)
-  ./build/tools/advm matrix build/shard-env $SHARD_AXES \
+  ./build/tools/advm matrix build/jobs-env $E10_AXES \
     --attach build/serve.sock --format json > build/serve-lap2.json || true
   WARM_NS="$WARM_NS $(( $(date +%s%N) - t0 ))"
 done
 ./build/tools/advm serve --stats --socket build/serve.sock \
   --format json > build/serve-stats.json
-python3 - build/serve-lap1.json build/serve-lap2.json build/serve-cold.json \
-  build/shard-thread.json build/serve-stats.json "$COLD_NS" "$WARM_NS" <<'PY'
+python3 - build/serve-lap1.json build/serve-restart.json \
+  build/serve-lap2.json build/serve-cold.json build/jobs-1.json \
+  build/serve-stats.json "$COLD_NS" "$WARM_NS" <<'PY'
 import json, sys
-lap1, lap2, cold, thread, stats = (json.load(open(p)) for p in sys.argv[1:6])
-cold_ms = min(int(n) for n in sys.argv[6].split()) / 1e6
-warm_ms = min(int(n) for n in sys.argv[7].split()) / 1e6
+lap1, restart, lap2, cold, ref, stats = \
+    (json.load(open(p)) for p in sys.argv[1:7])
+cold_ms = min(int(n) for n in sys.argv[7].split()) / 1e6
+warm_ms = min(int(n) for n in sys.argv[8].split()) / 1e6
 roll = lambda doc: json.dumps(doc["rollup"], sort_keys=True)
-assert roll(lap1) == roll(thread), "attached lap-1 roll-up diverged"
-assert roll(lap2) == roll(thread), "warm attached roll-up diverged"
-assert roll(cold) == roll(thread), "cold CLI roll-up diverged"
-# The daemon's session config governs attached execution: the client sent
-# no backend flags, yet the document reports the resident process pool.
-assert lap1["backend"] == "process" and lap1["shards"] == 4, lap1["backend"]
-# Lap 1 hits an empty cost model (estimates); lap 2 must seed from the
-# measurements lap 1 recorded — in memory, the daemon never re-reads them.
-assert lap1["cost_model"]["source"] == "estimate", lap1["cost_model"]
-assert lap2["cost_model"]["source"] == "measured", lap2["cost_model"]
-assert lap2["worker_reuse"] > 0, lap2["worker_reuse"]
-hits = sum(c["cache"]["persistent_hits"] for c in lap2["cells"])
-assert hits > 0, "warm attached lap had no persistent-cache hits"
+assert roll(lap1) == roll(ref), "attached lap-1 roll-up diverged"
+assert roll(restart) == roll(ref), "restarted-daemon roll-up diverged"
+assert roll(lap2) == roll(ref), "warm attached roll-up diverged"
+assert roll(cold) == roll(ref), "cold CLI roll-up diverged"
+hits = sum(c["cache"]["persistent_hits"] for c in restart["cells"])
+assert hits > 0, "restarted daemon had no persistent-cache hits"
+misses = sum(c["cache"]["misses"] for c in lap2["cells"])
+assert misses == 0, "warm attached lap missed the resident cache"
 assert stats["ok"] is True and stats["verb"] == "serve", stats
 assert stats["clients_served"] >= 4, stats["clients_served"]
 assert stats["requests"].get("matrix", 0) >= 4, stats["requests"]
@@ -305,7 +201,7 @@ assert stats["clients_lost"] == 0, stats["clients_lost"]
 tests = sum(c["total"] for c in lap2["cells"])
 record = {
     "bench": "serve_daemon",
-    "table": "cold-cli vs warm-daemon (e10 cube, process backend)",
+    "table": "cold-cli vs warm-daemon (e10 cube)",
     "headers": ["lap", "tests run", "wall ms", "tests/s"],
     "rows": [
         ["cold-cli", str(tests), "%.4g" % cold_ms,
@@ -316,37 +212,32 @@ record = {
 }
 with open("bench/records/BENCH_serve_daemon.json", "w") as fh:
     fh.write(json.dumps(record) + "\n")
-print("serve daemon ok: roll-ups byte-identical, warm lap %d persistent "
-      "hits / reuse %d, cold %.0fms vs warm %.0fms" %
-      (hits, lap2["worker_reuse"], cold_ms, warm_ms))
+print("serve daemon ok: roll-ups byte-identical, restarted daemon %d "
+      "persistent hits, warm lap 0 misses, cold %.0fms vs warm %.0fms" %
+      (hits, cold_ms, warm_ms))
 PY
-./build/tools/advm serve --stop --socket build/serve.sock > /dev/null
-wait "$SERVE_PID"
+stop_daemon
 trap - EXIT
-if [[ -e build/serve.sock ]]; then
-  echo "daemon exited without unlinking its socket" >&2
-  exit 1
-fi
 
-echo "==> sim-core lap (decoded-cache speedup gate + backend roll-up identity)"
+echo "==> sim-core lap (decoded-cache speedup gate + e10 roll-up identity)"
 # bench_sim_core exits non-zero unless the decoded arm is bit-identical to
 # the plain interpreter on all four kernels AND holds a >= 3x instr/s
 # advantage on the compute kernel. Its datapoint lands in bench/records/ so
 # the >15% trend gate below covers the sim core's floor too. The roll-up
-# re-check reuses the shard-gate artifacts: a sim-core change must be
-# invisible in the e10 cube under both backends.
+# re-check reuses the --jobs gate's artifacts: a sim-core change must be
+# invisible in the e10 cube at every pool size.
 cmake --build build -t bench_sim_core -j
 mkdir -p bench/records build/bench-logs
 ADVM_BENCH_JSON_DIR="$PWD/bench/records" ./build/bench/bench_sim_core \
   > build/bench-logs/bench_sim_core.log
 tail -2 build/bench-logs/bench_sim_core.log
-python3 - build/shard-thread.json build/shard-process.json <<'PY'
+python3 - build/jobs-1.json build/jobs-0.json <<'PY'
 import json, sys
-thread, process = (json.load(open(p)) for p in sys.argv[1:3])
-assert json.dumps(thread["rollup"], sort_keys=True) == \
-       json.dumps(process["rollup"], sort_keys=True), \
-    "e10 roll-up diverged between thread and process backends"
-print("sim-core lap ok: e10 roll-up byte-identical across backends")
+serial, auto = (json.load(open(p)) for p in sys.argv[1:3])
+assert json.dumps(serial["rollup"], sort_keys=True) == \
+       json.dumps(auto["rollup"], sort_keys=True), \
+    "e10 roll-up diverged between --jobs 1 and --jobs 0"
+print("sim-core lap ok: e10 roll-up byte-identical across pool sizes")
 PY
 
 echo "==> -Werror hygiene build"
@@ -363,14 +254,13 @@ if [[ "${ADVM_CI_SKIP_SAN:-0}" != "1" ]]; then
    UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
    ctest -L tier1 --output-on-failure -j)
 
-  echo "==> TSan lane (concurrency suites: worker pools, serve daemon)"
-  # Scoped to the suites that actually exercise threads — WorkerPool
-  # fan-out, the daemon's executor/poll loops, parallel regression — a
-  # full TSan ctest lap would mostly re-run single-threaded code slower.
+  echo "==> TSan lane (concurrency suites: serve daemon, parallel regression)"
+  # Scoped to the suites that actually exercise threads — the daemon's
+  # executor/poll loops, parallel regression — a full TSan ctest lap would
+  # mostly re-run single-threaded code slower.
   cmake --preset tsan
-  cmake --build build-tsan -j \
-    -t exec_test -t serve_test -t regression_parallel_test
-  for suite in exec_test serve_test regression_parallel_test; do
+  cmake --build build-tsan -j -t serve_test -t regression_parallel_test
+  for suite in serve_test regression_parallel_test; do
     "./build-tsan/tests/${suite}"
   done
 else
