@@ -2,17 +2,22 @@
 //
 // Every experiment table in this repo is built on top of the golden-model
 // interpreter; its per-instruction cost is the floor under tests/s
-// everywhere. This harness measures that floor on four kernel shapes
-// (compute, branch, memory, IRQ-driven) across the two execution arms:
+// everywhere. This harness measures that floor on five kernel shapes
+// (compute, branch, memory, IRQ-driven, stuck UART poll) across the two
+// execution arms:
 //
 //   interp   — plain fetch/decode/execute with per-instruction device ticks
 //              (set_decode_cache_enabled(false); the reference arm)
 //   decoded  — decoded-instruction cache + dense handler dispatch + batched
-//              device ticks up to the bus's next-event horizon
+//              device ticks up to the bus's next-event horizon + stuck-loop
+//              fast-forward
 //
-// Both arms must agree bit-for-bit (state digest, cycles, retired
-// instructions) — the run aborts otherwise — and the decoded arm must hold
-// a >= 3x instr/s advantage on the compute kernel; the exit code gates it.
+// Both arms must agree bit-for-bit (stop reason, state digest, cycles,
+// retired instructions) and stop the way the kernel declares — the exit
+// code gates it — and the decoded arm must hold a >= 3x instr/s advantage
+// on the compute kernel. The stuck-poll kernel never halts: it spins to its
+// budget, and its "fast-forwarded" column is the count tools/ci.sh gates.
+// Its decoded instr/s would count skipped instructions, so it prints n/a.
 // Code lives in ROM and data in RAM, as on the derivative boards, so data
 // stores do not shoot down decoded code pages.
 #include <cstdint>
@@ -32,6 +37,7 @@
 #include "soc/intc.h"
 #include "soc/irq.h"
 #include "soc/timer.h"
+#include "soc/uart.h"
 #include "support/diagnostics.h"
 #include "support/vfs.h"
 
@@ -51,13 +57,17 @@ constexpr std::uint32_t kVtBase = 0x18000;
 constexpr std::uint32_t kStackTop = kRamBase + kRamSize;
 constexpr std::uint32_t kTimerBase = 0x30000;
 constexpr std::uint32_t kIntcBase = 0x40000;
+constexpr std::uint32_t kUartBase = 0x50000;
 
-constexpr std::uint64_t kMaxInstructions = 200'000'000;
+/// Peripherals a kernel needs besides ROM and RAM.
+enum class Devices { kNone, kIrqFabric, kUartV2 };
 
 struct Kernel {
   const char* name;
   std::string_view source;
-  bool irq_fabric;
+  Devices devices;
+  sim::StopReason expected_stop;
+  std::uint64_t max_instructions;
 };
 
 constexpr std::string_view kComputeKernel =
@@ -150,11 +160,24 @@ constexpr std::string_view kIrqKernel =
     " STORE [0x3000C], d0\n"
     " RETI\n";
 
+// The cube-hung shape: an un-ported wait loop tests bit 0 of a v2 UART's
+// STATUS, whose TX_READY moved to bit 4, and spins to the 2M budget the
+// regression runner uses.
+constexpr std::string_view kStuckPollKernel =
+    "_main:\n"
+    ".wait_tx:\n"
+    " LOAD d2, [0x50004]\n"
+    " EXTRACT d2, d2, 0, 1\n"
+    " CMP d2, 1\n"
+    " JNE .wait_tx\n"
+    " HALT\n";
+
 struct ArmResult {
   double seconds = 0;
   std::uint64_t instructions = 0;
   std::uint64_t cycles = 0;
   std::uint64_t digest = 0;
+  std::uint64_t fast_forwarded = 0;
   sim::StopReason reason = sim::StopReason::Running;
 };
 
@@ -177,14 +200,18 @@ std::optional<assembler::Image> build(std::string_view source) {
 }
 
 std::optional<ArmResult> run_arm(const assembler::Image& image,
-                                 bool irq_fabric, bool decoded) {
+                                 const Kernel& kernel, bool decoded) {
   soc::IrqLines irqs;
   sim::Bus bus;
   sim::FunctionalTiming timing;
   bus.map(kCodeBase, std::make_unique<sim::Rom>("code", kRomSize));
   bus.map(kRamBase, std::make_unique<sim::Ram>("ram", kRamSize));
   soc::InterruptController* intc = nullptr;
-  if (irq_fabric) {
+  if (kernel.devices == Devices::kUartV2) {
+    bus.map(kUartBase, std::make_unique<soc::Uart>(/*version=*/2, irqs,
+                                                   /*irq_line=*/2));
+  }
+  if (kernel.devices == Devices::kIrqFabric) {
     bus.map(kTimerBase,
             std::make_unique<soc::Timer>(/*prescale=*/4, irqs, /*line=*/3));
     auto ic = std::make_unique<soc::InterruptController>(irqs);
@@ -203,17 +230,14 @@ std::optional<ArmResult> run_arm(const assembler::Image& image,
   machine.reset(image.entry, kStackTop, kVtBase);
 
   Stopwatch sw;
-  auto r = machine.run(kMaxInstructions);
+  auto r = machine.run(kernel.max_instructions);
   ArmResult out;
   out.seconds = sw.seconds();
   out.instructions = r.instructions;
   out.cycles = machine.cycles();
   out.digest = machine.state_digest();
+  out.fast_forwarded = r.fast_forwarded;
   out.reason = r.reason;
-  if (r.reason != sim::StopReason::Halted) {
-    std::cerr << "kernel did not halt: " << sim::to_string(r.reason) << "\n";
-    return std::nullopt;
-  }
   return out;
 }
 
@@ -224,28 +248,44 @@ int main() {
                 "decoded-cache + batched-tick dispatch vs the plain "
                 "interpreter; both arms must agree bit-for-bit");
 
+  constexpr std::uint64_t kHaltBudget = 200'000'000;
   const Kernel kernels[] = {
-      {"compute", kComputeKernel, false},
-      {"branch", kBranchKernel, false},
-      {"memory", kMemoryKernel, false},
-      {"irq", kIrqKernel, true},
+      {"compute", kComputeKernel, Devices::kNone, sim::StopReason::Halted,
+       kHaltBudget},
+      {"branch", kBranchKernel, Devices::kNone, sim::StopReason::Halted,
+       kHaltBudget},
+      {"memory", kMemoryKernel, Devices::kNone, sim::StopReason::Halted,
+       kHaltBudget},
+      {"irq", kIrqKernel, Devices::kIrqFabric, sim::StopReason::Halted,
+       kHaltBudget},
+      {"stuck-poll", kStuckPollKernel, Devices::kUartV2,
+       sim::StopReason::CycleLimit, 2'000'000},
   };
 
-  Table table({"kernel", "instructions", "interp s", "decoded s",
-               "interp instr/s", "decoded instr/s", "speedup"});
+  Table table({"kernel", "stop", "instructions", "interp s", "decoded s",
+               "interp instr/s", "decoded instr/s", "speedup",
+               "fast-forwarded"});
   double compute_speedup = 0;
   bool ok = true;
 
   for (const Kernel& k : kernels) {
     auto image = build(k.source);
     if (!image) return 1;
-    auto interp = run_arm(*image, k.irq_fabric, /*decoded=*/false);
-    auto decoded = run_arm(*image, k.irq_fabric, /*decoded=*/true);
+    auto interp = run_arm(*image, k, /*decoded=*/false);
+    auto decoded = run_arm(*image, k, /*decoded=*/true);
     if (!interp || !decoded) return 1;
-    if (interp->digest != decoded->digest ||
+    if (interp->reason != k.expected_stop) {
+      std::cerr << k.name << " stopped with " << sim::to_string(interp->reason)
+                << ", expected " << sim::to_string(k.expected_stop) << "\n";
+      ok = false;
+    }
+    if (interp->reason != decoded->reason ||
+        interp->digest != decoded->digest ||
         interp->cycles != decoded->cycles ||
         interp->instructions != decoded->instructions) {
-      std::cerr << "ARM MISMATCH on " << k.name << ": digest "
+      std::cerr << "ARM MISMATCH on " << k.name << ": stop "
+                << sim::to_string(interp->reason) << " vs "
+                << sim::to_string(decoded->reason) << ", digest "
                 << interp->digest << " vs " << decoded->digest << ", cycles "
                 << interp->cycles << " vs " << decoded->cycles
                 << ", instructions " << interp->instructions << " vs "
@@ -258,15 +298,23 @@ int main() {
         static_cast<double>(decoded->instructions) / decoded->seconds;
     const double speedup = decoded_rate / interp_rate;
     if (std::string_view(k.name) == "compute") compute_speedup = speedup;
-    table.add_row(k.name, interp->instructions, interp->seconds,
-                  decoded->seconds, interp_rate, decoded_rate, speedup);
+    if (decoded->fast_forwarded != 0) {
+      table.add_row(k.name, sim::to_string(interp->reason),
+                    interp->instructions, interp->seconds, decoded->seconds,
+                    interp_rate, "n/a", speedup, decoded->fast_forwarded);
+    } else {
+      table.add_row(k.name, sim::to_string(interp->reason),
+                    interp->instructions, interp->seconds, decoded->seconds,
+                    interp_rate, decoded_rate, speedup,
+                    decoded->fast_forwarded);
+    }
   }
 
   table.print();
   bench::emit_json("sim_core", "decoded vs interp", table);
 
   if (!ok) {
-    std::cerr << "\nFAIL: decoded arm diverged from the interpreter\n";
+    std::cerr << "\nFAIL: an arm diverged or stopped unexpectedly\n";
     return 1;
   }
   if (compute_speedup < 3.0) {

@@ -41,6 +41,11 @@ const CodeRegion* CodeModel::region_of(std::uint32_t address) const {
 
 std::optional<SymbolRef> CodeModel::symbol_before(
     std::uint32_t address) const {
+  return lint::symbol_before(symbols, address);
+}
+
+std::optional<SymbolRef> symbol_before(const SymbolTable& symbols,
+                                       std::uint32_t address) {
   // `symbols` is sorted by address: the last entry at or before `address`.
   const SymbolRef* best = nullptr;
   SymbolRef ref;

@@ -42,6 +42,9 @@ struct CodeRegion {
   [[nodiscard]] std::uint32_t end() const { return base + size; }
 };
 
+/// (address, name) pairs sorted by address — an attribution table.
+using SymbolTable = std::vector<std::pair<std::uint32_t, std::string>>;
+
 /// Code-address → nearest preceding symbol attribution.
 struct SymbolRef {
   std::string name;
@@ -59,7 +62,7 @@ struct CodeModel {
   std::vector<std::uint32_t> roots;
   /// (address, name) of every linked symbol that lands inside a code
   /// region, sorted by address — finding attribution.
-  std::vector<std::pair<std::uint32_t, std::string>> symbols;
+  SymbolTable symbols;
 
   /// The slot at exactly `address` (on-grid); nullptr off the grid or
   /// outside every code region.
@@ -71,6 +74,12 @@ struct CodeModel {
   [[nodiscard]] std::optional<SymbolRef> symbol_before(
       std::uint32_t address) const;
 };
+
+/// Nearest entry of a sorted table at or before `address`; nullopt when
+/// none precedes it. CodeModel::symbol_before and the regression runner's
+/// stuck-loop note share this attribution.
+[[nodiscard]] std::optional<SymbolRef> symbol_before(
+    const SymbolTable& symbols, std::uint32_t address);
 
 /// Decodes the image's code segments, discovers function roots and
 /// computes reachability. Pure function of the image.

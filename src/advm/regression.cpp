@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -11,6 +12,7 @@
 
 #include "advm/base_functions.h"
 #include "advm/environment.h"
+#include "advm/lint/cfg.h"
 #include "asm/assembler.h"
 #include "asm/linker.h"
 #include "soc/board.h"
@@ -82,6 +84,39 @@ void append_include_trail(
     error += " " + edge.from_file + " -> " + edge.to_file + ";";
   }
   error.back() = ']';
+}
+
+/// "stuck polling uart+0x4 at ES_Uart_Send_Byte" — the proven loop's
+/// polled register and its head, attributed like `advm lint` findings to
+/// the nearest preceding symbol, here among the global symbols of the
+/// segment holding the loop (local labels carry mangled object paths).
+std::string describe_stuck_loop(const sim::RunResult& run,
+                                const assembler::Image& image) {
+  lint::SymbolTable symbols;
+  for (const assembler::Segment& segment : image.segments) {
+    if (run.stuck_pc < segment.base || run.stuck_pc >= segment.end()) {
+      continue;
+    }
+    for (const auto& [name, symbol] : image.symbols) {
+      if (symbol.address >= segment.base && symbol.address < segment.end() &&
+          !name.starts_with("$local$")) {
+        symbols.emplace_back(symbol.address, name);
+      }
+    }
+  }
+  std::sort(symbols.begin(), symbols.end());
+  std::string text = run.stuck_poll.empty()
+                         ? "stuck looping"
+                         : "stuck polling " + run.stuck_poll;
+  text += " at ";
+  if (const auto symbol = lint::symbol_before(symbols, run.stuck_pc)) {
+    text += symbol->to_string();
+  } else {
+    char pc[16];
+    std::snprintf(pc, sizeof pc, "0x%x", run.stuck_pc);
+    text += pc;
+  }
+  return text;
 }
 
 /// Everything shared by the tests of one environment build. Shared objects
@@ -183,6 +218,9 @@ TestRunRecord run_one_test(const EnvBuildContext& ctx,
   record.cycles = outcome.machine.cycles;
   record.state_digest = board.machine().state_digest();
   record.modeled_seconds = outcome.modeled_seconds;
+  if (outcome.machine.fast_forwarded != 0) {
+    record.stuck = describe_stuck_loop(outcome.machine, *image);
+  }
   return record;
 }
 
@@ -436,7 +474,9 @@ std::string format_report(const RegressionReport& report) {
       os << "BUILD-FAIL";
     } else {
       os << to_string(r.verdict) << " (" << sim::to_string(r.stop) << ", "
-         << r.instructions << " instr, " << r.cycles << " cyc)";
+         << r.instructions << " instr, " << r.cycles << " cyc";
+      if (!r.stuck.empty()) os << "; " << r.stuck;
+      os << ")";
     }
     os << "\n";
   }

@@ -35,6 +35,10 @@ struct TestRunRecord {
   std::uint64_t cycles = 0;
   std::uint64_t state_digest = 0;  ///< architectural state at stop (E4)
   double modeled_seconds = 0.0;
+  /// Set when the simulator proved the run stuck in a loop and skipped to
+  /// the budget: "stuck polling uart+0x4 at ES_Uart_Send_Byte". Outside
+  /// outcome_digest().
+  std::string stuck;
 
   [[nodiscard]] bool passed() const {
     return build_ok && verdict == soc::Verdict::Pass &&

@@ -60,6 +60,10 @@ void append_record(std::ostringstream& os, const TestRunRecord& r) {
     os << ",\"detail\":";
     append_quoted(os, r.detail);
   }
+  if (!r.stuck.empty()) {
+    os << ",\"stuck\":";
+    append_quoted(os, r.stuck);
+  }
   os << "}";
 }
 

@@ -52,14 +52,27 @@ class BusDevice {
   /// devices that declared themselves ticking at map() time).
   [[nodiscard]] virtual bool wants_tick() const { return false; }
 
-  /// Cycles of tick() the device can absorb from *now* before anything it
-  /// does could become externally observable without a bus access (in
-  /// practice: before it could raise an IRQ line). kNoEventHorizon means
-  /// "never". Reporting early is always safe; reporting late is a bug — the
-  /// decoded fast path defers tick_all up to this horizon.
+  /// Cycles of tick() the device can absorb from *now* before it could
+  /// raise an IRQ line. kNoEventHorizon means "never". It bounds IRQ raises
+  /// only, not read values: a UART counting down its transmitter reports
+  /// kNoEventHorizon while its STATUS still changes under tick(). Reporting
+  /// early is always safe; reporting late is a bug — the decoded fast path
+  /// defers tick_all up to this horizon.
   [[nodiscard]] virtual std::uint64_t next_event_horizon() const {
     return kNoEventHorizon;
   }
+
+  /// Stuck-loop proof hooks (Machine::run_decoded). Both are conservative
+  /// promises and default to false:
+  ///  - read_is_pure(offset): an aligned word read at `offset` has no side
+  ///    effect (pops no FIFO, clears no flag, counts nothing);
+  ///  - quiescent(): no tick() can change any value a read returns, so
+  ///    without a bus write every read keeps returning the same word.
+  [[nodiscard]] virtual bool read_is_pure(std::uint32_t offset) const {
+    (void)offset;
+    return false;
+  }
+  [[nodiscard]] virtual bool quiescent() const { return false; }
 
   /// Stable pointer to the device's raw byte image, or nullptr. Non-null is
   /// a promise that (a) read8/read32 are side-effect-free and equivalent to

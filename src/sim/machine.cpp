@@ -1,5 +1,8 @@
 #include "sim/machine.h"
 
+#include <algorithm>
+#include <cstdio>
+
 #include "support/hash.h"
 
 namespace advm::sim {
@@ -191,6 +194,12 @@ void Machine::flush_ticks() {
 
 RunResult Machine::run_decoded(std::uint64_t max_instructions) {
   RunResult result;
+  // State may have been poked since the last run, and a pooled board must
+  // report the same proof whatever ran on it before.
+  loop_armed_ = false;
+  loop_backoff_ = 0;
+  loop_skip_ = 0;
+  bool loop_head = false;  // the last batch ended on a taken back-branch
   const auto finish = [&](StopReason reason) {
     flush_ticks();
     result.reason = reason;
@@ -222,6 +231,20 @@ RunResult Machine::run_decoded(std::uint64_t max_instructions) {
           ++result.instructions;
           return finish(r);
         }
+        loop_head = false;
+      }
+    }
+    if (loop_head) {
+      loop_head = false;
+      const std::uint64_t skipped =
+          at_loop_head(max_instructions - result.instructions);
+      if (skipped != 0) {
+        result.instructions += skipped;
+        result.fast_forwarded += skipped;
+        result.stuck_pc = pc_;
+        result.stuck_poll = loop_poll_name();
+        // Less than one iteration of budget is left, possibly none.
+        if (result.instructions >= max_instructions) continue;
       }
     }
 
@@ -253,7 +276,9 @@ RunResult Machine::run_decoded(std::uint64_t max_instructions) {
         handler = slot->handler;
       } else {
         // MMIO-resident or window-straddling code: byte-composed fetch,
-        // exactly the plain interpreter's path.
+        // exactly the plain interpreter's path (and no stuck-loop proof:
+        // the fetch reads a device).
+        loop_dirty_ = true;
         isa::EncodedInstr word;
         if (!bus_.fetch(fetch_pc, word)) {
           ++result.instructions;
@@ -319,13 +344,72 @@ RunResult Machine::run_decoded(std::uint64_t max_instructions) {
           result.instructions >= max_instructions ||
           op == Opcode::Enable || op == Opcode::Mtcr) {
         batch_done = true;
+        loop_head = taken_branch && pc_ <= fetch_pc;
       }
     }
   }
 }
 
+std::uint64_t Machine::at_loop_head(std::uint64_t budget) {
+  LoopHead& h = loop_head_;
+  if (!loop_armed_) {
+    if (loop_skip_ != 0) {
+      --loop_skip_;
+      return 0;
+    }
+    h.pc = pc_;
+    h.d = d_;
+    h.a = a_;
+    h.d_written = d_written_;
+    h.a_written = a_written_;
+    h.psw = psw_;
+    h.x_warnings = x_warnings_;
+    h.instructions = instructions_;
+    h.cycles = cycles_;
+    loop_armed_ = true;
+    loop_dirty_ = false;
+    loop_poll_device_ = nullptr;
+    return 0;
+  }
+  loop_armed_ = false;
+
+  // Fixed point: the same PC with identical architectural state, after a
+  // body that wrote nothing, entered no trap, and read only registers that
+  // are side-effect-free on quiescent devices. Every later iteration then
+  // replays this one exactly, so k of them can be retired analytically —
+  // provided no device raises an IRQ during the skipped cycles.
+  if (!loop_dirty_ && pc_ == h.pc && d_ == h.d && a_ == h.a &&
+      psw_ == h.psw && x_warnings_ == h.x_warnings &&
+      d_written_ == h.d_written && a_written_ == h.a_written) {
+    const std::uint64_t iter_instructions = instructions_ - h.instructions;
+    const std::uint64_t iter_cycles = cycles_ - h.cycles;
+    const std::uint64_t k = budget / iter_instructions;
+    const std::uint64_t horizon = bus_.next_event_horizon();
+    if (k != 0 && horizon != 0 &&
+        (iter_cycles == 0 || (horizon - 1) / iter_cycles >= k)) {
+      instructions_ += k * iter_instructions;
+      cycles_ += k * iter_cycles;
+      bus_.tick_all(k * iter_cycles);
+      return k * iter_instructions;
+    }
+  }
+  // Not stuck (yet): back off exponentially, so a loop that makes progress
+  // pays for a snapshot and a compare only every few dozen iterations.
+  loop_backoff_ = std::min(2 * loop_backoff_ + 1, kMaxLoopBackoff);
+  loop_skip_ = loop_backoff_;
+  return 0;
+}
+
+std::string Machine::loop_poll_name() const {
+  if (loop_poll_device_ == nullptr) return {};
+  char offset[16];
+  std::snprintf(offset, sizeof offset, "+0x%x", loop_poll_offset_);
+  return std::string(loop_poll_device_->name()).append(offset);
+}
+
 StopReason Machine::take_trap(std::uint8_t vector, std::uint32_t return_pc) {
   pending_fault_vector_ = vector;
+  loop_dirty_ = true;
   std::uint32_t handler = 0;
   if (vector >= TrapVectors::kTableEntries ||
       !mem_read32(vtbase_ + 4u * vector, handler)) {
@@ -374,8 +458,9 @@ bool Machine::bus_read32(std::uint32_t addr, std::uint32_t& value) {
     return data_win_.device->read32(addr - data_win_.base, value);
   }
   BusWindow window;
-  if (bus_.resolve_window(addr, window) && window.bytes != nullptr &&
-      window.contains(addr, 4)) {
+  const bool in_window =
+      bus_.resolve_window(addr, window) && window.contains(addr, 4);
+  if (in_window && window.bytes != nullptr) {
     data_win_ = window;
     return window.device->read32(addr - window.base, value);
   }
@@ -384,10 +469,22 @@ bool Machine::bus_read32(std::uint32_t addr, std::uint32_t& value) {
   // settle deferred ticks first and end the decoded batch afterwards.
   flush_ticks();
   mmio_access_ = true;
-  return bus_.read32(addr, value);
+  if (!in_window) {
+    loop_dirty_ = true;  // byte route across windows: never part of a proof
+    return bus_.read32(addr, value);
+  }
+  const std::uint32_t offset = addr - window.base;
+  if (!window.device->read_is_pure(offset) || !window.device->quiescent()) {
+    loop_dirty_ = true;
+  } else if (loop_poll_device_ == nullptr) {
+    loop_poll_device_ = window.device;
+    loop_poll_offset_ = offset;
+  }
+  return window.device->read32(offset, value);
 }
 
 bool Machine::bus_write32(std::uint32_t addr, std::uint32_t value) {
+  loop_dirty_ = true;
   if (data_win_.bytes != nullptr && data_win_.contains(addr, 4)) {
     return data_win_.device->write32(addr - data_win_.base, value);
   }
@@ -781,6 +878,7 @@ Machine::ExecStatus Machine::execute_handler(std::uint8_t handler,
       return ExecStatus::Ok;
     ADVM_OP(Enable)
       set_flag(Psw::kInterruptEnable, true);
+      loop_dirty_ = true;
       return ExecStatus::Ok;
 
     ADVM_OP(Mfcr) {
@@ -797,6 +895,7 @@ Machine::ExecStatus Machine::execute_handler(std::uint8_t handler,
           break;
         case isa::CoreReg::CycleLo:
           value = static_cast<std::uint32_t>(cycles_);
+          loop_dirty_ = true;  // differs every iteration
           break;
         default:
           return trap(TrapVectors::kIllegalInstruction);
@@ -806,6 +905,7 @@ Machine::ExecStatus Machine::execute_handler(std::uint8_t handler,
     }
 
     ADVM_OP(Mtcr) {
+      loop_dirty_ = true;
       const std::uint32_t value = instr.ra ? read_reg(*instr.ra) : 0;
       switch (static_cast<isa::CoreReg>(instr.pos)) {
         case isa::CoreReg::Psw:

@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <string>
 
 #include "isa/instruction.h"
 #include "isa/registers.h"
@@ -61,6 +62,13 @@ struct RunResult {
   std::optional<std::uint8_t> fault_vector;
   /// PC where execution stopped.
   std::uint32_t stop_pc = 0;
+  /// Stuck-loop fast-forward (decoded arm only; outside every digest):
+  /// retired instructions skipped analytically after the loop at
+  /// `stuck_pc` was proven a fixed point, and the first device register
+  /// that loop read ("uart+0x4"; empty when it read none).
+  std::uint64_t fast_forwarded = 0;
+  std::uint32_t stuck_pc = 0;
+  std::string stuck_poll;
 };
 
 struct MachineConfig {
@@ -143,9 +151,19 @@ class Machine {
                              bool& taken_branch, std::uint8_t& trap_vector);
 
   /// Decoded fast loop: executes from cached slots and batches device
-  /// ticks / IRQ polls up to the bus's next-event horizon. Outcomes are
-  /// bit-identical to the per-instruction step() loop.
+  /// ticks / IRQ polls up to the bus's next-event horizon, and skips proven
+  /// stuck loops to the budget. Outcomes are bit-identical to the
+  /// per-instruction step() loop.
   RunResult run_decoded(std::uint64_t max_instructions);
+
+  /// Called at the target of a taken backward branch (a batch boundary,
+  /// ticks flushed, IRQs polled) with the instruction budget left.
+  /// Snapshots this arrival, or — armed — retires whole iterations
+  /// analytically if the loop since the snapshot is a proven fixed point
+  /// (returning how many instructions it skipped), and backs off otherwise.
+  std::uint64_t at_loop_head(std::uint64_t budget);
+  /// "uart+0x4": the proven loop's first register read, or empty.
+  [[nodiscard]] std::string loop_poll_name() const;
 
   /// Decoded slot for the instruction at `pc`, or nullptr when the PC is
   /// not inside a direct-bytes window (MMIO-resident code, straddling
@@ -217,6 +235,33 @@ class Machine {
   /// path — the decoded loop ends its batch after that instruction so
   /// device interactions see per-instruction-equivalent time.
   bool mmio_access_ = false;
+
+  // Stuck-loop proof state (see at_loop_head). The snapshot holds all
+  // architectural state one loop iteration could change.
+  struct LoopHead {
+    std::uint32_t pc = 0;
+    std::array<std::uint32_t, isa::kNumDataRegs> d{};
+    std::array<std::uint32_t, isa::kNumAddrRegs> a{};
+    std::array<bool, isa::kNumDataRegs> d_written{};
+    std::array<bool, isa::kNumAddrRegs> a_written{};
+    std::uint32_t psw = 0;
+    std::uint64_t x_warnings = 0;
+    std::uint64_t instructions = 0;
+    std::uint64_t cycles = 0;
+  };
+  LoopHead loop_head_;
+  bool loop_armed_ = false;  ///< loop_head_ holds a snapshot
+  /// Loop heads to pass before the next snapshot, and its doubling cap.
+  static constexpr std::uint32_t kMaxLoopBackoff = 63;
+  std::uint32_t loop_backoff_ = 0;
+  std::uint32_t loop_skip_ = 0;
+  /// Set when the code run since the snapshot could behave differently on
+  /// a repeat: a bus write, a trap or IRQ entry, ENABLE/MTCR, a CYCLELO
+  /// read, a byte-composed fetch, or a device read that is not pure and
+  /// quiescent.
+  bool loop_dirty_ = false;
+  const BusDevice* loop_poll_device_ = nullptr;  ///< first register read
+  std::uint32_t loop_poll_offset_ = 0;
 };
 
 }  // namespace advm::sim

@@ -29,6 +29,14 @@ class InterruptController final : public sim::MmioDevice,
 
   void reset() override { enable_ = 0; }
 
+  /// Reads have no side effects (PENDING is write-1-clear). The controller
+  /// never ticks; its lines move only on a bus write or a peripheral raise,
+  /// and the stuck-loop proof bounds raises with Bus::next_event_horizon.
+  [[nodiscard]] bool read_is_pure(std::uint32_t) const override {
+    return true;
+  }
+  [[nodiscard]] bool quiescent() const override { return true; }
+
   /// sim::IrqSource — the machine polls this between instructions.
   [[nodiscard]] std::optional<std::uint8_t> pending_irq() const override {
     return highest_priority();

@@ -53,6 +53,12 @@ class NvmController final : public sim::MmioDevice {
   [[nodiscard]] std::uint64_t next_event_horizon() const override {
     return busy_cycles_ != 0 ? busy_cycles_ : sim::kNoEventHorizon;
   }
+  /// Register reads have no side effects (error bits are write-1-clear).
+  [[nodiscard]] bool read_is_pure(std::uint32_t) const override {
+    return true;
+  }
+  /// Idle, tick() changes nothing; busy, it counts down to completion.
+  [[nodiscard]] bool quiescent() const override { return !busy(); }
   void reset() override;
 
   [[nodiscard]] bool busy() const { return busy_cycles_ > 0; }

@@ -39,6 +39,12 @@ class PageModule final : public sim::MmioDevice {
 
   void reset() override;
 
+  /// Reads have no side effects, and the module never ticks.
+  [[nodiscard]] bool read_is_pure(std::uint32_t) const override {
+    return true;
+  }
+  [[nodiscard]] bool quiescent() const override { return true; }
+
   [[nodiscard]] std::uint32_t selected_page() const { return selected_; }
   [[nodiscard]] bool page_error() const { return page_error_; }
   [[nodiscard]] std::uint32_t page_data(std::uint32_t page) const {

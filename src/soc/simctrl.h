@@ -37,6 +37,12 @@ class SimControl final : public sim::MmioDevice {
   [[nodiscard]] Verdict verdict() const { return verdict_; }
   [[nodiscard]] const std::string& console() const { return console_; }
 
+  /// Reads have no side effects, and the port never ticks.
+  [[nodiscard]] bool read_is_pure(std::uint32_t) const override {
+    return true;
+  }
+  [[nodiscard]] bool quiescent() const override { return true; }
+
   void reset() override {
     verdict_ = Verdict::None;
     console_.clear();

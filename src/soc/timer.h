@@ -42,6 +42,15 @@ class Timer final : public sim::MmioDevice {
   /// STATUS bit, which is observed through MMIO reads — those flush).
   [[nodiscard]] std::uint64_t next_event_horizon() const override;
 
+  /// Register reads have no side effects (STATUS is write-1-clear).
+  [[nodiscard]] bool read_is_pure(std::uint32_t) const override {
+    return true;
+  }
+  /// A disabled timer's tick() is a no-op; an enabled one moves COUNT.
+  [[nodiscard]] bool quiescent() const override {
+    return (ctrl_ & kCtrlEnable) == 0;
+  }
+
   void reset() override {
     count_ = 0;
     compare_ = 0;

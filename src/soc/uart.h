@@ -38,8 +38,15 @@ class Uart final : public sim::MmioDevice {
   void tick(std::uint64_t cycles) override;
   // Ticking only drains the TX shift register; IRQs are raised from register
   // writes / rx injection, never from tick, so the default infinite
-  // next_event_horizon() is correct.
+  // next_event_horizon() is correct — even while tick() still flips
+  // STATUS.TX_READY, which is why quiescent() exists.
   [[nodiscard]] bool wants_tick() const override { return true; }
+  /// STATUS and CTRL reads change nothing; a DATA read pops the RX FIFO.
+  [[nodiscard]] bool read_is_pure(std::uint32_t offset) const override {
+    return offset == kStatusOffset || offset == kCtrlOffset;
+  }
+  /// An idle transmitter: tick() has nothing left to count down.
+  [[nodiscard]] bool quiescent() const override { return tx_busy_ == 0; }
   void reset() override;
 
   /// Everything the UART ever transmitted (testbench-side capture).

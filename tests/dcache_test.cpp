@@ -3,10 +3,14 @@
 // fetch/decode/execute interpreter — digests, cycles, instruction counts,
 // x-warnings and traces — across compute, branch, memory and IRQ-driven
 // kernels, and self-modifying code must be re-decoded before the next fetch.
+// The stuck-loop suite holds the fast-forward to the same standard: it
+// must fire on a never-ready poll and stay silent on every loop that only
+// looks stuck.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "asm/assembler.h"
@@ -16,9 +20,12 @@
 #include "sim/machine.h"
 #include "sim/timing.h"
 #include "sim/trace.h"
+#include "soc/derivative.h"
 #include "soc/intc.h"
 #include "soc/irq.h"
+#include "soc/nvm.h"
 #include "soc/timer.h"
+#include "soc/uart.h"
 #include "support/diagnostics.h"
 #include "support/vfs.h"
 
@@ -27,7 +34,9 @@ namespace {
 using namespace advm::sim;
 using advm::soc::InterruptController;
 using advm::soc::IrqLines;
+using advm::soc::NvmController;
 using advm::soc::Timer;
+using advm::soc::Uart;
 using advm::support::DiagnosticEngine;
 using advm::support::VirtualFileSystem;
 
@@ -128,28 +137,13 @@ struct Outcome {
   std::uint64_t x_warnings = 0;
 };
 
-/// A fresh flat-RAM board per arm — plus, optionally, a timer + interrupt
-/// controller so the IRQ kernel exercises the batched-tick horizon.
-class Rig {
+/// A fresh flat-RAM board per arm: bus, machine and kernel loader. The
+/// rigs below add their peripherals and timing model.
+class RigBase {
  public:
   static constexpr std::uint32_t kRamSize = 0x10000;
   static constexpr std::uint32_t kVtBase = 0x8000;
   static constexpr std::uint32_t kStackTop = 0x10000;
-  static constexpr std::uint32_t kTimerBase = 0x20000;
-  static constexpr std::uint32_t kIntcBase = 0x30000;
-
-  explicit Rig(bool with_irq_fabric, MachineConfig config = {}) {
-    bus_.map(0x0, std::make_unique<Ram>("ram", kRamSize));
-    if (with_irq_fabric) {
-      bus_.map(kTimerBase,
-               std::make_unique<Timer>(/*prescale=*/4, irqs_, /*line=*/3));
-      auto intc = std::make_unique<InterruptController>(irqs_);
-      intc_ = intc.get();
-      bus_.map(kIntcBase, std::move(intc));
-    }
-    machine_ = std::make_unique<Machine>(bus_, timing_, config);
-    if (intc_ != nullptr) machine_->set_irq_source(intc_);
-  }
 
   void load(std::string_view source) {
     VirtualFileSystem vfs;
@@ -181,12 +175,40 @@ class Rig {
 
   Machine& machine() { return *machine_; }
 
- private:
+ protected:
+  RigBase() { bus_.map(0x0, std::make_unique<Ram>("ram", kRamSize)); }
+
+  void make_machine(std::unique_ptr<TimingModel> timing,
+                    MachineConfig config) {
+    timing_ = std::move(timing);
+    machine_ = std::make_unique<Machine>(bus_, *timing_, config);
+  }
+
   IrqLines irqs_;
   Bus bus_;
-  FunctionalTiming timing_;
-  InterruptController* intc_ = nullptr;
+
+ private:
+  std::unique_ptr<TimingModel> timing_;
   std::unique_ptr<Machine> machine_;
+};
+
+/// Plain RAM — plus, optionally, a timer + interrupt controller so the IRQ
+/// kernel exercises the batched-tick horizon.
+class Rig : public RigBase {
+ public:
+  static constexpr std::uint32_t kTimerBase = 0x20000;
+  static constexpr std::uint32_t kIntcBase = 0x30000;
+
+  explicit Rig(bool with_irq_fabric, MachineConfig config = {}) {
+    make_machine(std::make_unique<FunctionalTiming>(), config);
+    if (with_irq_fabric) {
+      bus_.map(kTimerBase,
+               std::make_unique<Timer>(/*prescale=*/4, irqs_, /*line=*/3));
+      auto intc = std::make_unique<InterruptController>(irqs_);
+      machine().set_irq_source(intc.get());
+      bus_.map(kIntcBase, std::move(intc));
+    }
+  }
 };
 
 void expect_identical(const Outcome& decoded, const Outcome& interp) {
@@ -317,7 +339,263 @@ TEST_F(DifferentialKernel, CycleLimitOutcomeMatches) {
   Outcome i = interp.run(777);
   EXPECT_EQ(d.result.reason, StopReason::CycleLimit);
   EXPECT_EQ(d.result.instructions, 777u);
+  EXPECT_GT(d.result.fast_forwarded, 0u) << "a bare spin is a fixed point";
+  EXPECT_EQ(i.result.fast_forwarded, 0u) << "the interpreter never skips";
   expect_identical(d, i);
+}
+
+// ---------------------------------------- stuck-loop fast-forward soundness --
+
+/// A board-like rig for the stuck-loop proof: RAM plus one of each polled
+/// peripheral — v2 UART at 0x20000, timer at 0x21000 (IRQ 3), NVM
+/// controller at 0x22000, INTC at 0x23000 — and an optional custom IRQ
+/// source. Each kernel below runs on both arms; only the decoded arm may
+/// fast-forward.
+class SocRig : public RigBase {
+ public:
+  SocRig(bool decoded, const advm::soc::DerivativeSpec& nvm_spec,
+         MachineConfig config, bool pipeline_timing,
+         const IrqSource* irq_source) {
+    if (pipeline_timing) {
+      make_machine(std::make_unique<PipelineTiming>(), config);
+    } else {
+      make_machine(std::make_unique<FunctionalTiming>(), config);
+    }
+    bus_.map(0x20000, std::make_unique<Uart>(/*version=*/2, irqs_, 2));
+    bus_.map(0x21000, std::make_unique<Timer>(/*prescale=*/1, irqs_, 3));
+    bus_.map(0x22000, std::make_unique<NvmController>(nvm_spec, irqs_));
+    auto intc = std::make_unique<InterruptController>(irqs_);
+    machine().set_irq_source(irq_source != nullptr ? irq_source
+                                                   : intc.get());
+    bus_.map(0x23000, std::move(intc));
+    machine().set_decode_cache_enabled(decoded);
+  }
+};
+
+class StuckLoop : public ::testing::Test {
+ protected:
+  /// Runs `source` on both arms (functional and pipeline timing) and
+  /// returns the decoded arm's outcome under functional timing after
+  /// checking every arm pair agrees exactly.
+  Outcome run_both(std::string_view source, std::uint64_t max,
+                   MachineConfig config = {},
+                   const IrqSource* irq_source = nullptr) {
+    Outcome functional;
+    for (const bool pipeline : {false, true}) {
+      SocRig decoded(true, nvm_spec_, config, pipeline, irq_source);
+      decoded.load(source);
+      SocRig interp(false, nvm_spec_, config, pipeline, irq_source);
+      interp.load(source);
+      if (::testing::Test::HasFatalFailure()) return {};
+      const Outcome d = decoded.run(max);
+      const Outcome i = interp.run(max);
+      SCOPED_TRACE(pipeline ? "pipeline timing" : "functional timing");
+      expect_identical(d, i);
+      EXPECT_EQ(i.result.fast_forwarded, 0u) << "the interpreter never skips";
+      if (!pipeline) functional = d;
+    }
+    return functional;
+  }
+
+  advm::soc::DerivativeSpec nvm_spec_ = [] {
+    advm::soc::DerivativeSpec spec;
+    spec.nvm_program_latency = 400;  // dozens of identical poll iterations
+    return spec;
+  }();
+};
+
+TEST_F(StuckLoop, FiresOnV2UartPolledAtTheV1TxBit) {
+  // cube-hung's shape: an un-ported wait loop tests bit 0 of a v2 STATUS
+  // word whose TX_READY moved to bit 4. The idle transmitter is quiescent,
+  // STATUS reads are pure, nothing is written: a proven fixed point.
+  const Outcome d = run_both(
+      "_main:\n"
+      ".wait_tx:\n"
+      " LOAD d2, [0x20004]\n"
+      " EXTRACT d2, d2, 0, 1\n"
+      " CMP d2, 1\n"
+      " JNE .wait_tx\n"
+      " STORE [0x20000], d4\n"
+      " HALT\n",
+      2'000'000);
+  EXPECT_EQ(d.result.reason, StopReason::CycleLimit);
+  EXPECT_GT(d.result.fast_forwarded, 1'900'000u);
+  EXPECT_EQ(d.result.stuck_pc, 0x1000u);
+  EXPECT_EQ(d.result.stuck_poll, "uart+0x4");
+}
+
+TEST_F(StuckLoop, SilentOnABusyTransmitterPollThatCompletes) {
+  // Divisor 100 keeps tx_busy_ at 808 cycles: STATUS reads are pure and no
+  // IRQ is ever due (next_event_horizon() is infinite), yet STATUS changes
+  // under tick(). Only the quiescence condition keeps this from being
+  // "proven" stuck.
+  const Outcome d = run_both(
+      "_main:\n"
+      " MOV d0, 100\n"
+      " STORE [0x20008], d0\n"
+      " MOV d4, 0x41\n"
+      " STORE [0x20000], d4\n"
+      ".wait_tx:\n"
+      " LOAD d2, [0x20004]\n"
+      " EXTRACT d2, d2, 4, 1\n"
+      " CMP d2, 1\n"
+      " JNE .wait_tx\n"
+      " HALT\n",
+      2'000'000);
+  EXPECT_EQ(d.result.reason, StopReason::Halted);
+  EXPECT_GT(d.instructions, 400u) << "the poll must actually spin";
+  EXPECT_EQ(d.result.fast_forwarded, 0u);
+}
+
+TEST_F(StuckLoop, SilentOnAnNvmBusyWaitThatCompletes) {
+  const advm::soc::DerivativeSpec& s = nvm_spec_;
+  const std::string source =
+      "_main:\n"
+      " MOV d0, " + std::to_string(s.nvm_key1) + "\n"
+      " STORE [0x22010], d0\n"
+      " MOV d0, " + std::to_string(s.nvm_key2) + "\n"
+      " STORE [0x22010], d0\n"
+      " MOV d0, 8\n"
+      " STORE [0x22004], d0\n"
+      " MOV d0, 0x12345678\n"
+      " STORE [0x22008], d0\n"
+      " MOV d0, " + std::to_string(s.nvm_cmd_program) + "\n"
+      " STORE [0x22000], d0\n"
+      ".busy:\n"
+      " LOAD d1, [0x2200C]\n"
+      " AND d1, d1, 1\n"
+      " JNZ .busy\n"
+      " HALT\n";
+  const Outcome d = run_both(source, 2'000'000);
+  EXPECT_EQ(d.result.reason, StopReason::Halted);
+  EXPECT_GT(d.instructions, 100u) << "the busy-wait must actually spin";
+  EXPECT_EQ(d.result.fast_forwarded, 0u);
+}
+
+TEST_F(StuckLoop, SilentOnAnEnabledTimerWhoseCountIsPolled) {
+  // COUNT >> 16 stays 0 for 65536 cycles, so the registers repeat exactly
+  // across thousands of iterations while the enabled timer counts.
+  const Outcome d = run_both(
+      "_main:\n"
+      " MOV d0, 1\n"
+      " STORE [0x21008], d0\n"
+      ".poll:\n"
+      " LOAD d1, [0x21000]\n"
+      " SHR d1, d1, 16\n"
+      " CMP d1, 1\n"
+      " JNE .poll\n"
+      " HALT\n",
+      2'000'000);
+  EXPECT_EQ(d.result.reason, StopReason::Halted);
+  EXPECT_EQ(d.result.fast_forwarded, 0u);
+}
+
+TEST_F(StuckLoop, SilentOnALoopThatReadsASideEffectingRegister) {
+  // An RX poll on DATA: a read pops the FIFO, so it is never pure, even
+  // while the empty FIFO keeps returning 0.
+  const Outcome d = run_both(
+      "_main:\n"
+      ".rx:\n"
+      " LOAD d2, [0x20000]\n"
+      " CMP d2, 0x41\n"
+      " JNE .rx\n"
+      " HALT\n",
+      50'000);
+  EXPECT_EQ(d.result.reason, StopReason::CycleLimit);
+  EXPECT_EQ(d.result.fast_forwarded, 0u);
+}
+
+TEST_F(StuckLoop, SilentOnALoopThatReadsCycleLo) {
+  const Outcome d = run_both(
+      "_main:\n"
+      ".spin:\n"
+      " MFCR d1, CYCLELO\n"
+      " SHR d1, d1, 12\n"
+      " CMP d1, 1\n"
+      " JNE .spin\n"
+      " HALT\n",
+      2'000'000);
+  EXPECT_EQ(d.result.reason, StopReason::Halted);
+  EXPECT_EQ(d.result.fast_forwarded, 0u);
+}
+
+TEST_F(StuckLoop, SilentOnALoopWithAStoreInItsBody) {
+  const Outcome d = run_both(
+      "_main:\n"
+      " MOV d1, 7\n"
+      ".spin:\n"
+      " STORE [0x4000], d1\n"
+      " JMP .spin\n",
+      50'000);
+  EXPECT_EQ(d.result.reason, StopReason::CycleLimit);
+  EXPECT_EQ(d.result.fast_forwarded, 0u);
+}
+
+TEST_F(StuckLoop, SilentOnAnXCheckLoopReadingANeverWrittenRegister) {
+  MachineConfig config;
+  config.x_check_registers = true;
+  const Outcome d = run_both(
+      "_main:\n"
+      ".spin:\n"
+      " MOV d1, d9\n"
+      " JMP .spin\n",
+      50'000, config);
+  EXPECT_EQ(d.result.reason, StopReason::CycleLimit);
+  EXPECT_EQ(d.x_warnings, 25'000u);
+  EXPECT_EQ(d.result.fast_forwarded, 0u);
+}
+
+TEST_F(StuckLoop, SilentWhenAnIrqFallsDueInsideTheBudget) {
+  // The never-ready poll again, but an armed timer raises IRQ 3 after 5000
+  // cycles and its handler halts: the skip would jump past the IRQ, so the
+  // event horizon must veto it.
+  const Outcome d = run_both(
+      "_main:\n"
+      " LOAD d0, handler\n"
+      " STORE [0x8000 + 4 * 19], d0\n"
+      " MOV d0, 5000\n"
+      " STORE [0x21004], d0\n"
+      " MOV d0, 3\n"
+      " STORE [0x21008], d0\n"
+      " MOV d0, 8\n"
+      " STORE [0x23004], d0\n"
+      " ENABLE\n"
+      ".wait_tx:\n"
+      " LOAD d2, [0x20004]\n"
+      " EXTRACT d2, d2, 0, 1\n"
+      " CMP d2, 1\n"
+      " JNE .wait_tx\n"
+      " HALT\n"
+      "handler:\n"
+      " MOV d7, 1\n"
+      " HALT\n",
+      2'000'000);
+  EXPECT_EQ(d.result.reason, StopReason::Halted);
+  EXPECT_EQ(d.result.fast_forwarded, 0u);
+}
+
+TEST_F(StuckLoop, SilentOnAnUnclearedInterruptLivelock) {
+  // property_test's UnclearedInterruptLivelockHitsCycleLimit: the spin
+  // looks like a fixed point, but every iteration enters the handler.
+  struct AlwaysLine0 final : IrqSource {
+    [[nodiscard]] std::optional<std::uint8_t> pending_irq() const override {
+      return std::uint8_t{0};
+    }
+  };
+  static const AlwaysLine0 always_pending;
+  const Outcome d = run_both(
+      "_main:\n"
+      " LOAD d0, handler\n"
+      " STORE [0x7000 + 4 * 16], d0\n"
+      " MOV d1, 0x7000\n"
+      " MTCR VTBASE, d1\n"
+      " ENABLE\n"
+      ".spin: JMP .spin\n"
+      "handler:\n"
+      " RETI\n",
+      5000, {}, &always_pending);
+  EXPECT_EQ(d.result.reason, StopReason::CycleLimit);
+  EXPECT_EQ(d.result.fast_forwarded, 0u);
 }
 
 // ------------------------------------------------- self-modifying code ----

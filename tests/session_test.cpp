@@ -193,6 +193,50 @@ TEST(Session, BuildRunCheckPortReleaseEndToEnd) {
   EXPECT_EQ(released.release.sub_labels.size(), 6u);  // 5 envs + globals
 }
 
+TEST(Session, UnportedUartTestIsReportedStuckOutsideTheDigest) {
+  // The SC88-A corpus on SC88-C without a port: the UART tests poll the v1
+  // TX_READY bit of a v2 STATUS word forever. The simulator proves the
+  // loop stuck, and the record says where and on what.
+  Session session;
+  ASSERT_TRUE(build_small_system(session).status.ok());
+  RunRequest request;
+  request.derivative = "SC88-C";
+  RunResult result = session.run(request);
+  ASSERT_TRUE(result.status.ok()) << result.status.message;
+
+  std::size_t stuck = 0;
+  for (const TestRunRecord& r : result.report.records) {
+    if (r.stuck.empty()) continue;
+    ++stuck;
+    EXPECT_EQ(r.environment, "UART_MODULE");
+    EXPECT_EQ(r.stop, sim::StopReason::CycleLimit);
+    EXPECT_EQ(r.instructions, request.max_instructions);
+    EXPECT_EQ(r.stuck, "stuck polling uart+0x4 at ES_Uart_Send_Byte");
+  }
+  EXPECT_EQ(stuck, 2u) << format_report(result.report);
+
+  const std::string text = format_report(result.report);
+  EXPECT_NE(text.find("cyc; stuck polling uart+0x4 at ES_Uart_Send_Byte)"),
+            std::string::npos)
+      << text;
+  const std::string json = to_json(result);
+  EXPECT_NE(json.find("\"stuck\":\"stuck polling uart+0x4 at "
+                      "ES_Uart_Send_Byte\""),
+            std::string::npos);
+  // Only the stuck records carry the key.
+  std::size_t keys = 0;
+  for (std::size_t at = json.find("\"stuck\":"); at != std::string::npos;
+       at = json.find("\"stuck\":", at + 1)) {
+    ++keys;
+  }
+  EXPECT_EQ(keys, 2u);
+
+  // The note is diagnostics, not outcome: the digest ignores it.
+  RegressionReport cleared = result.report;
+  for (TestRunRecord& r : cleared.records) r.stuck.clear();
+  EXPECT_EQ(cleared.outcome_digest(), result.report.outcome_digest());
+}
+
 TEST(Session, RandomRegeneratesEveryAdvmEnvironment) {
   Session session;
   ASSERT_TRUE(build_small_system(session).status.ok());

@@ -219,25 +219,40 @@ PY
 stop_daemon
 trap - EXIT
 
-echo "==> sim-core lap (decoded-cache speedup gate + e10 roll-up identity)"
+echo "==> sim-core lap (decoded-cache speedup, stuck-loop count, e10 identity)"
 # bench_sim_core exits non-zero unless the decoded arm is bit-identical to
-# the plain interpreter on all four kernels AND holds a >= 3x instr/s
-# advantage on the compute kernel. Its datapoint lands in bench/records/ so
-# the >15% trend gate below covers the sim core's floor too. The roll-up
-# re-check reuses the --jobs gate's artifacts: a sim-core change must be
-# invisible in the e10 cube at every pool size.
+# the plain interpreter on all five kernels, each stops the way it declares,
+# AND the decoded arm holds a >= 3x instr/s advantage on the compute kernel.
+# Its datapoint lands in bench/records/ so the >15% trend gate below covers
+# the sim core's floor too. The stuck-poll gate is a count, not a time: the
+# decoded arm must have proven the never-ready UART poll stuck and skipped
+# nearly all of its 2M budget. The roll-up re-check reuses the --jobs
+# gate's artifacts: a sim-core change must be invisible in the e10 cube at
+# every pool size.
 cmake --build build -t bench_sim_core -j
 mkdir -p bench/records build/bench-logs
 ADVM_BENCH_JSON_DIR="$PWD/bench/records" ./build/bench/bench_sim_core \
   > build/bench-logs/bench_sim_core.log
 tail -2 build/bench-logs/bench_sim_core.log
-python3 - build/jobs-1.json build/jobs-0.json <<'PY'
+python3 - build/jobs-1.json build/jobs-0.json \
+  bench/records/BENCH_sim_core.json <<'PY'
 import json, sys
 serial, auto = (json.load(open(p)) for p in sys.argv[1:3])
 assert json.dumps(serial["rollup"], sort_keys=True) == \
        json.dumps(auto["rollup"], sort_keys=True), \
     "e10 roll-up diverged between --jobs 1 and --jobs 0"
-print("sim-core lap ok: e10 roll-up byte-identical across pool sizes")
+bench = json.loads(open(sys.argv[3]).read().splitlines()[-1])
+rows = {row[0]: dict(zip(bench["headers"], row)) for row in bench["rows"]}
+stuck = rows["stuck-poll"]
+assert stuck["stop"] == "cycle-limit", stuck
+assert int(stuck["instructions"]) == 2000000, stuck
+skipped = int(stuck["fast-forwarded"])
+assert skipped > 1900000, "stuck-poll fast-forwarded only %d" % skipped
+for name, row in rows.items():
+    if name != "stuck-poll":
+        assert int(row["fast-forwarded"]) == 0, (name, row)
+print("sim-core lap ok: e10 roll-up byte-identical across pool sizes, "
+      "stuck poll fast-forwarded %d of 2000000 instructions" % skipped)
 PY
 
 echo "==> -Werror hygiene build"
