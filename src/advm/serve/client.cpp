@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
 
 #include "advm/serve/endpoint.h"
@@ -11,39 +12,34 @@ namespace advm::core::serve {
 
 namespace {
 
-/// Reads one line with the shared poll-deadline reader and maps every
-/// non-Line outcome to a typed Status.
+/// Deadline for the connect itself.
+constexpr std::size_t kConnectTimeoutMs = 10'000;
+
+/// Reads one response line, waiting as long as the daemon works, and maps
+/// every non-Line outcome to a typed Status.
 Status read_frame_line(int fd, std::string* carry, std::string* line,
-                       std::size_t timeout_ms, const char* what) {
+                       const char* what) {
   int io_errno = 0;
-  switch (read_line_deadline(fd, carry, line, timeout_ms, &io_errno)) {
-    case LineRead::Line:
-      return {};
-    case LineRead::Eof:
-      return Status::error("advm.serve-protocol",
-                           std::string("daemon closed the connection "
-                                       "before sending the ") +
-                               what);
-    case LineRead::Timeout:
-      return Status::error("advm.serve-timeout",
-                           std::string("no ") + what + " within " +
-                               std::to_string(timeout_ms) + "ms");
-    case LineRead::Error:
-      return Status::error("advm.serve-protocol",
-                           std::string("reading the ") + what +
-                               " failed (" + std::strerror(io_errno) +
-                               ")");
+  const LineRead read =
+      read_line_deadline(fd, carry, line, /*timeout_ms=*/0, &io_errno);
+  if (read == LineRead::Line) return {};
+  if (read == LineRead::Eof) {
+    return Status::error("advm.serve-protocol",
+                         std::string("daemon closed the connection "
+                                     "before sending the ") +
+                             what);
   }
-  return Status::error("advm.serve-protocol", "unreachable");
+  return Status::error("advm.serve-protocol",
+                       std::string("reading the ") + what + " failed (" +
+                           std::strerror(io_errno) + ")");
 }
 
 }  // namespace
 
-Status attach_roundtrip(const AttachOptions& options, const Frame& request,
+Status attach_roundtrip(const std::string& socket_path, const Frame& request,
                         Frame* response) {
   int fd = -1;
-  if (Status status = connect_endpoint(options.socket_path,
-                                       options.connect_timeout_ms, &fd);
+  if (Status status = connect_endpoint(socket_path, kConnectTimeoutMs, &fd);
       !status.ok()) {
     return status;
   }
@@ -57,8 +53,7 @@ Status attach_roundtrip(const AttachOptions& options, const Frame& request,
   std::string carry;
   std::string header;
   if (status.ok()) {
-    status = read_frame_line(fd, &carry, &header, options.read_timeout_ms,
-                             "response header");
+    status = read_frame_line(fd, &carry, &header, "response header");
   }
   Frame decoded;
   if (status.ok()) {
@@ -71,8 +66,7 @@ Status attach_roundtrip(const AttachOptions& options, const Frame& request,
     }
   }
   if (status.ok()) {
-    status = read_frame_line(fd, &carry, &decoded.payload,
-                             options.read_timeout_ms, "response payload");
+    status = read_frame_line(fd, &carry, &decoded.payload, "response payload");
   }
   ::close(fd);
   if (status.ok()) *response = std::move(decoded);

@@ -6,12 +6,12 @@
 // `exit` is the local exit code, so the CLI's attach path is a pure
 // transport: print one of payload/text, return exit.
 //
-// Liveness rides a poll(2) deadline (read_line_deadline, endpoint.h): a
-// daemon that dies mid-response surfaces as a typed Status, a wedged one
-// as advm.serve-timeout — never a CLI hung in read(2).
+// The connect carries a finite deadline (a daemon with a full accept
+// backlog fails typed, not hung); the response is awaited without one,
+// since a matrix lap legitimately runs for minutes — a daemon that dies
+// mid-response still surfaces promptly as EOF, a typed Status.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 #include "advm/serve/frame.h"
@@ -19,21 +19,10 @@
 
 namespace advm::core::serve {
 
-struct AttachOptions {
-  std::string socket_path;
-  /// Deadline for the connect itself — generous, but finite: a daemon
-  /// with a full accept backlog should fail typed, not hang the client.
-  std::size_t connect_timeout_ms = 10'000;
-  /// Deadline for the whole response (0 = wait forever — a matrix lap
-  /// legitimately runs for minutes; a dead daemon still surfaces
-  /// promptly as EOF).
-  std::size_t read_timeout_ms = 0;
-};
-
-/// One attach round trip. Typed failures: advm.serve-unreachable
-/// (connect), advm.serve-timeout (deadline), advm.serve-protocol
-/// (malformed or truncated response).
-[[nodiscard]] Status attach_roundtrip(const AttachOptions& options,
+/// One attach round trip to the daemon at `socket_path`. Typed failures:
+/// advm.serve-unreachable (connect), advm.serve-protocol (malformed or
+/// truncated response).
+[[nodiscard]] Status attach_roundtrip(const std::string& socket_path,
                                       const Frame& request,
                                       Frame* response);
 

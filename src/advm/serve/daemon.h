@@ -1,33 +1,29 @@
 // serve::Daemon — the resident verification service.
 //
 // One warm advm::Session (VFS, object cache + persistent store, board
-// pool, thread-pool size) behind a SOCK_STREAM unix socket. A
-// poll(2)-driven event loop multiplexes concurrent clients: each
-// connection carries exactly one two-line serve::Frame request, verbs
-// execute on a small executor pool, and the response frame is written
-// back from the loop (non-blocking, partial writes resumed via POLLOUT)
-// before the connection closes.
+// pool, thread-pool size) behind a SOCK_STREAM unix socket. Clients are
+// served one at a time by a sequential loop: accept, read the two-line
+// serve::Frame request, execute it, write the response frame, close.
+// Parallelism lives inside the Session — every verb fans out over the
+// daemon's --jobs workers — so a second request in flight would only
+// oversubscribe the cores.
 //
-// Concurrent sessions are serialized onto the shared Session with an
-// ownership rule: read-only verbs (run/matrix/check) hold the session
-// lock shared and genuinely run concurrently (cache and board pool are
-// internally synchronized — that is what they exist for); mutating verbs
-// (init/port/random/release) hold it exclusively. Each client directory
-// gets a stable VFS root (/trees/<n>) so the object cache stays warm
-// across laps — the key includes the path — and the disk tree is
-// re-synced into the VFS only when its content actually changed, so two
-// clients hammering the same tree still run concurrently.
+// Each request re-imports the client's disk tree into a stable VFS root
+// (/trees/<n> per client directory, /SYS for init, whose result document
+// embeds the root). The object cache key includes the path and the
+// source content, so a stable root is what keeps the session warm across
+// laps, and the re-import is what makes disk edits between laps visible.
 //
-// Lifecycle is first-class: a client that vanishes mid-request only
-// loses its own response (the work completes, the daemon stays healthy),
-// --idle-timeout and SIGTERM/SIGINT both drain in-flight work and unlink
-// the socket, a stale socket file is probed and replaced on startup
-// (endpoint.h), and a `stats` frame answers with a live stats document at
-// any time.
+// Lifecycle: a client that vanishes before its response only loses that
+// response (counted as a lost client); a client that stalls mid-request
+// is dropped after kClientStallMs so the next one gets served;
+// --idle-timeout and SIGTERM/SIGINT finish the request at hand and
+// unlink the socket; a stale socket file is probed and replaced on
+// startup (endpoint.h); a `stats` frame answers with a live stats
+// document.
 #pragma once
 
-#include <cstdint>
-#include <map>
+#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -35,31 +31,20 @@
 
 namespace advm::core::serve {
 
+/// How long a connected client may take to deliver its whole request
+/// (header and payload line) before the daemon drops it. A real client
+/// writes both lines in one call, so this only ever fires on a stalled
+/// or hostile peer — which would otherwise wedge the one-at-a-time loop.
+inline constexpr std::size_t kClientStallMs = 2'000;
+
 struct DaemonConfig {
   std::string socket_path;
   /// Configuration of the one shared Session (jobs, cache dir, ... — the
   /// same flags a local CLI run takes).
   SessionConfig session;
-  /// Exit cleanly after this long with no clients and no in-flight work;
-  /// 0 = run until --stop / SIGTERM / SIGINT.
+  /// Exit cleanly after this long with no client; 0 = run until --stop /
+  /// SIGTERM / SIGINT.
   std::size_t idle_timeout_ms = 0;
-  /// Executor threads = the number of verbs genuinely in flight at once.
-  std::size_t executors = 2;
-  /// A connection that stalls mid-request (header sent, payload never
-  /// arrives) is closed after this long — the client-liveness deadline.
-  std::size_t client_stall_ms = 30'000;
-};
-
-/// Live counters for the stats document. Snapshot semantics: taken under
-/// the daemon's state lock, rendered lock-free.
-struct DaemonStats {
-  std::uint64_t uptime_ms = 0;
-  std::uint64_t clients_served = 0;  ///< connections accepted
-  std::uint64_t clients_lost = 0;    ///< vanished before their response
-  std::uint64_t requests_ok = 0;     ///< responses with exit code 0
-  std::uint64_t requests_failed = 0; ///< responses with nonzero exit
-  std::map<std::string, std::uint64_t> per_verb;  ///< requests by verb
-  std::size_t trees = 0;  ///< distinct client directories resident in VFS
 };
 
 class Daemon {
@@ -74,9 +59,9 @@ class Daemon {
   /// (advm.serve-socket-busy, advm.bad-*) on failure.
   [[nodiscard]] Status start();
 
-  /// Runs the event loop until a shutdown frame, the idle timeout, or
-  /// SIGTERM/SIGINT; drains in-flight work and unlinks the socket. Returns the process exit code (0 on any clean
-  /// shutdown path).
+  /// Serves clients one at a time until a shutdown frame, the idle
+  /// timeout, or SIGTERM/SIGINT, then unlinks the socket. Returns the
+  /// process exit code (0 on any clean shutdown path).
   int serve();
 
  private:

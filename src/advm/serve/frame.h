@@ -1,7 +1,8 @@
 // serve::Frame — the wire unit of the attach protocol.
 //
-// Many clients interleave on one shared unix socket, so each message
-// carries an id and an envelope. A frame is exactly two lines:
+// Each connection carries one request frame and one response frame; the
+// envelope carries an id, the verb and (on responses) the exit code and
+// human text. A frame is exactly two lines:
 //
 //   {"id":N,"verb":"matrix","exit":0,"text":"<escaped human text>"}
 //   <payload document>

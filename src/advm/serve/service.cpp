@@ -414,14 +414,6 @@ std::optional<VerbRequest> parse_verb_request(std::string_view document,
   return request;
 }
 
-bool verb_mutates(std::string_view verb) {
-  // run/matrix/check/lint only read the tree; everything else rewrites
-  // the VFS (init/port/random), the release root (release), or the disk
-  // tree.
-  return verb != "run" && verb != "matrix" && verb != "check" &&
-         verb != "lint";
-}
-
 VerbOutcome execute_verb(Session& session, const VerbRequest& request,
                          const std::string& vfs_root,
                          const std::string& import_error) {
@@ -450,7 +442,7 @@ VerbOutcome execute_verb(Session& session, const VerbRequest& request,
     }
   } catch (const std::exception& e) {
     // Disk side effects (export/import) throw; surface them through the
-    // shared error contract instead of unwinding into the caller's event
+    // shared error contract instead of unwinding into the caller's serve
     // loop (daemon) or main() (CLI).
     return status_outcome(request.verb,
                           Status::error("advm.export-failed", e.what()));

@@ -53,12 +53,6 @@ struct VerbRequest {
 [[nodiscard]] std::optional<VerbRequest> parse_verb_request(
     std::string_view document, std::string* error = nullptr);
 
-/// True for verbs that mutate shared state — the session VFS tree, the
-/// release root, or the disk tree itself. The daemon runs these under an
-/// exclusive session lock; read-only verbs (run/matrix/check/lint)
-/// share it.
-[[nodiscard]] bool verb_mutates(std::string_view verb);
-
 /// What executing a verb produced: the CLI exit code, the --format json
 /// document, and the human text rendering. Exactly one of json/text is
 /// printed by the caller depending on --format; on exit code 2 the text

@@ -116,6 +116,14 @@ BuildResult Session::run(const BuildRequest& request) {
                                   "build root must name a directory");
     return result;
   }
+  if (request.tests_per_module > BuildRequest::kMaxTestsPerModule) {
+    result.status = Status::error(
+        "advm.bad-tests",
+        "tests value " + std::to_string(request.tests_per_module) +
+            " exceeds the limit " +
+            std::to_string(BuildRequest::kMaxTestsPerModule));
+    return result;
+  }
 
   result.derivative = spec->name;
 

@@ -66,6 +66,10 @@ struct Status {
 /// session VFS. An empty `environments` list builds the canonical
 /// five-module system with `tests_per_module` tests each.
 struct BuildRequest {
+  /// Upper bound request validation enforces on tests_per_module (a
+  /// typo'd --tests must fail typed, not exhaust memory generating it).
+  static constexpr std::size_t kMaxTestsPerModule = 10'000;
+
   std::string root = "/SYS";
   std::string derivative = "SC88-A";
   std::size_t tests_per_module = 5;

@@ -300,6 +300,7 @@ TEST_F(CliE2E, UnknownFlagsAreTypedBadOptionsLocallyAndAttached) {
       {matrix + " --request-timeout-ms 1000", "--request-timeout-ms"},
       {matrix + " --max-respawns 0", "--max-respawns"},
       {matrix + " --fault-plan 0:crash@1", "--fault-plan"},
+      {matrix + " --serve-threads 2", "--serve-threads"},
       {matrix + " --derivatives SC88-A --platforms golden-model --jbos 4",
        "--jbos"},
   };
@@ -324,6 +325,51 @@ TEST_F(CliE2E, UnknownFlagsAreTypedBadOptionsLocallyAndAttached) {
     EXPECT_EQ(attached_json.exit_code, json.exit_code) << args;
     EXPECT_EQ(attached_json.out, json.out) << args;
   }
+}
+
+TEST_F(CliE2E, BadTestsAndSeedValuesAreTypedLocallyAndAttached) {
+  auto init = run_cli("init \"" + env_dir_ + "\" --tests 2");
+  ASSERT_EQ(init.exit_code, 0) << init.err;
+  const std::string attach = start_daemon();
+  const std::string fresh = (scratch_ / "fresh_env").string();
+
+  // Each used to slip past strtoul: a wrapped or zero count, a bare
+  // std::bad_alloc, or a silently substituted seed.
+  struct Case {
+    std::string args;
+    std::string verb;
+    std::string code;
+  };
+  const std::vector<Case> cases = {
+      {"init \"" + fresh + "\" --tests -1", "init", "advm.bad-tests"},
+      {"init \"" + fresh + "\" --tests 9999999999999", "init",
+       "advm.bad-tests"},
+      {"init \"" + fresh + "\" --tests abc", "init", "advm.bad-tests"},
+      {"random \"" + env_dir_ + "\" --seed xyz", "random", "advm.bad-seed"},
+      {"random \"" + env_dir_ + "\" --seed -3", "random", "advm.bad-seed"},
+  };
+  for (const Case& c : cases) {
+    const auto local = run_cli(c.args);
+    EXPECT_EQ(local.exit_code, 2) << c.args;
+    EXPECT_EQ(local.out, "") << c.args;
+    EXPECT_NE(local.err, "") << c.args;
+    const auto attached = run_cli(c.args + attach);
+    EXPECT_EQ(attached.exit_code, local.exit_code) << c.args;
+    EXPECT_EQ(attached.out, local.out) << c.args;
+    EXPECT_EQ(attached.err, local.err) << c.args;
+
+    const auto json = run_cli(c.args + " --format json");
+    EXPECT_EQ(json.exit_code, 2) << c.args;
+    EXPECT_EQ(json.out.rfind("{\"ok\":false,\"verb\":\"" + c.verb +
+                                 "\",\"error\":{\"code\":\"" + c.code + "\"",
+                             0),
+              0u)
+        << c.args << ": " << json.out;
+    const auto attached_json = run_cli(c.args + " --format json" + attach);
+    EXPECT_EQ(attached_json.exit_code, json.exit_code) << c.args;
+    EXPECT_EQ(attached_json.out, json.out) << c.args;
+  }
+  EXPECT_FALSE(fs::exists(fresh));
 }
 
 TEST_F(CliE2E, BooleanFlagsNeverSwallowTheDirectory) {

@@ -3,13 +3,15 @@
 // (this very repo's CLI binary), thin clients attach over the unix
 // socket, and the assertions pin the daemon's contracts: byte-identical
 // report documents between attached and local runs, warm second laps,
-// concurrent clients, a healthy daemon after a client vanishes
-// mid-request, idle-timeout and --stop shutdown that drain and unlink the
+// disk edits seen by the next lap, clients queued behind one another, a
+// healthy daemon after a client vanishes mid-request or stalls before
+// finishing its request, idle-timeout and --stop shutdown that unlink the
 // socket, the stale-socket probe, and the live stats document.
 //
 // ADVM_CLI_PATH is injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -25,7 +27,7 @@
 #include <thread>
 #include <vector>
 
-#include "advm/serve/client.h"
+#include "advm/serve/daemon.h"
 #include "advm/serve/endpoint.h"
 #include "advm/serve/frame.h"
 #include "advm/serve/service.h"
@@ -282,15 +284,6 @@ TEST(ServeService, LintVerbAndGateRoundTripThroughJson) {
   EXPECT_EQ(serve::to_json(plain).find("\"lint\""), std::string::npos);
 }
 
-TEST(ServeService, OwnershipRuleClassifiesVerbs) {
-  for (const char* verb : {"run", "matrix", "check", "lint"}) {
-    EXPECT_FALSE(serve::verb_mutates(verb)) << verb;
-  }
-  for (const char* verb : {"init", "port", "random", "release"}) {
-    EXPECT_TRUE(serve::verb_mutates(verb)) << verb;
-  }
-}
-
 // ------------------------------------------------------------ e2e: parity --
 
 TEST_F(ServeE2E, AttachedRunIsByteIdenticalToLocalRun) {
@@ -415,6 +408,54 @@ TEST_F(ServeE2E, SecondAttachedLapRunsWarm) {
   EXPECT_EQ(rollup(lap1.out), rollup(restarted.out));
 }
 
+TEST_F(ServeE2E, DiskEditsBetweenAttachedLapsAreSeen) {
+  make_tree();
+  spawn_daemon();
+  const std::string command =
+      "run \"" + env_dir_ + "\" --format json" + attach_flag();
+  const auto cold = run_cli(command);
+  ASSERT_EQ(cold.exit_code, 0) << cold.err;
+  const auto warm = run_cli(command);
+  ASSERT_EQ(warm.exit_code, 0) << warm.err;
+  const auto misses = [](const std::string& out) {
+    const auto doc = support::json::parse(out);
+    EXPECT_TRUE(doc) << out;
+    return doc ? *doc->find("report")->find("cache")->find("misses")
+                      ->as_uint64()
+               : ~std::uint64_t{0};
+  };
+  EXPECT_EQ(misses(warm.out), 0u);
+
+  // Rewrite one test to fail: the daemon re-imports the tree, reports the
+  // new verdict, and recompiles exactly that one translation unit.
+  const fs::path edited =
+      fs::path(env_dir_) / "MEM_MODULE" / "TEST_MEMORY_000" / "test.asm";
+  std::ofstream(edited) << ".INCLUDE Globals.inc\n"
+                           "_main:\n"
+                           " CALL Base_Report_Fail\n";
+  const auto failing = run_cli(command);
+  EXPECT_EQ(failing.exit_code, 1) << failing.err;
+  EXPECT_NE(failing.out.find("\"test\":\"TEST_MEMORY_000\",\"build_ok\":true,"
+                             "\"passed\":false,\"verdict\":\"FAIL\""),
+            std::string::npos)
+      << failing.out;
+  EXPECT_EQ(misses(failing.out), 1u);
+  // Everything but the cache counters matches a local run of the edit.
+  const auto before_cache = [](const std::string& out) {
+    return out.substr(0, out.find("\"cache\":"));
+  };
+  EXPECT_EQ(before_cache(failing.out),
+            before_cache(run_cli("run \"" + env_dir_ + "\" --format json").out));
+
+  // Delete a test directory: it vanishes from the next attached report.
+  fs::remove_all(fs::path(env_dir_) / "MEM_MODULE" / "TEST_MEMORY_001");
+  const auto pruned = run_cli(command);
+  EXPECT_EQ(pruned.exit_code, 1) << pruned.err;
+  EXPECT_EQ(pruned.out.find("TEST_MEMORY_001"), std::string::npos)
+      << pruned.out;
+  EXPECT_NE(pruned.out.find("TEST_MEMORY_000"), std::string::npos);
+}
+
 // -------------------------------------------------------- e2e: lifecycle --
 
 TEST_F(ServeE2E, TwoConcurrentClientsBothGetTheirDocuments) {
@@ -478,6 +519,40 @@ TEST_F(ServeE2E, ClientVanishingMidRequestLeavesDaemonHealthy) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   EXPECT_EQ(lost, 1u);
+}
+
+TEST_F(ServeE2E, StalledClientIsDroppedAfterTheStallDeadline) {
+  make_tree();
+  spawn_daemon();
+  // Hand-roll a client that sends a request header and never its payload.
+  // The daemon serves one client at a time, so the next attached run
+  // queues behind the stalled one until the stall deadline drops it.
+  int stalled = -1;
+  ASSERT_TRUE(serve::connect_endpoint(socket_path_, 5'000, &stalled).ok());
+  serve::Frame frame;
+  frame.id = 9;
+  frame.verb = "run";
+  const std::string wire = serve::encode_frame(frame);
+  ASSERT_TRUE(serve::write_all_fd(stalled, wire.substr(0, wire.find('\n') + 1)));
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto after =
+      run_cli("run \"" + env_dir_ + "\" --format json" + attach_flag());
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  ASSERT_EQ(after.exit_code, 0) << after.err;
+  EXPECT_NE(after.out.find("\"all_passed\":true"), std::string::npos);
+  // The follow-up run could only start once the daemon gave up on the
+  // stalled client (the stall clock began at its accept, a moment before).
+  EXPECT_GE(waited, static_cast<long long>(serve::kClientStallMs) / 2);
+
+  // The stalled connection was closed unanswered: EOF, no response bytes.
+  pollfd pfd = {stalled, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5'000), 1);
+  char byte = 0;
+  EXPECT_EQ(::read(stalled, &byte, 1), 0);
+  ::close(stalled);
 }
 
 TEST_F(ServeE2E, IdleTimeoutDrainsAndUnlinksSocket) {

@@ -149,6 +149,15 @@ TEST(SessionValidation, JobLimitIsATypedError) {
   }
 }
 
+TEST(SessionValidation, TestsPerModuleLimitIsATypedError) {
+  Session session;
+  BuildRequest request;
+  request.tests_per_module = BuildRequest::kMaxTestsPerModule + 1;
+  const BuildResult result = session.run(request);
+  EXPECT_EQ(result.status.code, "advm.bad-tests");
+  EXPECT_TRUE(session.vfs().list_tree("/SYS").empty());
+}
+
 // ------------------------------------------------------------ happy paths --
 
 TEST(Session, BuildRunCheckPortReleaseEndToEnd) {

@@ -23,11 +23,13 @@
 //                                                        frozen snapshot +
 //                                                        verify + regression
 //   advm random <dir> --seed K [--derivative D]          random Globals.inc
-//   advm serve --socket <path> [--idle-timeout-ms MS]    resident daemon: one
+//   advm serve --socket <path> [--jobs N] [--idle-timeout-ms MS]
+//                                                        resident daemon: one
 //                                                        warm Session behind a
-//                                                        unix socket; --stats /
-//                                                        --stop control a live
-//                                                        one
+//                                                        unix socket, serving
+//                                                        one client at a time;
+//                                                        --stats / --stop
+//                                                        control a live one
 //
 // Every verb is the same thin adapter: parse arguments into a typed
 // request, run it on one advm::Session (which owns the VFS, object cache,
@@ -77,12 +79,12 @@ struct FlagSpec {
 };
 
 constexpr FlagSpec kFlags[] = {
-    {"attach", true},        {"cache-dir", true},  {"derivative", true},
-    {"derivatives", true},   {"format", true},     {"idle-timeout-ms", true},
-    {"jobs", true},          {"lint", false},      {"name", true},
-    {"platform", true},      {"platforms", true},  {"seed", true},
-    {"serve-threads", true}, {"socket", true},     {"stats", false},
-    {"stop", false},         {"tests", true},      {"to", true},
+    {"attach", true},      {"cache-dir", true}, {"derivative", true},
+    {"derivatives", true}, {"format", true},    {"idle-timeout-ms", true},
+    {"jobs", true},        {"lint", false},     {"name", true},
+    {"platform", true},    {"platforms", true}, {"seed", true},
+    {"socket", true},      {"stats", false},    {"stop", false},
+    {"tests", true},       {"to", true},
 };
 
 const FlagSpec* find_flag(std::string_view name) {
@@ -143,11 +145,13 @@ Args parse_args(int argc, char** argv) {
 
 /// Parses a numeric option strictly: digits only. strtoul would silently
 /// accept "-1" (wrapping to ULONG_MAX — i.e. maximum fan-out, the exact
-/// accident to prevent), so negative and non-numeric values come back as a
-/// typed Status instead. Range validation (absurd jobs) is the Session's
-/// job — numeric values pass through so the typed error has one home.
+/// accident to prevent) and read "abc" as 0, so negative and non-numeric
+/// values come back as a typed Status instead. Range validation (absurd
+/// jobs or tests) is the Session's job — numeric values pass through so
+/// the typed error has one home.
+template <typename Count>
 Status parse_count(const Args& args, const char* key, const char* code,
-                   std::size_t* out) {
+                   Count* out) {
   auto it = args.options.find(key);
   if (it == args.options.end()) return {};
   const std::string& value = it->second;
@@ -160,7 +164,7 @@ Status parse_count(const Args& args, const char* key, const char* code,
                          std::string("invalid --") + key + " value '" +
                              value + "' (expected a non-negative number)");
   }
-  *out = std::strtoul(value.c_str(), nullptr, 10);
+  *out = static_cast<Count>(std::strtoull(value.c_str(), nullptr, 10));
   return {};
 }
 
@@ -223,17 +227,19 @@ std::unique_ptr<Session> make_session(const Args& args, const char* verb,
 /// flag names map onto serve::VerbRequest fields, shared verbatim by the
 /// local and attached paths (parity by construction: both feed the same
 /// request to serve::execute_verb, one directly and one over the socket).
-serve::VerbRequest build_verb_request(const Args& args,
-                                      const std::string& verb) {
-  serve::VerbRequest request;
+/// Typed Status on a malformed numeric value.
+Status build_verb_request(const Args& args, const std::string& verb,
+                          serve::VerbRequest* out) {
+  serve::VerbRequest& request = *out;
   request.verb = verb;
   request.dir = args.dir;
   if (verb == "init") {
     request.build.derivative = option_or(args, "derivative", "SC88-A");
-    request.build.tests_per_module =
-        args.options.count("tests")
-            ? std::strtoul(args.options.at("tests").c_str(), nullptr, 10)
-            : 5;
+    if (Status status = parse_count(args, "tests", "advm.bad-tests",
+                                    &request.build.tests_per_module);
+        !status.ok()) {
+      return status;
+    }
   } else if (verb == "run") {
     request.run.derivative = option_or(args, "derivative", "SC88-A");
     request.run.platform = option_or(args, "platform", "golden-model");
@@ -262,12 +268,9 @@ serve::VerbRequest build_verb_request(const Args& args,
     request.release.platform = option_or(args, "platform", "golden-model");
   } else if (verb == "random") {
     request.random.derivative = option_or(args, "derivative", "SC88-A");
-    request.random.seed =
-        args.options.count("seed")
-            ? std::strtoull(args.options.at("seed").c_str(), nullptr, 10)
-            : 1;
+    return parse_count(args, "seed", "advm.bad-seed", &request.random.seed);
   }
-  return request;
+  return {};
 }
 
 /// The shared output contract: JSON document on stdout in --format json
@@ -312,10 +315,8 @@ int run_attached(const Args& args, const std::string& socket,
   frame.id = 1;
   frame.verb = request.verb;
   frame.payload = serve::to_json(request);
-  serve::AttachOptions options;
-  options.socket_path = socket;
   serve::Frame response;
-  if (Status status = serve::attach_roundtrip(options, frame, &response);
+  if (Status status = serve::attach_roundtrip(socket, frame, &response);
       !status.ok()) {
     return render_status(args, request.verb.c_str(), status);
   }
@@ -326,7 +327,11 @@ int run_attached(const Args& args, const std::string& socket,
 /// either ship it to the daemon (--attach / ADVM_SOCKET) or execute it on
 /// a session in this process. Both paths render through print_outcome.
 int cmd_verb(const Args& args, const char* verb) {
-  serve::VerbRequest request = build_verb_request(args, verb);
+  serve::VerbRequest request;
+  if (Status status = build_verb_request(args, verb, &request);
+      !status.ok()) {
+    return render_status(args, verb, status);
+  }
   const std::string socket = attach_socket(args);
   if (!socket.empty()) return run_attached(args, socket, std::move(request));
 
@@ -359,10 +364,8 @@ int cmd_serve(const Args& args) {
     frame.id = 1;
     frame.verb = args.options.count("stop") ? "shutdown" : "stats";
     frame.payload = "{}";
-    serve::AttachOptions options;
-    options.socket_path = socket;
     serve::Frame response;
-    if (Status status = serve::attach_roundtrip(options, frame, &response);
+    if (Status status = serve::attach_roundtrip(socket, frame, &response);
         !status.ok()) {
       return render_status(args, "serve", status);
     }
@@ -379,12 +382,6 @@ int cmd_serve(const Args& args) {
   if (Status status = parse_count(args, "idle-timeout-ms",
                                   "advm.bad-idle-timeout",
                                   &config.idle_timeout_ms);
-      !status.ok()) {
-    return render_status(args, "serve", status);
-  }
-  if (Status status = parse_count(args, "serve-threads",
-                                  "advm.bad-serve-threads",
-                                  &config.executors);
       !status.ok()) {
     return render_status(args, "serve", status);
   }
@@ -414,9 +411,9 @@ int usage() {
          "  advm release <dir> [--name R1] [--derivative D] [--platform P]"
          " [--jobs N]\n"
          "  advm random <dir> --seed K [--derivative D]\n"
-         "  advm serve --socket <path> [--jobs N] [--cache-dir DIR]\n"
-         "             [--idle-timeout-ms MS] [--serve-threads N]"
-         " | --stats | --stop\n"
+         "  advm serve --socket <path> [--jobs N] [--cache-dir DIR]"
+         " [--idle-timeout-ms MS]\n"
+         "             | --stats | --stop\n"
          "options: --format json renders any verb's result as JSON;\n"
          "         --attach <socket> (or ADVM_SOCKET) runs any verb on a"
          " resident daemon;\n"

@@ -122,7 +122,9 @@ echo "==> serve daemon gate (warm resident session vs cold CLI)"
 # cache its predecessor wrote, and the laps after that are served from
 # the resident in-memory cache — and (c) the daemon drains cleanly on
 # --stop. Wall-clock for a cold CLI lap vs a warm attached lap is recorded
-# as a bench datapoint for the trend gate.
+# as a bench datapoint for the trend gate: the median of SERVE_PAIRS
+# alternating cold/warm pairs, so host drift hits both sides alike and one
+# lucky or unlucky lap cannot move the record. No timing is asserted.
 rm -rf build/serve-cache build/serve-cold-cache
 rm -f build/serve.sock
 start_daemon() {
@@ -146,29 +148,29 @@ stop_daemon() {
 : > build/serve-daemon.log
 start_daemon
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
-# Cold reference: a standalone CLI lap pays session construction and an
-# empty cache every time (fresh cache dir per lap). Exit codes are
-# informational, as in the --jobs gate: the e10 cube has legitimately
-# failing cells.
-COLD_NS=""
-for _ in 1 2; do
-  rm -rf build/serve-cold-cache
-  t0=$(date +%s%N)
-  ./build/tools/advm matrix build/jobs-env $E10_AXES --jobs 8 \
-    --cache-dir build/serve-cold-cache \
-    --format json > build/serve-cold.json || true
-  COLD_NS="$COLD_NS $(( $(date +%s%N) - t0 ))"
-done
 # Lap 1 fills the daemon's cache dir; a restarted daemon must then start
 # from it (persistent hits), and later laps ride the resident session.
+# Exit codes are informational, as in the --jobs gate: the e10 cube has
+# legitimately failing cells.
 ./build/tools/advm matrix build/jobs-env $E10_AXES \
   --attach build/serve.sock --format json > build/serve-lap1.json || true
 stop_daemon
 start_daemon
 ./build/tools/advm matrix build/jobs-env $E10_AXES \
   --attach build/serve.sock --format json > build/serve-restart.json || true
+# Alternating pairs. Cold: a standalone CLI lap pays session construction
+# and an empty cache every time (fresh cache dir per lap). Warm: an
+# attached lap on the resident session.
+SERVE_PAIRS=7
+COLD_NS=""
 WARM_NS=""
-for _ in 1 2 3; do
+for _ in $(seq 1 "$SERVE_PAIRS"); do
+  rm -rf build/serve-cold-cache
+  t0=$(date +%s%N)
+  ./build/tools/advm matrix build/jobs-env $E10_AXES --jobs 8 \
+    --cache-dir build/serve-cold-cache \
+    --format json > build/serve-cold.json || true
+  COLD_NS="$COLD_NS $(( $(date +%s%N) - t0 ))"
   t0=$(date +%s%N)
   ./build/tools/advm matrix build/jobs-env $E10_AXES \
     --attach build/serve.sock --format json > build/serve-lap2.json || true
@@ -179,11 +181,11 @@ done
 python3 - build/serve-lap1.json build/serve-restart.json \
   build/serve-lap2.json build/serve-cold.json build/jobs-1.json \
   build/serve-stats.json "$COLD_NS" "$WARM_NS" <<'PY'
-import json, sys
+import json, statistics, sys
 lap1, restart, lap2, cold, ref, stats = \
     (json.load(open(p)) for p in sys.argv[1:7])
-cold_ms = min(int(n) for n in sys.argv[7].split()) / 1e6
-warm_ms = min(int(n) for n in sys.argv[8].split()) / 1e6
+cold_ms = statistics.median(int(n) for n in sys.argv[7].split()) / 1e6
+warm_ms = statistics.median(int(n) for n in sys.argv[8].split()) / 1e6
 roll = lambda doc: json.dumps(doc["rollup"], sort_keys=True)
 assert roll(lap1) == roll(ref), "attached lap-1 roll-up diverged"
 assert roll(restart) == roll(ref), "restarted-daemon roll-up diverged"
@@ -213,8 +215,8 @@ record = {
 with open("bench/records/BENCH_serve_daemon.json", "w") as fh:
     fh.write(json.dumps(record) + "\n")
 print("serve daemon ok: roll-ups byte-identical, restarted daemon %d "
-      "persistent hits, warm lap 0 misses, cold %.0fms vs warm %.0fms" %
-      (hits, cold_ms, warm_ms))
+      "persistent hits, warm lap 0 misses, median of %d pairs: cold %.1fms "
+      "vs warm %.1fms" % (hits, len(sys.argv[7].split()), cold_ms, warm_ms))
 PY
 stop_daemon
 trap - EXIT
@@ -271,8 +273,8 @@ if [[ "${ADVM_CI_SKIP_SAN:-0}" != "1" ]]; then
 
   echo "==> TSan lane (concurrency suites: serve daemon, parallel regression)"
   # Scoped to the suites that actually exercise threads — the daemon's
-  # executor/poll loops, parallel regression — a full TSan ctest lap would
-  # mostly re-run single-threaded code slower.
+  # session fanning each verb out over --jobs, parallel regression — a
+  # full TSan ctest lap would mostly re-run single-threaded code slower.
   cmake --preset tsan
   cmake --build build-tsan -j -t serve_test -t regression_parallel_test
   for suite in serve_test regression_parallel_test; do
