@@ -390,4 +390,221 @@ TEST_F(CliE2E, BooleanFlagsNeverSwallowTheDirectory) {
   EXPECT_EQ(attached.err, local.err);
 }
 
+
+TEST_F(CliE2E, BuildFailureTextsArePinned) {
+  // The local `--format json` documents of run, lint and check, byte for
+  // byte, for each way a cell can fail to build. All three verbs build a
+  // cell through one recipe, but each keeps its own wording and its own
+  // precedence: `run` reports a broken environment library on every cell
+  // of the environment, while lint and check name a cell's own broken
+  // test.asm first.
+  auto init = run_cli("init \"" + env_dir_ + "\" --tests 2");
+  ASSERT_EQ(init.exit_code, 0) << init.err;
+  // One environment, two cells: UART_MODULE/TEST_UART_000 and _001.
+  for (const char* env :
+       {"MEM_MODULE", "NVM_MODULE", "PAGE_MODULE", "TIMER_MODULE"}) {
+    fs::remove_all(fs::path(env_dir_) / env);
+  }
+  const fs::path uart = fs::path(env_dir_) / "UART_MODULE";
+  const fs::path test = uart / "TEST_UART_000" / "test.asm";
+  const fs::path library = uart / "Abstraction_Layer" / "base_functions.asm";
+  const std::string clean_test = slurp(test);
+  const std::string clean_library = slurp(library);
+  const std::string broken_test = ".INCLUDE Globals.inc\n_main:\n MOV d1,\n";
+  const std::string broken_library = clean_library + " BOGUS d0, d0\n";
+  const std::string undefined_call =
+      ".INCLUDE Globals.inc\n_main:\n CALL No_Such_Function\n"
+      " CALL Base_Report_Pass\n";
+
+  struct Case {
+    const char* name;
+    const std::string& test;
+    const std::string& library;
+    std::string run;
+    std::string lint;
+    std::string check;
+  };
+  const std::vector<Case> cases = {
+      {"broken test.asm", broken_test, clean_library,
+       "{\"ok\":true,\"verb\":\"run\",\"report\":{\"derivative\":\"SC88-A\","
+       "\"platform\":\"golden-model\",\"records\":[{\"environment\":\"UART_M"
+       "ODULE\",\"test\":\"TEST_UART_000\",\"build_ok\":false,"
+       "\"passed\":false,\"verdict\":\"no-verdict\",\"stop\":\"running\","
+       "\"instructions\":0,\"cycles\":0,\"state_digest\":\"0000000000000000\""
+       ",\"modeled_seconds\":0,\"detail\":\"/SYS/UART_MODULE/TEST_UART_000/t"
+       "est.asm:3:9: error [asm.bad-expression]: expected expression\\n [inc"
+       "lude trail: /SYS/UART_MODULE/TEST_UART_000/test.asm -> /SYS/UART_MOD"
+       "ULE/Abstraction_Layer/Globals.inc; /SYS/UART_MODULE/Abstraction_Laye"
+       "r/Globals.inc -> /SYS/Global_Libraries/register_defs.inc]\"},"
+       "{\"environment\":\"UART_MODULE\",\"test\":\"TEST_UART_001\","
+       "\"build_ok\":true,\"passed\":true,\"verdict\":\"PASS\","
+       "\"stop\":\"halted\",\"instructions\":33,\"cycles\":33,"
+       "\"state_digest\":\"952ce8a8c4db9f69\",\"modeled_seconds\":3.3e-06}],"
+       "\"passed\":1,\"total\":2,\"build_failures\":1,\"all_passed\":false,"
+       "\"total_instructions\":33,\"total_modeled_seconds\":3.3e-06,"
+       "\"outcome_digest\":\"f90f25acb81cb0a3\",\"cache\":{\"hits\":0,"
+       "\"misses\":6,\"bytes\":2172,\"evictions\":0,\"persistent_hits\":0}}}"
+       "\n",
+       "{\"ok\":true,\"verb\":\"lint\",\"clean\":false,\"count\":1,"
+       "\"cells\":2,\"findings\":[{\"code\":\"advm.lint-unbuildable\","
+       "\"environment\":\"UART_MODULE\",\"test\":\"TEST_UART_000\","
+       "\"file\":\"UART_MODULE/TEST_UART_000/test.asm\",\"address\":0,"
+       "\"symbol\":\"\",\"detail\":\"cell does not assemble: /SYS/UART_MODUL"
+       "E/TEST_UART_000/test.asm:3:9: error [asm.bad-expression]: expected e"
+       "xpression\\n\"}],\"by_code\":{\"advm.lint-unbuildable\":1}}\n",
+       "{\"ok\":true,\"verb\":\"check\",\"clean\":false,\"count\":1,"
+       "\"violations\":[{\"code\":\"advm.unbuildable\",\"file\":\"/SYS/UART_"
+       "MODULE/TEST_UART_000/test.asm\",\"line\":0,\"detail\":\"cell does no"
+       "t assemble: /SYS/UART_MODULE/TEST_UART_000/test.asm:3:9: error [asm."
+       "bad-expression]: expected expression\\n\"}]}\n"},
+      {"broken shared library", clean_test, broken_library,
+       "{\"ok\":true,\"verb\":\"run\",\"report\":{\"derivative\":\"SC88-A\","
+       "\"platform\":\"golden-model\",\"records\":[{\"environment\":\"UART_M"
+       "ODULE\",\"test\":\"TEST_UART_000\",\"build_ok\":false,"
+       "\"passed\":false,\"verdict\":\"no-verdict\",\"stop\":\"running\","
+       "\"instructions\":0,\"cycles\":0,\"state_digest\":\"0000000000000000\""
+       ",\"modeled_seconds\":0,\"detail\":\"shared object '/SYS/UART_MODULE/"
+       "Abstraction_Layer/base_functions.asm': /SYS/UART_MODULE/Abstraction_"
+       "Layer/base_functions.asm:238:2: error [asm.unknown-mnemonic]: unknow"
+       "n mnemonic or directive 'BOGUS'\\n [include trail: /SYS/UART_MODULE/"
+       "Abstraction_Layer/base_functions.asm -> /SYS/UART_MODULE/Abstraction"
+       "_Layer/Globals.inc; /SYS/UART_MODULE/Abstraction_Layer/Globals.inc -"
+       "> /SYS/Global_Libraries/register_defs.inc]\"},{\"environment\":\"UAR"
+       "T_MODULE\",\"test\":\"TEST_UART_001\",\"build_ok\":false,"
+       "\"passed\":false,\"verdict\":\"no-verdict\",\"stop\":\"running\","
+       "\"instructions\":0,\"cycles\":0,\"state_digest\":\"0000000000000000\""
+       ",\"modeled_seconds\":0,\"detail\":\"shared object '/SYS/UART_MODULE/"
+       "Abstraction_Layer/base_functions.asm': /SYS/UART_MODULE/Abstraction_"
+       "Layer/base_functions.asm:238:2: error [asm.unknown-mnemonic]: unknow"
+       "n mnemonic or directive 'BOGUS'\\n [include trail: /SYS/UART_MODULE/"
+       "Abstraction_Layer/base_functions.asm -> /SYS/UART_MODULE/Abstraction"
+       "_Layer/Globals.inc; /SYS/UART_MODULE/Abstraction_Layer/Globals.inc -"
+       "> /SYS/Global_Libraries/register_defs.inc]\"}],\"passed\":0,"
+       "\"total\":2,\"build_failures\":2,\"all_passed\":false,"
+       "\"total_instructions\":0,\"total_modeled_seconds\":0,"
+       "\"outcome_digest\":\"6635b5a332048bde\",\"cache\":{\"hits\":0,"
+       "\"misses\":1,\"bytes\":0,\"evictions\":0,\"persistent_hits\":0}}}\n",
+       "{\"ok\":true,\"verb\":\"lint\",\"clean\":false,\"count\":2,"
+       "\"cells\":2,\"findings\":[{\"code\":\"advm.lint-unbuildable\","
+       "\"environment\":\"UART_MODULE\",\"test\":\"TEST_UART_000\","
+       "\"file\":\"UART_MODULE/Abstraction_Layer/base_functions.asm\","
+       "\"address\":0,\"symbol\":\"\",\"detail\":\"environment library does "
+       "not assemble: /SYS/UART_MODULE/Abstraction_Layer/base_functions.asm:"
+       "238:2: error [asm.unknown-mnemonic]: unknown mnemonic or directive '"
+       "BOGUS'\\n\"},{\"code\":\"advm.lint-unbuildable\",\"environment\":\"U"
+       "ART_MODULE\",\"test\":\"TEST_UART_001\",\"file\":\"UART_MODULE/Abstr"
+       "action_Layer/base_functions.asm\",\"address\":0,\"symbol\":\"\","
+       "\"detail\":\"environment library does not assemble: /SYS/UART_MODULE"
+       "/Abstraction_Layer/base_functions.asm:238:2: error [asm.unknown-mnem"
+       "onic]: unknown mnemonic or directive 'BOGUS'\\n\"}],"
+       "\"by_code\":{\"advm.lint-unbuildable\":2}}\n",
+       "{\"ok\":true,\"verb\":\"check\",\"clean\":false,\"count\":2,"
+       "\"violations\":[{\"code\":\"advm.unbuildable\",\"file\":\"/SYS/UART_"
+       "MODULE/Abstraction_Layer/base_functions.asm\",\"line\":0,"
+       "\"detail\":\"environment library does not assemble: /SYS/UART_MODULE"
+       "/Abstraction_Layer/base_functions.asm:238:2: error [asm.unknown-mnem"
+       "onic]: unknown mnemonic or directive 'BOGUS'\\n\"},{\"code\":\"advm."
+       "unbuildable\",\"file\":\"/SYS/UART_MODULE/Abstraction_Layer/base_fun"
+       "ctions.asm\",\"line\":0,\"detail\":\"environment library does not as"
+       "semble: /SYS/UART_MODULE/Abstraction_Layer/base_functions.asm:238:2:"
+       " error [asm.unknown-mnemonic]: unknown mnemonic or directive 'BOGUS'"
+       "\\n\"}]}\n"},
+      {"undefined symbol at link", undefined_call, clean_library,
+       "{\"ok\":true,\"verb\":\"run\",\"report\":{\"derivative\":\"SC88-A\","
+       "\"platform\":\"golden-model\",\"records\":[{\"environment\":\"UART_M"
+       "ODULE\",\"test\":\"TEST_UART_000\",\"build_ok\":false,"
+       "\"passed\":false,\"verdict\":\"no-verdict\",\"stop\":\"running\","
+       "\"instructions\":0,\"cycles\":0,\"state_digest\":\"0000000000000000\""
+       ",\"modeled_seconds\":0,\"detail\":\"/SYS/UART_MODULE/TEST_UART_000/t"
+       "est.asm:3:2: error [link.undefined-symbol]: undefined symbol 'No_Suc"
+       "h_Function' referenced from '/SYS/UART_MODULE/TEST_UART_000/test.asm"
+       "'\\n\"},{\"environment\":\"UART_MODULE\",\"test\":\"TEST_UART_001\","
+       "\"build_ok\":true,\"passed\":true,\"verdict\":\"PASS\","
+       "\"stop\":\"halted\",\"instructions\":33,\"cycles\":33,"
+       "\"state_digest\":\"952ce8a8c4db9f69\",\"modeled_seconds\":3.3e-06}],"
+       "\"passed\":1,\"total\":2,\"build_failures\":1,\"all_passed\":false,"
+       "\"total_instructions\":33,\"total_modeled_seconds\":3.3e-06,"
+       "\"outcome_digest\":\"f90f25acb81cb0a3\",\"cache\":{\"hits\":0,"
+       "\"misses\":6,\"bytes\":2196,\"evictions\":0,\"persistent_hits\":0}}}"
+       "\n",
+       "{\"ok\":true,\"verb\":\"lint\",\"clean\":false,\"count\":1,"
+       "\"cells\":2,\"findings\":[{\"code\":\"advm.lint-unbuildable\","
+       "\"environment\":\"UART_MODULE\",\"test\":\"TEST_UART_000\","
+       "\"file\":\"UART_MODULE/TEST_UART_000/test.asm\",\"address\":0,"
+       "\"symbol\":\"\",\"detail\":\"cell does not link: /SYS/UART_MODULE/TE"
+       "ST_UART_000/test.asm:3:2: error [link.undefined-symbol]: undefined s"
+       "ymbol 'No_Such_Function' referenced from '/SYS/UART_MODULE/TEST_UART"
+       "_000/test.asm'\\n\"}],\"by_code\":{\"advm.lint-unbuildable\":1}}\n",
+       "{\"ok\":true,\"verb\":\"check\",\"clean\":false,\"count\":1,"
+       "\"violations\":[{\"code\":\"advm.unbuildable\",\"file\":\"/SYS/UART_"
+       "MODULE/TEST_UART_000/test.asm\",\"line\":0,\"detail\":\"cell does no"
+       "t link: /SYS/UART_MODULE/TEST_UART_000/test.asm:3:2: error [link.und"
+       "efined-symbol]: undefined symbol 'No_Such_Function' referenced from "
+       "'/SYS/UART_MODULE/TEST_UART_000/test.asm'\\n\"}]}\n"},
+      {"broken test.asm and library", broken_test, broken_library,
+       "{\"ok\":true,\"verb\":\"run\",\"report\":{\"derivative\":\"SC88-A\","
+       "\"platform\":\"golden-model\",\"records\":[{\"environment\":\"UART_M"
+       "ODULE\",\"test\":\"TEST_UART_000\",\"build_ok\":false,"
+       "\"passed\":false,\"verdict\":\"no-verdict\",\"stop\":\"running\","
+       "\"instructions\":0,\"cycles\":0,\"state_digest\":\"0000000000000000\""
+       ",\"modeled_seconds\":0,\"detail\":\"shared object '/SYS/UART_MODULE/"
+       "Abstraction_Layer/base_functions.asm': /SYS/UART_MODULE/Abstraction_"
+       "Layer/base_functions.asm:238:2: error [asm.unknown-mnemonic]: unknow"
+       "n mnemonic or directive 'BOGUS'\\n [include trail: /SYS/UART_MODULE/"
+       "Abstraction_Layer/base_functions.asm -> /SYS/UART_MODULE/Abstraction"
+       "_Layer/Globals.inc; /SYS/UART_MODULE/Abstraction_Layer/Globals.inc -"
+       "> /SYS/Global_Libraries/register_defs.inc]\"},{\"environment\":\"UAR"
+       "T_MODULE\",\"test\":\"TEST_UART_001\",\"build_ok\":false,"
+       "\"passed\":false,\"verdict\":\"no-verdict\",\"stop\":\"running\","
+       "\"instructions\":0,\"cycles\":0,\"state_digest\":\"0000000000000000\""
+       ",\"modeled_seconds\":0,\"detail\":\"shared object '/SYS/UART_MODULE/"
+       "Abstraction_Layer/base_functions.asm': /SYS/UART_MODULE/Abstraction_"
+       "Layer/base_functions.asm:238:2: error [asm.unknown-mnemonic]: unknow"
+       "n mnemonic or directive 'BOGUS'\\n [include trail: /SYS/UART_MODULE/"
+       "Abstraction_Layer/base_functions.asm -> /SYS/UART_MODULE/Abstraction"
+       "_Layer/Globals.inc; /SYS/UART_MODULE/Abstraction_Layer/Globals.inc -"
+       "> /SYS/Global_Libraries/register_defs.inc]\"}],\"passed\":0,"
+       "\"total\":2,\"build_failures\":2,\"all_passed\":false,"
+       "\"total_instructions\":0,\"total_modeled_seconds\":0,"
+       "\"outcome_digest\":\"6635b5a332048bde\",\"cache\":{\"hits\":0,"
+       "\"misses\":1,\"bytes\":0,\"evictions\":0,\"persistent_hits\":0}}}\n",
+       "{\"ok\":true,\"verb\":\"lint\",\"clean\":false,\"count\":2,"
+       "\"cells\":2,\"findings\":[{\"code\":\"advm.lint-unbuildable\","
+       "\"environment\":\"UART_MODULE\",\"test\":\"TEST_UART_000\","
+       "\"file\":\"UART_MODULE/TEST_UART_000/test.asm\",\"address\":0,"
+       "\"symbol\":\"\",\"detail\":\"cell does not assemble: /SYS/UART_MODUL"
+       "E/TEST_UART_000/test.asm:3:9: error [asm.bad-expression]: expected e"
+       "xpression\\n\"},{\"code\":\"advm.lint-unbuildable\","
+       "\"environment\":\"UART_MODULE\",\"test\":\"TEST_UART_001\","
+       "\"file\":\"UART_MODULE/Abstraction_Layer/base_functions.asm\","
+       "\"address\":0,\"symbol\":\"\",\"detail\":\"environment library does "
+       "not assemble: /SYS/UART_MODULE/Abstraction_Layer/base_functions.asm:"
+       "238:2: error [asm.unknown-mnemonic]: unknown mnemonic or directive '"
+       "BOGUS'\\n\"}],\"by_code\":{\"advm.lint-unbuildable\":2}}\n",
+       "{\"ok\":true,\"verb\":\"check\",\"clean\":false,\"count\":2,"
+       "\"violations\":[{\"code\":\"advm.unbuildable\",\"file\":\"/SYS/UART_"
+       "MODULE/TEST_UART_000/test.asm\",\"line\":0,\"detail\":\"cell does no"
+       "t assemble: /SYS/UART_MODULE/TEST_UART_000/test.asm:3:9: error [asm."
+       "bad-expression]: expected expression\\n\"},{\"code\":\"advm.unbuilda"
+       "ble\",\"file\":\"/SYS/UART_MODULE/Abstraction_Layer/base_functions.a"
+       "sm\",\"line\":0,\"detail\":\"environment library does not assemble: "
+       "/SYS/UART_MODULE/Abstraction_Layer/base_functions.asm:238:2: error ["
+       "asm.unknown-mnemonic]: unknown mnemonic or directive 'BOGUS'\\n\"}]}"
+       "\n"},
+  };
+  for (const Case& c : cases) {
+    std::ofstream(test, std::ios::binary) << c.test;
+    std::ofstream(library, std::ios::binary) << c.library;
+    for (const auto& [verb, expected] :
+         {std::pair<std::string, const std::string&>{"run", c.run},
+          {"lint", c.lint},
+          {"check", c.check}}) {
+      const auto result =
+          run_cli(verb + " \"" + env_dir_ + "\" --format json");
+      EXPECT_EQ(result.exit_code, 1) << c.name << ": " << verb;
+      EXPECT_EQ(result.out, expected) << c.name << ": " << verb;
+    }
+  }
+}
+
 }  // namespace
