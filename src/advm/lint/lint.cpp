@@ -2,22 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <utility>
 
-#include "advm/environment.h"
 #include "advm/lint/analyses.h"
 #include "advm/lint/cfg.h"
 #include "advm/regression.h"
-#include "asm/assembler.h"
-#include "asm/linker.h"
-#include "soc/global_layer.h"
 #include "support/diagnostics.h"
 #include "support/text.h"
 
 namespace advm::core {
-
-using support::join_path;
 
 std::size_t LintReport::count(std::string_view code) const {
   return static_cast<std::size_t>(
@@ -33,81 +26,42 @@ std::map<std::string, std::size_t> LintReport::by_code() const {
 
 namespace {
 
-LintFinding build_failure(std::string_view env_dir, std::string_view test_id,
-                          std::string file, std::string detail) {
+LintFinding finding(const EnvBuildContext& env, std::size_t test,
+                    std::string code, std::string file, std::string detail) {
   LintFinding f;
-  f.code = kLintUnbuildable;
-  f.environment = support::base_name(env_dir);
-  f.test_id = std::string(test_id);
+  f.code = std::move(code);
+  f.environment = support::base_name(env.dir);
+  f.test_id = env.tests[test];
   f.file = std::move(file);
   f.detail = std::move(detail);
   return f;
 }
 
-}  // namespace
-
-LintReport Linter::lint_cell(std::string_view env_dir,
-                             std::string_view global_dir,
-                             std::string_view test_id,
-                             const soc::DerivativeSpec& spec) {
-  LintReport report;
-  report.cells = 1;
-  const std::string test_path =
-      join_path(join_path(env_dir, std::string(test_id)), kTestSourceFile);
-
-  // Same cell build recipe as the violation checker's linkage pass: the
-  // abstraction layer (when present) shadows the global libraries on the
-  // include path, and the four shared library objects link alongside the
-  // test object whenever their sources exist.
-  support::DiagnosticEngine diags;
-  assembler::AssemblerOptions options;
-  const std::string abstraction_dir =
-      join_path(env_dir, kAbstractionLayerDir);
-  if (vfs_.dir_exists(abstraction_dir)) {
-    options.include_dirs.push_back(abstraction_dir);
-  }
-  options.include_dirs.push_back(std::string(global_dir));
-
-  std::vector<std::shared_ptr<const assembler::ObjectFile>> held;
-  std::vector<const assembler::ObjectFile*> objects;
-
-  CachedObject test_obj = cache_->assemble(vfs_, test_path, options);
+/// Lints cell `test` of `env`. A cell that does not build yields its one
+/// kLintUnbuildable finding: its own test.asm first, then the
+/// environment's libraries, then the link.
+std::vector<LintFinding> lint_cell(const support::VirtualFileSystem& vfs,
+                                   ObjectCache& cache,
+                                   const EnvBuildContext& env,
+                                   std::size_t test,
+                                   const soc::DerivativeSpec& spec) {
+  const std::string test_path = env.test_source(test);
+  const CachedObject test_obj =
+      cache.assemble(vfs, test_path, env.asm_options);
   if (!test_obj.ok()) {
-    report.findings.push_back(
-        build_failure(env_dir, test_id, test_path,
-                      "cell does not assemble: " + test_obj.error));
-    return report;
+    return {finding(env, test, kLintUnbuildable, test_path,
+                    "cell does not assemble: " + test_obj.error)};
   }
-  objects.push_back(test_obj.object.get());
-
-  for (const char* shared :
-       {kBaseFunctionsFile, kTrapLibraryFile, soc::kEmbeddedSoftwareFile,
-        soc::kCommonFunctionsFile}) {
-    std::string path = shared == std::string(kBaseFunctionsFile)
-                           ? join_path(abstraction_dir, shared)
-                           : join_path(global_dir, shared);
-    if (!vfs_.exists(path)) continue;
-    CachedObject obj = cache_->assemble(vfs_, path, options);
-    if (!obj.ok()) {
-      report.findings.push_back(
-          build_failure(env_dir, test_id, path,
-                        "environment library does not assemble: " +
-                            obj.error));
-      return report;
-    }
-    objects.push_back(obj.object.get());
-    held.push_back(std::move(obj.object));
+  if (!env.ok()) {
+    return {finding(env, test, kLintUnbuildable, env.failed_library,
+                    "environment library does not assemble: " +
+                        env.failure.error)};
   }
-
-  assembler::LinkOptions link_options;
-  link_options.code_base = spec.code_base();
-  link_options.data_base = spec.data_base();
-  auto image = assembler::link(objects, link_options, diags);
+  support::DiagnosticEngine diags;
+  const auto image = link_cell(env, *test_obj.object, spec, diags);
   if (!image) {
-    report.findings.push_back(
-        build_failure(env_dir, test_id, test_path,
-                      "cell does not link: " + diags.to_string()));
-    return report;
+    return {finding(env, test, kLintUnbuildable, test_path,
+                    "cell does not link: " + diags.to_string())};
   }
 
   const lint::CodeModel model = lint::build_code_model(*image);
@@ -118,54 +72,50 @@ LintReport Linter::lint_cell(std::string_view env_dir,
   config.es_rom_size = spec.es_rom_size;
   config.scope_source = test_path;
 
+  std::vector<LintFinding> findings;
   for (lint::Finding& f : lint::run_analyses(model, config)) {
-    LintFinding out;
-    out.code = std::move(f.code);
-    out.environment = support::base_name(env_dir);
-    out.test_id = std::string(test_id);
-    out.file = test_path;
+    LintFinding out = finding(env, test, std::move(f.code), test_path,
+                              std::move(f.detail));
     out.address = f.address;
     out.symbol = std::move(f.symbol);
-    out.detail = std::move(f.detail);
-    report.findings.push_back(std::move(out));
+    findings.push_back(std::move(out));
   }
-  return report;
+  return findings;
 }
+
+}  // namespace
 
 LintReport Linter::lint_system(std::string_view system_root,
                                const soc::DerivativeSpec& spec) {
-  const std::string global_dir =
-      join_path(system_root, kGlobalLibrariesDir);
-
+  const std::vector<EnvBuildContext> envs =
+      prepare_system(vfs_, system_root, jobs_, *cache_);
   struct Cell {
-    std::string env_dir;
-    std::string test_id;
+    std::size_t env = 0;
+    std::size_t test = 0;
   };
   std::vector<Cell> cells;
-  for (const std::string& env_dir :
-       discover_environments(vfs_, system_root)) {
-    for (const std::string& test_id : discover_tests(vfs_, env_dir)) {
-      cells.push_back({env_dir, test_id});
+  for (std::size_t e = 0; e < envs.size(); ++e) {
+    for (std::size_t t = 0; t < envs[e].tests.size(); ++t) {
+      cells.push_back({e, t});
     }
   }
 
-  // Cells are independent (the shared libraries assemble once into the
-  // cache, then link by pointer), so fan out and concatenate in discovery
-  // order — reports are byte-identical for any pool size.
-  std::vector<LintReport> per_cell(cells.size());
+  // Cells are independent (the shared libraries assembled once per
+  // environment and link by pointer), so fan out and concatenate in
+  // discovery order — reports are byte-identical for any pool size.
+  std::vector<std::vector<LintFinding>> per_cell(cells.size());
   parallel_for(cells.size(), jobs_, [&](std::size_t i) {
     per_cell[i] =
-        lint_cell(cells[i].env_dir, global_dir, cells[i].test_id, spec);
+        lint_cell(vfs_, *cache_, envs[cells[i].env], cells[i].test, spec);
   });
 
   LintReport report;
   report.cells = cells.size();
-  // Report files relative to the system root: the daemon imports each
-  // client tree under its own VFS root, and root-relative paths are what
-  // keep an attached lint byte-identical to a local one.
+  // Report files relative to the system root, so the document does not
+  // depend on where the tree was imported.
   const std::string prefix = std::string(system_root) + "/";
-  for (LintReport& cell : per_cell) {
-    for (LintFinding& f : cell.findings) {
+  for (std::vector<LintFinding>& cell : per_cell) {
+    for (LintFinding& f : cell) {
       if (f.file.rfind(prefix, 0) == 0) f.file.erase(0, prefix.size());
       report.findings.push_back(std::move(f));
     }

@@ -1,10 +1,10 @@
-// The `advm lint` driver: builds each test cell exactly the way the
-// violation checker's linkage pass does — same include directories, same
-// shared-library objects, same LinkOptions, all through the shared
-// ObjectCache — then reconstructs a CodeModel from the linked image and
-// runs the dataflow analyses over it. Findings are scoped to the cell's
-// own test object (shared library code would otherwise repeat its
-// findings once per cell) and attributed back to (environment, test,
+// The `advm lint` driver: builds each test cell through the one cell
+// recipe every verb shares (prepare_environment + link_cell, see
+// advm/regression.h; the shared libraries assemble once per environment
+// through the ObjectCache), then reconstructs a CodeModel from the linked
+// image and runs the dataflow analyses over it. Findings are scoped to
+// the cell's own test object (shared library code would otherwise repeat
+// its findings once per cell) and attributed back to (environment, test,
 // file, address, symbol).
 #pragma once
 
@@ -30,9 +30,8 @@ struct LintFinding {
   std::string code;         ///< advm.lint-* (see advm/lint/analyses.h)
   std::string environment;  ///< module environment name
   std::string test_id;      ///< test cell name
-  /// The cell's test.asm path. lint_system reports it relative to the
-  /// system root (root-invariant output — attach parity); lint_cell, which
-  /// has no root to relativize against, reports the full VFS path.
+  /// The cell's test.asm path — or, for a build failure, the environment
+  /// library that did not assemble — relative to the system root.
   std::string file;
   std::uint32_t address = 0;  ///< linked code address; 0 for build failures
   std::string symbol;         ///< "_main+0x24"-style attribution; may be ""
@@ -65,12 +64,6 @@ class Linter {
   /// Lints every test cell under a system root (discovery order).
   [[nodiscard]] LintReport lint_system(std::string_view system_root,
                                        const soc::DerivativeSpec& spec);
-
-  /// Lints one test cell of one module environment.
-  [[nodiscard]] LintReport lint_cell(std::string_view env_dir,
-                                     std::string_view global_dir,
-                                     std::string_view test_id,
-                                     const soc::DerivativeSpec& spec);
 
  private:
   const support::VirtualFileSystem& vfs_;

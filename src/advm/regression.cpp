@@ -22,7 +22,6 @@
 
 namespace advm::core {
 
-using assembler::AssemblerOptions;
 using assembler::ObjectFile;
 using support::join_path;
 
@@ -119,83 +118,32 @@ std::string describe_stuck_loop(const sim::RunResult& run,
   return text;
 }
 
-/// Everything shared by the tests of one environment build. Shared objects
-/// are held by pointer into the cache — linking a test never copies them.
-struct EnvBuildContext {
-  std::vector<std::shared_ptr<const ObjectFile>> shared_objects;
-  AssemblerOptions asm_options;
-  bool ok = false;
-  std::string error;
-};
-
-EnvBuildContext prepare_environment(const support::VirtualFileSystem& vfs,
-                                    std::string_view env_dir,
-                                    std::string_view global_dir,
-                                    ObjectCache& cache) {
-  EnvBuildContext ctx;
-  const std::string abstraction_dir =
-      join_path(env_dir, kAbstractionLayerDir);
-
-  if (vfs.dir_exists(abstraction_dir)) {
-    ctx.asm_options.include_dirs.push_back(abstraction_dir);
-  }
-  ctx.asm_options.include_dirs.push_back(std::string(global_dir));
-
-  auto add_shared = [&](const std::string& path) {
-    if (!vfs.exists(path)) return true;  // optional component
-    CachedObject built = cache.assemble(vfs, path, ctx.asm_options);
-    if (!built.ok()) {
-      ctx.error = "shared object '" + path + "': " + built.error;
-      append_include_trail(ctx.error, built.includes);
-      return false;
-    }
-    ctx.shared_objects.push_back(std::move(built.object));
-    return true;
-  };
-
-  if (!add_shared(join_path(abstraction_dir, kBaseFunctionsFile))) return ctx;
-  if (!add_shared(join_path(global_dir, kTrapLibraryFile))) return ctx;
-  if (!add_shared(join_path(global_dir, soc::kEmbeddedSoftwareFile))) {
-    return ctx;
-  }
-  if (!add_shared(join_path(global_dir, soc::kCommonFunctionsFile))) {
-    return ctx;
-  }
-  ctx.ok = true;
-  return ctx;
-}
-
 /// Link+run phase for one (cell, test): links the cached test object
-/// against the environment's shared objects — all by pointer, zero
-/// ObjectFile copies — and executes the image.
-TestRunRecord run_one_test(const EnvBuildContext& ctx,
+/// against the environment's shared objects and executes the image. An
+/// environment-wide build problem is reported on every cell.
+TestRunRecord run_one_test(const EnvBuildContext& env, std::size_t test,
                            const CachedObject& test_obj,
-                           std::string_view env_dir, const std::string& test_id,
                            const soc::DerivativeSpec& spec,
                            sim::PlatformKind platform,
                            std::uint64_t max_instructions, BoardPool& boards) {
   TestRunRecord record;
-  record.environment = support::base_name(env_dir);
-  record.test_id = test_id;
+  record.environment = support::base_name(env.dir);
+  record.test_id = env.tests[test];
 
+  if (!env.ok()) {
+    record.detail = "shared object '" + env.failed_library +
+                    "': " + env.failure.error;
+    append_include_trail(record.detail, env.failure.includes);
+    return record;
+  }
   if (!test_obj.ok()) {
     record.detail = test_obj.error;
     append_include_trail(record.detail, test_obj.includes);
     return record;
   }
 
-  std::vector<const ObjectFile*> objects;
-  objects.reserve(1 + ctx.shared_objects.size());
-  objects.push_back(test_obj.object.get());
-  for (const auto& shared : ctx.shared_objects) {
-    objects.push_back(shared.get());
-  }
-
   support::DiagnosticEngine diags;
-  assembler::LinkOptions link_options;
-  link_options.code_base = spec.code_base();
-  link_options.data_base = spec.data_base();
-  auto image = assembler::link(objects, link_options, diags);
+  auto image = link_cell(env, *test_obj.object, spec, diags);
   if (!image) {
     record.detail = diags.to_string();
     return record;
@@ -224,75 +172,33 @@ TestRunRecord run_one_test(const EnvBuildContext& ctx,
   return record;
 }
 
-/// An environment ready to execute: directory, discovered test cells (in
-/// VFS order, which fixes the report order), the shared build context, and
-/// — after the assembly phase — one cached object per test cell.
-struct EnvPlan {
-  std::string dir;
-  std::vector<std::string> tests;
-  std::vector<CachedObject> test_objects;  ///< parallel to `tests`
-  EnvBuildContext ctx;
-};
-
-/// Assembly phase 1: discovers test cells and assembles shared objects for
-/// every environment. The per-environment builds are independent, so they
-/// run on the pool too.
-std::vector<EnvPlan> plan_environments(const support::VirtualFileSystem& vfs,
-                                       const std::vector<std::string>& env_dirs,
-                                       std::string_view global_dir,
-                                       std::size_t jobs, ObjectCache& cache) {
-  std::vector<EnvPlan> plans(env_dirs.size());
-  parallel_for(env_dirs.size(), jobs, [&](std::size_t i) {
-    plans[i].dir = env_dirs[i];
-    plans[i].tests = discover_tests(vfs, env_dirs[i]);
-    plans[i].ctx = prepare_environment(vfs, env_dirs[i], global_dir, cache);
-  });
-  return plans;
-}
-
 /// Assembly phase 2: every test.asm becomes an ObjectFile exactly once,
 /// fanned out over the pool — this cost is independent of how many matrix
-/// cells will link against it.
-void assemble_tests(const support::VirtualFileSystem& vfs,
-                    std::vector<EnvPlan>& plans, std::size_t jobs,
-                    ObjectCache& cache) {
+/// cells will link against it. Returns one object per (environment, test);
+/// an environment whose shared build failed assembles none of its tests.
+std::vector<std::vector<CachedObject>> assemble_tests(
+    const support::VirtualFileSystem& vfs,
+    const std::vector<EnvBuildContext>& envs, std::size_t jobs,
+    ObjectCache& cache) {
   struct Unit {
     std::size_t env = 0;
     std::size_t test = 0;
   };
+  std::vector<std::vector<CachedObject>> objects(envs.size());
   std::vector<Unit> units;
-  for (std::size_t e = 0; e < plans.size(); ++e) {
-    plans[e].test_objects.resize(plans[e].tests.size());
-    if (!plans[e].ctx.ok) continue;  // env-wide failure covers every cell
-    for (std::size_t t = 0; t < plans[e].tests.size(); ++t) {
+  for (std::size_t e = 0; e < envs.size(); ++e) {
+    objects[e].resize(envs[e].tests.size());
+    if (!envs[e].ok()) continue;  // env-wide failure covers every cell
+    for (std::size_t t = 0; t < envs[e].tests.size(); ++t) {
       units.push_back({e, t});
     }
   }
   parallel_for(units.size(), jobs, [&](std::size_t i) {
-    EnvPlan& plan = plans[units[i].env];
-    const std::string test_path = join_path(
-        join_path(plan.dir, plan.tests[units[i].test]), kTestSourceFile);
-    plan.test_objects[units[i].test] =
-        cache.assemble(vfs, test_path, plan.ctx.asm_options);
+    const EnvBuildContext& env = envs[units[i].env];
+    objects[units[i].env][units[i].test] = cache.assemble(
+        vfs, env.test_source(units[i].test), env.asm_options);
   });
-}
-
-TestRunRecord run_planned_test(const EnvPlan& plan, std::size_t test_index,
-                               const soc::DerivativeSpec& spec,
-                               sim::PlatformKind platform,
-                               std::uint64_t max_instructions,
-                               BoardPool& boards) {
-  if (!plan.ctx.ok) {
-    // Environment-wide build problem: every cell reports it.
-    TestRunRecord record;
-    record.environment = support::base_name(plan.dir);
-    record.test_id = plan.tests[test_index];
-    record.detail = plan.ctx.error;
-    return record;
-  }
-  return run_one_test(plan.ctx, plan.test_objects[test_index], plan.dir,
-                      plan.tests[test_index], spec, platform, max_instructions,
-                      boards);
+  return objects;
 }
 
 /// Link+run phase: executes the (cell × environment × test) cube over the
@@ -300,8 +206,10 @@ TestRunRecord run_planned_test(const EnvPlan& plan, std::size_t test_index,
 /// pre-allocated record slot, so aggregation is in submission order by
 /// construction — pool size never reorders a report.
 std::vector<RegressionReport> run_planned_matrix(
-    const std::vector<EnvPlan>& plans, const std::vector<MatrixCell>& cells,
-    std::size_t jobs, std::uint64_t max_instructions, BoardPool& boards) {
+    const std::vector<EnvBuildContext>& envs,
+    const std::vector<std::vector<CachedObject>>& objects,
+    const std::vector<MatrixCell>& cells, std::size_t jobs,
+    std::uint64_t max_instructions, BoardPool& boards) {
   struct Task {
     std::size_t cell = 0;
     std::size_t env = 0;
@@ -315,8 +223,8 @@ std::vector<RegressionReport> run_planned_matrix(
     reports[c].derivative = cells[c].spec->name;
     reports[c].platform = cells[c].platform;
     std::size_t slot = 0;
-    for (std::size_t e = 0; e < plans.size(); ++e) {
-      for (std::size_t t = 0; t < plans[e].tests.size(); ++t) {
+    for (std::size_t e = 0; e < envs.size(); ++e) {
+      for (std::size_t t = 0; t < envs[e].tests.size(); ++t) {
         tasks.push_back({c, e, t, slot++});
       }
     }
@@ -325,10 +233,39 @@ std::vector<RegressionReport> run_planned_matrix(
 
   parallel_for(tasks.size(), jobs, [&](std::size_t i) {
     const Task& task = tasks[i];
-    reports[task.cell].records[task.slot] =
-        run_planned_test(plans[task.env], task.test, *cells[task.cell].spec,
-                         cells[task.cell].platform, max_instructions, boards);
+    reports[task.cell].records[task.slot] = run_one_test(
+        envs[task.env], task.test, objects[task.env][task.test],
+        *cells[task.cell].spec, cells[task.cell].platform, max_instructions,
+        boards);
   });
+  return reports;
+}
+
+/// Two-phase execution shared by every public entry point: assemble each
+/// translation unit once (phase A: the environments' shared libraries were
+/// built by the caller, now every test), then link+run the cube (phase
+/// B). Cache counters since `before` land on every cell's report.
+std::vector<RegressionReport> run_two_phase(
+    const support::VirtualFileSystem& vfs,
+    const std::vector<EnvBuildContext>& envs, const ObjectCacheStats& before,
+    const std::vector<MatrixCell>& cells, std::size_t jobs, ObjectCache& cache,
+    std::uint64_t max_instructions, BoardPool& boards) {
+  const auto objects = assemble_tests(vfs, envs, jobs, cache);
+  auto reports = run_planned_matrix(envs, objects, cells, jobs,
+                                    max_instructions, boards);
+  const ObjectCacheStats after = cache.stats();
+  for (RegressionReport& report : reports) {
+    report.cache.hits = after.hits - before.hits;
+    report.cache.misses = after.misses - before.misses;
+    report.cache.evictions = after.evictions - before.evictions;
+    report.cache.bytes = after.bytes;
+    report.cache.persistent_hits =
+        after.persistent_hits - before.persistent_hits;
+    report.cache.persistent_stores =
+        after.persistent_stores - before.persistent_stores;
+    report.cache.persistent_evictions =
+        after.persistent_evictions - before.persistent_evictions;
+  }
   return reports;
 }
 
@@ -360,6 +297,69 @@ std::vector<std::string> discover_environments(
     envs.push_back(env_dir);
   }
   return envs;
+}
+
+std::string EnvBuildContext::test_source(std::size_t test) const {
+  return join_path(join_path(dir, tests[test]), kTestSourceFile);
+}
+
+EnvBuildContext prepare_environment(const support::VirtualFileSystem& vfs,
+                                    std::string_view env_dir,
+                                    std::string_view global_dir,
+                                    ObjectCache& cache) {
+  EnvBuildContext env;
+  env.dir = std::string(env_dir);
+  env.tests = discover_tests(vfs, env_dir);
+  const std::string abstraction_dir =
+      join_path(env_dir, kAbstractionLayerDir);
+  if (vfs.dir_exists(abstraction_dir)) {
+    env.asm_options.include_dirs.push_back(abstraction_dir);
+  }
+  env.asm_options.include_dirs.push_back(std::string(global_dir));
+
+  for (std::string path :
+       {join_path(abstraction_dir, kBaseFunctionsFile),
+        join_path(global_dir, kTrapLibraryFile),
+        join_path(global_dir, soc::kEmbeddedSoftwareFile),
+        join_path(global_dir, soc::kCommonFunctionsFile)}) {
+    if (!vfs.exists(path)) continue;  // optional component
+    CachedObject built = cache.assemble(vfs, path, env.asm_options);
+    if (!built.ok()) {
+      env.failed_library = std::move(path);
+      env.failure = std::move(built);
+      break;
+    }
+    env.shared_objects.push_back(std::move(built.object));
+  }
+  return env;
+}
+
+std::vector<EnvBuildContext> prepare_system(
+    const support::VirtualFileSystem& vfs, std::string_view system_root,
+    std::size_t jobs, ObjectCache& cache) {
+  const std::string global_dir = join_path(system_root, kGlobalLibrariesDir);
+  const std::vector<std::string> env_dirs =
+      discover_environments(vfs, system_root);
+  std::vector<EnvBuildContext> envs(env_dirs.size());
+  parallel_for(env_dirs.size(), jobs, [&](std::size_t i) {
+    envs[i] = prepare_environment(vfs, env_dirs[i], global_dir, cache);
+  });
+  return envs;
+}
+
+std::optional<assembler::Image> link_cell(
+    const EnvBuildContext& env, const ObjectFile& test_object,
+    const soc::DerivativeSpec& spec, support::DiagnosticEngine& diags) {
+  std::vector<const ObjectFile*> objects;
+  objects.reserve(1 + env.shared_objects.size());
+  objects.push_back(&test_object);
+  for (const auto& shared : env.shared_objects) {
+    objects.push_back(shared.get());
+  }
+  assembler::LinkOptions link_options;
+  link_options.code_base = spec.code_base();
+  link_options.data_base = spec.data_base();
+  return assembler::link(objects, link_options, diags);
 }
 
 void parallel_for(std::size_t count, std::size_t jobs,
@@ -404,46 +404,15 @@ void parallel_for(std::size_t count, std::size_t jobs,
   if (failure) std::rethrow_exception(failure);
 }
 
-namespace {
-
-/// Two-phase execution shared by every public entry point: assemble each
-/// translation unit once (phases A1/A2), then link+run the cube (phase B).
-/// Cache counters observed across the run land on every cell's report.
-std::vector<RegressionReport> run_two_phase(
-    const support::VirtualFileSystem& vfs,
-    const std::vector<std::string>& env_dirs, std::string_view global_dir,
-    const std::vector<MatrixCell>& cells, std::size_t jobs, ObjectCache& cache,
-    std::uint64_t max_instructions, BoardPool& boards) {
-  const ObjectCacheStats before = cache.stats();
-  auto plans = plan_environments(vfs, env_dirs, global_dir, jobs, cache);
-  assemble_tests(vfs, plans, jobs, cache);
-  auto reports =
-      run_planned_matrix(plans, cells, jobs, max_instructions, boards);
-  const ObjectCacheStats after = cache.stats();
-  for (RegressionReport& report : reports) {
-    report.cache.hits = after.hits - before.hits;
-    report.cache.misses = after.misses - before.misses;
-    report.cache.evictions = after.evictions - before.evictions;
-    report.cache.bytes = after.bytes;
-    report.cache.persistent_hits =
-        after.persistent_hits - before.persistent_hits;
-    report.cache.persistent_stores =
-        after.persistent_stores - before.persistent_stores;
-    report.cache.persistent_evictions =
-        after.persistent_evictions - before.persistent_evictions;
-  }
-  return reports;
-}
-
-}  // namespace
 
 RegressionReport RegressionRunner::run_environment(
     std::string_view env_dir, std::string_view global_dir,
     const soc::DerivativeSpec& spec, sim::PlatformKind platform,
     std::uint64_t max_instructions) {
-  auto reports = run_two_phase(vfs_, {std::string(env_dir)}, global_dir,
-                               {{&spec, platform}}, jobs_, *cache_,
-                               max_instructions, *boards_);
+  const ObjectCacheStats before = cache_->stats();
+  auto reports = run_two_phase(
+      vfs_, {prepare_environment(vfs_, env_dir, global_dir, *cache_)}, before,
+      {{&spec, platform}}, jobs_, *cache_, max_instructions, *boards_);
   return std::move(reports.front());
 }
 
@@ -458,9 +427,10 @@ RegressionReport RegressionRunner::run_system(
 std::vector<RegressionReport> RegressionRunner::run_matrix(
     std::string_view system_root, const std::vector<MatrixCell>& cells,
     std::uint64_t max_instructions) {
-  const std::string global_dir = join_path(system_root, kGlobalLibrariesDir);
-  return run_two_phase(vfs_, discover_environments(vfs_, system_root),
-                       global_dir, cells, jobs_, *cache_, max_instructions,
+  const ObjectCacheStats before = cache_->stats();
+  return run_two_phase(vfs_,
+                       prepare_system(vfs_, system_root, jobs_, *cache_),
+                       before, cells, jobs_, *cache_, max_instructions,
                        *boards_);
 }
 

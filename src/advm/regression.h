@@ -6,20 +6,29 @@
 // a test.asm is a test cell; an Abstraction_Layer/ directory marks the ADVM
 // methodology. Because discovery reads the tree — not some side table — a
 // frozen release snapshot (paper §3) regresses exactly like the live tree.
+//
+// This header is the one place that knows the tree and how a test cell is
+// built: every verb (run, matrix, release, lint, check, port, random)
+// finds environments and cells through discover_environments and
+// discover_tests, and every verb that builds a cell does it through
+// prepare_environment and link_cell.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "advm/boardpool.h"
 #include "advm/context.h"
 #include "advm/objcache.h"
+#include "asm/linker.h"
 #include "sim/machine.h"
 #include "sim/platform.h"
 #include "soc/derivative.h"
 #include "soc/simctrl.h"
+#include "support/diagnostics.h"
 #include "support/vfs.h"
 
 namespace advm::core {
@@ -134,8 +143,8 @@ class RegressionRunner {
 
 /// Environment discovery under a system root, in deterministic VFS order:
 /// every directory with a TESTPLAN.TXT except the global libraries.
-/// Returns absolute environment directories. The runner and the lint
-/// driver use this one function, so every verb agrees on the tree.
+/// Returns absolute environment directories. Every verb — and the release
+/// and port layouts — uses this one function, so they agree on the tree.
 [[nodiscard]] std::vector<std::string> discover_environments(
     const support::VirtualFileSystem& vfs, std::string_view system_root);
 
@@ -144,6 +153,51 @@ class RegressionRunner {
 /// Returns cell names relative to `env_dir`.
 [[nodiscard]] std::vector<std::string> discover_tests(
     const support::VirtualFileSystem& vfs, std::string_view env_dir);
+
+/// One environment ready to build its test cells: the discovered cells
+/// and the half of every cell's build they share. The cell recipe is:
+///   - include path: the environment's Abstraction_Layer/ (when present)
+///     ahead of the global libraries, so the abstraction layer shadows
+///     them;
+///   - link order: the test object, then base_functions.asm, the trap
+///     library, the embedded software and the common functions — each
+///     only when its source exists;
+///   - LinkOptions: the derivative's code and data bases (link_cell).
+/// Shared objects are held by pointer into the cache, so linking a cell
+/// never copies them.
+struct EnvBuildContext {
+  std::string dir;                 ///< absolute environment directory
+  std::vector<std::string> tests;  ///< discover_tests(dir)
+  assembler::AssemblerOptions asm_options;
+  std::vector<std::shared_ptr<const assembler::ObjectFile>> shared_objects;
+  /// The first shared library that did not assemble, and its failed
+  /// build; the libraries after it are not assembled. Empty when ok().
+  std::string failed_library;
+  CachedObject failure;
+
+  [[nodiscard]] bool ok() const { return failed_library.empty(); }
+  /// The test.asm path of cell `test` (an index into `tests`).
+  [[nodiscard]] std::string test_source(std::size_t test) const;
+};
+
+/// Discovers the cells of one environment and assembles its shared
+/// libraries through `cache` — once per environment, not once per cell.
+[[nodiscard]] EnvBuildContext prepare_environment(
+    const support::VirtualFileSystem& vfs, std::string_view env_dir,
+    std::string_view global_dir, ObjectCache& cache);
+
+/// prepare_environment for every environment under `system_root`, in
+/// discovery order, fanned out over `jobs` workers (see parallel_for).
+[[nodiscard]] std::vector<EnvBuildContext> prepare_system(
+    const support::VirtualFileSystem& vfs, std::string_view system_root,
+    std::size_t jobs, ObjectCache& cache);
+
+/// Links one cell of `env` — `test_object` first, then the shared objects,
+/// all by pointer — for `spec`. nullopt with the reasons in `diags` when
+/// the cell does not link.
+[[nodiscard]] std::optional<assembler::Image> link_cell(
+    const EnvBuildContext& env, const assembler::ObjectFile& test_object,
+    const soc::DerivativeSpec& spec, support::DiagnosticEngine& diags);
 
 /// Runs `count` independent tasks on `jobs` worker threads (0 → one per
 /// hardware thread; ≤1 → inline on the caller). Tasks are claimed from an

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <exception>
 #include <map>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -51,7 +52,7 @@ struct Daemon::Impl {
   std::unique_ptr<Session> session;
   Clock::time_point started;
 
-  std::map<std::string, std::string> roots;  ///< canonical dir → VFS root
+  std::set<std::string> dirs;  ///< distinct client directories served
   std::uint64_t clients_served = 0;  ///< connections accepted
   std::uint64_t clients_lost = 0;    ///< vanished before their response
   std::uint64_t requests_ok = 0;     ///< responses with exit code 0
@@ -68,31 +69,27 @@ struct Daemon::Impl {
     ::unlink(config.socket_path.c_str());
   }
 
-  /// Imports the client's disk tree afresh under its stable VFS root and
-  /// executes the verb there. The cache key includes the path, so reusing
-  /// the same root across laps is what keeps the warm session warm.
+  /// Imports the client's disk tree afresh under kVfsRoot — the root a
+  /// local CLI run uses, so every path in the result (diagnostics
+  /// included) is the one the local run prints — and executes the verb
+  /// there. The cache key hashes the source text as well as the path, so
+  /// trees from different client directories never share a stale object.
   VerbOutcome run_verb(const VerbRequest& request) {
-    if (request.verb == "init") {
-      // init regenerates the whole tree; the result document embeds the
-      // VFS root, so parity demands the CLI's /SYS. The previous /SYS is
-      // dropped so a re-init cannot leave stale files.
-      session->vfs().remove_tree("/SYS");
-      return execute_verb(*session, request, "/SYS");
-    }
-    const auto [it, inserted] = roots.emplace(
-        request.dir, "/trees/" + std::to_string(roots.size() + 1));
-    const std::string& root = it->second;
-    session->vfs().remove_tree(root);
+    // The previous tree is dropped first so that files deleted on disk
+    // (or a re-init) cannot linger.
+    session->vfs().remove_tree(kVfsRoot);
+    if (request.verb == "init") return execute_verb(*session, request);
+    dirs.insert(request.dir);
     std::string import_error;
     try {
-      support::import_from_disk(session->vfs(), request.dir, root);
+      support::import_from_disk(session->vfs(), request.dir, kVfsRoot);
     } catch (const std::exception& e) {
       // Unreadable dir: drop any partial copy so root validation fails
       // and execute_verb substitutes the disk-level message.
       import_error = e.what();
-      session->vfs().remove_tree(root);
+      session->vfs().remove_tree(kVfsRoot);
     }
-    return execute_verb(*session, request, root, import_error);
+    return execute_verb(*session, request, import_error);
   }
 
   /// The live stats document — the same fixed-key-order, single-line
@@ -113,7 +110,7 @@ struct Daemon::Impl {
       first = false;
       os << "\"" << json_escape(verb) << "\":" << count;
     }
-    os << "},\"trees\":" << roots.size()
+    os << "},\"trees\":" << dirs.size()
        << ",\"cache\":" << cache_counters_to_json(session->cache().stats());
     const BoardPoolStats boards = session->boards().stats();
     os << ",\"boards\":{\"constructed\":" << boards.constructed
@@ -130,8 +127,8 @@ struct Daemon::Impl {
     os << "daemon on " << config.socket_path << ": up "
        << elapsed_ms(started) << "ms, " << clients_served << " clients ("
        << clients_lost << " lost), " << requests_ok << " requests ok, "
-       << requests_failed << " failed, " << roots.size()
-       << " trees resident\n";
+       << requests_failed << " failed, " << dirs.size()
+       << " trees served\n";
     return os.str();
   }
 

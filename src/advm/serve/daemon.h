@@ -8,11 +8,12 @@
 // daemon's --jobs workers — so a second request in flight would only
 // oversubscribe the cores.
 //
-// Each request re-imports the client's disk tree into a stable VFS root
-// (/trees/<n> per client directory, /SYS for init, whose result document
-// embeds the root). The object cache key includes the path and the
-// source content, so a stable root is what keeps the session warm across
-// laps, and the re-import is what makes disk edits between laps visible.
+// Each request re-imports the client's disk tree under /SYS, the root a
+// local CLI run uses, so every path an attached verb prints — diagnostics
+// included — matches the local run byte for byte. The object cache key
+// includes the path and the source content, so the fixed root keeps the
+// session warm across laps, and the re-import is what makes disk edits
+// between laps visible.
 //
 // Lifecycle: a client that vanishes before its response only loses that
 // response (counted as a lost client); a client that stalls mid-request

@@ -58,14 +58,13 @@ VerbOutcome status_outcome(std::string_view verb, const Status& status) {
   return outcome;
 }
 
-VerbOutcome do_init(Session& session, const VerbRequest& request,
-                    const std::string& vfs_root) {
+VerbOutcome do_init(Session& session, const VerbRequest& request) {
   BuildRequest build = request.build;
-  build.root = vfs_root;
+  build.root = kVfsRoot;
   BuildResult result = session.run(build);
   if (!result.status.ok()) return error_outcome(std::move(result), {});
   const std::size_t written =
-      support::export_to_disk(session.vfs(), vfs_root, request.dir);
+      support::export_to_disk(session.vfs(), kVfsRoot, request.dir);
   VerbOutcome outcome;
   outcome.json = to_json(result);
   std::ostringstream text;
@@ -80,12 +79,11 @@ VerbOutcome do_init(Session& session, const VerbRequest& request,
 /// the outcome to report (exit 1, the lint document) on a dirty or
 /// failed lint, nullopt when the gate passes.
 std::optional<VerbOutcome> lint_gate_outcome(
-    Session& session, const std::string& vfs_root,
-    const std::vector<std::string>& derivatives,
+    Session& session, const std::vector<std::string>& derivatives,
     const std::string& import_error) {
   for (const std::string& derivative : derivatives) {
     LintRequest lint;
-    lint.root = vfs_root;
+    lint.root = kVfsRoot;
     lint.derivative = derivative;
     LintResult result = session.run(lint);
     if (!result.status.ok()) {
@@ -104,13 +102,12 @@ std::optional<VerbOutcome> lint_gate_outcome(
 }
 
 VerbOutcome do_run(Session& session, const VerbRequest& request,
-                   const std::string& vfs_root,
                    const std::string& import_error) {
   RunRequest run = request.run;
-  run.root = vfs_root;
+  run.root = kVfsRoot;
   if (request.lint_gate) {
-    if (auto gate = lint_gate_outcome(session, vfs_root, {run.derivative},
-                                      import_error)) {
+    if (auto gate =
+            lint_gate_outcome(session, {run.derivative}, import_error)) {
       return *gate;
     }
   }
@@ -126,13 +123,12 @@ VerbOutcome do_run(Session& session, const VerbRequest& request,
 }
 
 VerbOutcome do_matrix(Session& session, const VerbRequest& request,
-                      const std::string& vfs_root,
                       const std::string& import_error) {
   MatrixRequest matrix = request.matrix;
-  matrix.root = vfs_root;
+  matrix.root = kVfsRoot;
   if (request.lint_gate) {
-    if (auto gate = lint_gate_outcome(session, vfs_root,
-                                      matrix.derivatives, import_error)) {
+    if (auto gate =
+            lint_gate_outcome(session, matrix.derivatives, import_error)) {
       return *gate;
     }
   }
@@ -153,15 +149,14 @@ VerbOutcome do_matrix(Session& session, const VerbRequest& request,
 }
 
 VerbOutcome do_port(Session& session, const VerbRequest& request,
-                    const std::string& vfs_root,
                     const std::string& import_error) {
   PortRequest port = request.port;
-  port.root = vfs_root;
+  port.root = kVfsRoot;
   PortResult result = session.run(port);
   if (!result.status.ok()) {
     return error_outcome(std::move(result), import_error);
   }
-  support::export_to_disk(session.vfs(), vfs_root, request.dir);
+  support::export_to_disk(session.vfs(), kVfsRoot, request.dir);
   VerbOutcome outcome;
   outcome.json = to_json(result);
   std::ostringstream text;
@@ -178,10 +173,9 @@ VerbOutcome do_port(Session& session, const VerbRequest& request,
 }
 
 VerbOutcome do_check(Session& session, const VerbRequest& request,
-                     const std::string& vfs_root,
                      const std::string& import_error) {
   CheckRequest check = request.check;
-  check.root = vfs_root;
+  check.root = kVfsRoot;
   CheckResult result = session.run(check);
   if (!result.status.ok()) {
     return error_outcome(std::move(result), import_error);
@@ -205,10 +199,9 @@ VerbOutcome do_check(Session& session, const VerbRequest& request,
 }
 
 VerbOutcome do_lint(Session& session, const VerbRequest& request,
-                    const std::string& vfs_root,
                     const std::string& import_error) {
   LintRequest lint = request.lint;
-  lint.root = vfs_root;
+  lint.root = kVfsRoot;
   LintResult result = session.run(lint);
   if (!result.status.ok()) {
     return error_outcome(std::move(result), import_error);
@@ -221,10 +214,9 @@ VerbOutcome do_lint(Session& session, const VerbRequest& request,
 }
 
 VerbOutcome do_release(Session& session, const VerbRequest& request,
-                       const std::string& vfs_root,
                        const std::string& import_error) {
   ReleaseRequest release = request.release;
-  release.root = vfs_root;
+  release.root = kVfsRoot;
   ReleaseResult result = session.run(release);
   if (!result.status.ok()) {
     return error_outcome(std::move(result), import_error);
@@ -253,15 +245,14 @@ VerbOutcome do_release(Session& session, const VerbRequest& request,
 }
 
 VerbOutcome do_random(Session& session, const VerbRequest& request,
-                      const std::string& vfs_root,
                       const std::string& import_error) {
   RandomRequest random = request.random;
-  random.root = vfs_root;
+  random.root = kVfsRoot;
   RandomResult result = session.run(random);
   if (!result.status.ok()) {
     return error_outcome(std::move(result), import_error);
   }
-  support::export_to_disk(session.vfs(), vfs_root, request.dir);
+  support::export_to_disk(session.vfs(), kVfsRoot, request.dir);
   VerbOutcome outcome;
   outcome.json = to_json(result);
   std::ostringstream text;
@@ -415,30 +406,23 @@ std::optional<VerbRequest> parse_verb_request(std::string_view document,
 }
 
 VerbOutcome execute_verb(Session& session, const VerbRequest& request,
-                         const std::string& vfs_root,
                          const std::string& import_error) {
   try {
-    if (request.verb == "init") return do_init(session, request, vfs_root);
-    if (request.verb == "run") {
-      return do_run(session, request, vfs_root, import_error);
-    }
+    if (request.verb == "init") return do_init(session, request);
+    if (request.verb == "run") return do_run(session, request, import_error);
     if (request.verb == "matrix") {
-      return do_matrix(session, request, vfs_root, import_error);
+      return do_matrix(session, request, import_error);
     }
-    if (request.verb == "port") {
-      return do_port(session, request, vfs_root, import_error);
-    }
+    if (request.verb == "port") return do_port(session, request, import_error);
     if (request.verb == "check") {
-      return do_check(session, request, vfs_root, import_error);
+      return do_check(session, request, import_error);
     }
-    if (request.verb == "lint") {
-      return do_lint(session, request, vfs_root, import_error);
-    }
+    if (request.verb == "lint") return do_lint(session, request, import_error);
     if (request.verb == "release") {
-      return do_release(session, request, vfs_root, import_error);
+      return do_release(session, request, import_error);
     }
     if (request.verb == "random") {
-      return do_random(session, request, vfs_root, import_error);
+      return do_random(session, request, import_error);
     }
   } catch (const std::exception& e) {
     // Disk side effects (export/import) throw; surface them through the

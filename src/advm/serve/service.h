@@ -10,8 +10,8 @@
 //
 // Parity by construction: the local CLI path and the daemon both call
 // execute_verb, so an attached `advm matrix` cannot drift from a local
-// one — they are the same code, fed the same request, differing only in
-// which process owns the Session and which VFS root the tree sits under.
+// one — they are the same code, fed the same request, on a tree under the
+// same VFS root, differing only in which process owns the Session.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +53,11 @@ struct VerbRequest {
 [[nodiscard]] std::optional<VerbRequest> parse_verb_request(
     std::string_view document, std::string* error = nullptr);
 
+/// The VFS root every verb's tree lives under, in the local CLI and in
+/// the daemon alike. One root is what makes every path a verb prints —
+/// build diagnostics included — the same attached as local.
+inline constexpr const char* kVfsRoot = "/SYS";
+
 /// What executing a verb produced: the CLI exit code, the --format json
 /// document, and the human text rendering. Exactly one of json/text is
 /// printed by the caller depending on --format; on exit code 2 the text
@@ -68,15 +73,11 @@ struct VerbOutcome {
 /// validates via the typed Session API, applies the verb's disk side
 /// effects (init/port/random export the tree to request.dir, release
 /// exports the snapshot next to it), and renders both output formats.
-/// `vfs_root` is where the tree lives in the session VFS (the CLI uses
-/// /SYS; the daemon assigns stable per-directory roots — and /SYS for
-/// init, whose result document embeds the root). The tree must already
-/// be imported under `vfs_root` for verbs that read one; a failed import
-/// is passed via `import_error` so root-validation failures report the
-/// disk-level message (the make_session contract).
+/// The tree must already be imported under kVfsRoot for verbs that read
+/// one; a failed import is passed via `import_error` so root-validation
+/// failures report the disk-level message (the make_session contract).
 [[nodiscard]] VerbOutcome execute_verb(Session& session,
                                        const VerbRequest& request,
-                                       const std::string& vfs_root,
                                        const std::string& import_error = {});
 
 }  // namespace advm::core::serve

@@ -55,21 +55,6 @@ std::optional<sim::PlatformKind> find_platform(std::string_view name) {
   return sim::platform_from_name(name);
 }
 
-/// True if at least one module environment (a TESTPLAN.TXT directory)
-/// lives directly under `root`.
-bool has_environments(const support::VirtualFileSystem& vfs,
-                      std::string_view root) {
-  for (const std::string& entry : vfs.list_dir(root)) {
-    if (entry.empty() || entry.back() != '/') continue;
-    const std::string name = entry.substr(0, entry.size() - 1);
-    if (name == kGlobalLibrariesDir) continue;
-    if (vfs.exists(join_path(join_path(root, name), kTestplanFile))) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 Status SessionConfig::validate() const {
@@ -88,13 +73,10 @@ SystemLayout layout_from_tree(const support::VirtualFileSystem& vfs,
   SystemLayout layout;
   layout.root = support::normalize_path(root);
   layout.global_dir = join_path(layout.root, kGlobalLibrariesDir);
-  for (const std::string& entry : vfs.list_dir(layout.root)) {
-    if (entry.empty() || entry.back() != '/') continue;
-    const std::string name = entry.substr(0, entry.size() - 1);
-    if (name == kGlobalLibrariesDir) continue;
+  for (std::string& dir : discover_environments(vfs, layout.root)) {
     EnvironmentLayout env;
-    env.name = name;
-    env.dir = join_path(layout.root, name);
+    env.name = support::base_name(dir);
+    env.dir = std::move(dir);
     env.abstraction_dir = join_path(env.dir, kAbstractionLayerDir);
     env.advm_style = vfs.dir_exists(env.abstraction_dir);
     layout.environments.push_back(std::move(env));
@@ -158,7 +140,7 @@ RunResult Session::run(const RunRequest& request) {
     result.status = unknown_platform(request.platform);
     return result;
   }
-  if (!has_environments(vfs_, request.root)) {
+  if (discover_environments(vfs_, request.root).empty()) {
     result.status = bad_root(request.root);
     return result;
   }
@@ -197,7 +179,7 @@ MatrixResult Session::run(const MatrixRequest& request) {
                              "platform");
     return result;
   }
-  if (!has_environments(vfs_, request.root)) {
+  if (discover_environments(vfs_, request.root).empty()) {
     result.status = bad_root(request.root);
     return result;
   }
@@ -293,7 +275,7 @@ ReleaseResult Session::run(const ReleaseRequest& request) {
                                                "empty");
     return result;
   }
-  if (!has_environments(vfs_, request.root)) {
+  if (discover_environments(vfs_, request.root).empty()) {
     result.status = bad_root(request.root);
     return result;
   }
@@ -326,11 +308,9 @@ RandomResult Session::run(const RandomRequest& request) {
       randomize_defines(default_constraints(*spec), request.seed);
   GlobalsOptions options;
   options.overrides = result.values;
-  for (const std::string& entry : vfs_.list_dir(request.root)) {
-    if (entry.empty() || entry.back() != '/') continue;
-    const std::string abstraction =
-        join_path(join_path(request.root, entry.substr(0, entry.size() - 1)),
-                  kAbstractionLayerDir);
+  for (const std::string& env_dir :
+       discover_environments(vfs_, request.root)) {
+    const std::string abstraction = join_path(env_dir, kAbstractionLayerDir);
     if (!vfs_.dir_exists(abstraction)) continue;
     vfs_.write(join_path(abstraction, kGlobalsFile),
                generate_globals(*spec, options));

@@ -143,8 +143,9 @@ struct CheckResult {
 };
 
 /// `lint`: binary-level dataflow analysis of every test cell under
-/// `root` — each cell is assembled and linked exactly like a check run,
-/// then the linked image's CFG is analyzed (see advm/lint/analyses.h).
+/// `root` — each cell is built with the cell recipe every verb shares
+/// (advm/regression.h), then the linked image's CFG is analyzed (see
+/// advm/lint/analyses.h).
 struct LintRequest {
   std::string root = "/SYS";
   std::string derivative = "SC88-A";
@@ -254,10 +255,9 @@ class Session {
   BoardPool boards_;
 };
 
-/// Reconstructs a SystemLayout from a tree in the VFS (directory-driven,
-/// like regression discovery): every subdirectory of `root` except the
-/// global libraries is an environment; an Abstraction_Layer/ marks ADVM
-/// style. Exposed for callers that assemble their own flows.
+/// Reconstructs a SystemLayout from a tree in the VFS: the environments
+/// are exactly discover_environments(root); an Abstraction_Layer/ marks
+/// ADVM style. Exposed for callers that assemble their own flows.
 [[nodiscard]] SystemLayout layout_from_tree(
     const support::VirtualFileSystem& vfs, std::string_view root);
 

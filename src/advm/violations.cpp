@@ -3,9 +3,8 @@
 #include <algorithm>
 
 #include "advm/environment.h"
-#include "asm/assembler.h"
+#include "advm/regression.h"
 #include "asm/lexer.h"
-#include "asm/linker.h"
 #include "soc/global_layer.h"
 #include "support/diagnostics.h"
 #include "support/text.h"
@@ -14,7 +13,6 @@ namespace advm::core {
 
 using assembler::Token;
 using assembler::TokenKind;
-using support::join_path;
 
 std::size_t ViolationReport::count(std::string_view code) const {
   return static_cast<std::size_t>(
@@ -123,64 +121,35 @@ Violation file_violation(std::string code, std::string file,
 }
 
 /// Link-level check: does the test reference symbols defined in the global
-/// layer? Requires a successful build of the full cell. All objects come
-/// from the cache, so the shared environment libraries assemble once per
-/// check run — not once per test cell — and link by pointer.
+/// layer? Requires a successful build of the full cell, built through the
+/// shared cell recipe — the environment's libraries were assembled once,
+/// and link by pointer.
 void check_linkage(const support::VirtualFileSystem& vfs,
-                   std::string_view env_dir, std::string_view global_dir,
-                   const std::string& test_path,
+                   const EnvBuildContext& env, const std::string& test_path,
                    const soc::DerivativeSpec& spec, ObjectCache& cache,
                    ViolationReport& report) {
-  support::DiagnosticEngine diags;
-  assembler::AssemblerOptions options;
-  const std::string abstraction_dir =
-      join_path(env_dir, kAbstractionLayerDir);
-  if (vfs.dir_exists(abstraction_dir)) {
-    options.include_dirs.push_back(abstraction_dir);
-  }
-  options.include_dirs.push_back(std::string(global_dir));
-
-  std::vector<std::shared_ptr<const assembler::ObjectFile>> held;
-  std::vector<const assembler::ObjectFile*> objects;
-
-  CachedObject test_obj = cache.assemble(vfs, test_path, options);
+  const CachedObject test_obj =
+      cache.assemble(vfs, test_path, env.asm_options);
   if (!test_obj.ok()) {
     report.violations.push_back(file_violation(
         "advm.unbuildable", test_path,
         "cell does not assemble: " + test_obj.error));
     return;
   }
-  objects.push_back(test_obj.object.get());
-
-  for (const char* shared :
-       {kBaseFunctionsFile, kTrapLibraryFile, soc::kEmbeddedSoftwareFile,
-        soc::kCommonFunctionsFile}) {
-    std::string path = shared == std::string(kBaseFunctionsFile)
-                           ? join_path(abstraction_dir, shared)
-                           : join_path(global_dir, shared);
-    if (!vfs.exists(path)) continue;
-    CachedObject obj = cache.assemble(vfs, path, options);
-    if (!obj.ok()) {
-      report.violations.push_back(file_violation(
-          "advm.unbuildable", path,
-          "environment library does not assemble: " + obj.error));
-      return;
-    }
-    objects.push_back(obj.object.get());
-    held.push_back(std::move(obj.object));
+  if (!env.ok()) {
+    report.violations.push_back(file_violation(
+        "advm.unbuildable", env.failed_library,
+        "environment library does not assemble: " + env.failure.error));
+    return;
   }
-
-  assembler::LinkOptions link_options;
-  link_options.code_base = spec.code_base();
-  link_options.data_base = spec.data_base();
-  auto image = assembler::link(objects, link_options, diags);
+  support::DiagnosticEngine diags;
+  const auto image = link_cell(env, *test_obj.object, spec, diags);
   if (!image) {
     report.violations.push_back(file_violation(
         "advm.unbuildable", test_path,
         "cell does not link: " + diags.to_string()));
     return;
   }
-
   for (const auto& [name, symbol] : image->symbols) {
     if (!is_global_layer_file(symbol.defined_in)) continue;
     for (const std::string& referrer : symbol.referenced_by) {
@@ -215,43 +184,16 @@ void check_environment_name(std::string_view env_dir,
 
 }  // namespace
 
-ViolationReport ViolationChecker::check_environment(
-    std::string_view env_dir, std::string_view global_dir,
-    const soc::DerivativeSpec& spec) {
-  ViolationReport report;
-  check_environment_name(env_dir, report);
-
-  for (const std::string& entry : vfs_.list_dir(env_dir)) {
-    if (entry.empty() || entry.back() != '/') continue;
-    const std::string name = entry.substr(0, entry.size() - 1);
-    if (name == kAbstractionLayerDir) continue;
-    const std::string test_path =
-        join_path(join_path(env_dir, name), kTestSourceFile);
-    auto source = vfs_.read(test_path);
-    if (!source) continue;
-
-    scan_source(test_path, *source, report);
-    check_linkage(vfs_, env_dir, global_dir, test_path, spec, *cache_,
-                  report);
-  }
-  return report;
-}
-
 ViolationReport ViolationChecker::check_system(
     std::string_view system_root, const soc::DerivativeSpec& spec) {
   ViolationReport report;
-  const std::string global_dir =
-      join_path(system_root, kGlobalLibrariesDir);
-  for (const std::string& entry : vfs_.list_dir(system_root)) {
-    if (entry.empty() || entry.back() != '/') continue;
-    const std::string name = entry.substr(0, entry.size() - 1);
-    if (name == kGlobalLibrariesDir) continue;
-    const std::string env_dir = join_path(system_root, name);
-    if (!vfs_.exists(join_path(env_dir, kTestplanFile))) continue;
-    ViolationReport env_report =
-        check_environment(env_dir, global_dir, spec);
-    for (auto& v : env_report.violations) {
-      report.violations.push_back(std::move(v));
+  for (const EnvBuildContext& env :
+       prepare_system(vfs_, system_root, 1, *cache_)) {
+    check_environment_name(env.dir, report);
+    for (std::size_t t = 0; t < env.tests.size(); ++t) {
+      const std::string test_path = env.test_source(t);
+      scan_source(test_path, vfs_.read_required(test_path), report);
+      check_linkage(vfs_, env, test_path, spec, *cache_, report);
     }
   }
   return report;

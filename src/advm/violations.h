@@ -52,12 +52,12 @@ struct ViolationReport {
 
 class ViolationChecker {
  public:
-  /// Linkage checks assemble the cell plus the environment's shared
-  /// libraries; those objects come from `cache` (the checker's own by
-  /// default), so an environment's base-function/trap/ES objects assemble
-  /// once per check run, not once per test cell. Pass the cache a
-  /// RegressionRunner uses to share objects between a regression and a
-  /// violation check in one process.
+  /// Linkage checks build each cell through the cell recipe every verb
+  /// shares (prepare_environment + link_cell, advm/regression.h). Objects
+  /// come from `cache` (the checker's own by default), so an environment's
+  /// base-function/trap/ES objects assemble once per check run, not once
+  /// per test cell. Pass the cache a RegressionRunner uses to share objects
+  /// between a regression and a violation check in one process.
   explicit ViolationChecker(const support::VirtualFileSystem& vfs,
                             ObjectCache* cache = nullptr)
       : vfs_(vfs), cache_(cache ? cache : &owned_cache_) {}
@@ -67,14 +67,9 @@ class ViolationChecker {
   explicit ViolationChecker(const SessionContext& ctx)
       : ViolationChecker(ctx.vfs, &ctx.cache) {}
 
-  /// Checks every test cell of one module environment. `global_dir` names
-  /// the global-library directory (for include/link classification);
-  /// assembly/linking runs against `spec`.
-  [[nodiscard]] ViolationReport check_environment(
-      std::string_view env_dir, std::string_view global_dir,
-      const soc::DerivativeSpec& spec);
-
-  /// Checks all environments under a system root.
+  /// Checks every test cell of every environment under a system root
+  /// (discover_environments / discover_tests order); assembly and linking
+  /// run against `spec`.
   [[nodiscard]] ViolationReport check_system(std::string_view system_root,
                                              const soc::DerivativeSpec& spec);
 

@@ -391,6 +391,35 @@ TEST_F(CliE2E, BooleanFlagsNeverSwallowTheDirectory) {
 }
 
 
+TEST_F(CliE2E, ReleaseLabelsOnlyEnvironments) {
+  auto init = run_cli("init \"" + env_dir_ + "\" --tests 2");
+  ASSERT_EQ(init.exit_code, 0) << init.err;
+  // A notes directory is not an environment (it has no TESTPLAN.TXT):
+  // run, lint and check ignore it, and so must the release label.
+  const fs::path notes = fs::path(env_dir_) / "docs" / "notes.txt";
+  fs::create_directories(notes.parent_path());
+  std::ofstream(notes) << "draft\n";
+  const std::string release =
+      "release \"" + env_dir_ + "\" --name R1 --format json";
+  const auto composed_hash = [](const std::string& out) {
+    const std::string key = "\"composed_hash\":\"";
+    const std::size_t at = out.find(key);
+    return at == std::string::npos ? out : out.substr(at + key.size(), 16);
+  };
+
+  const auto first = run_cli(release);
+  ASSERT_EQ(first.exit_code, 0) << first.err << first.out;
+  EXPECT_EQ(first.out.find("R1/docs"), std::string::npos) << first.out;
+  EXPECT_NE(first.out.find("\"name\":\"R1/UART_MODULE\""), std::string::npos)
+      << first.out;
+
+  // Editing the notes leaves the composed hash where it was.
+  std::ofstream(notes) << "final\n";
+  const auto second = run_cli(release);
+  ASSERT_EQ(second.exit_code, 0) << second.err << second.out;
+  EXPECT_EQ(composed_hash(second.out), composed_hash(first.out));
+}
+
 TEST_F(CliE2E, BuildFailureTextsArePinned) {
   // The local `--format json` documents of run, lint and check, byte for
   // byte, for each way a cell can fail to build. All three verbs build a

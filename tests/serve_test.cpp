@@ -346,6 +346,33 @@ TEST_F(ServeE2E, FreshDaemonMatrixIsByteIdenticalToLocalMatrix) {
   EXPECT_EQ(attached.out, local.out);
 }
 
+TEST_F(ServeE2E, AttachedBuildFailuresAreByteIdenticalToLocal) {
+  make_tree();
+  // A broken shared library: every verb's diagnostics name the file by
+  // its VFS path, so the daemon must import the tree under the local
+  // CLI's root for the documents to match.
+  std::ofstream(fs::path(env_dir_) / "UART_MODULE" / "Abstraction_Layer" /
+                    "base_functions.asm",
+                std::ios::app)
+      << " BOGUS d0, d0\n";
+  for (const std::string verb : {"run", "matrix", "lint", "check"}) {
+    // run and matrix documents carry cache counters: each verb gets a
+    // fresh daemon, as cold as the fresh local process.
+    spawn_daemon();
+    const std::string command = verb + " \"" + env_dir_ + "\" --format json";
+    const auto local = run_cli(command);
+    const auto attached = run_cli(command + attach_flag());
+    EXPECT_EQ(local.exit_code, 1) << verb << ": " << local.err;
+    EXPECT_EQ(attached.exit_code, local.exit_code) << verb;
+    EXPECT_NE(local.out.find(
+                  "/SYS/UART_MODULE/Abstraction_Layer/base_functions.asm"),
+              std::string::npos)
+        << verb << ": " << local.out;
+    EXPECT_EQ(attached.out, local.out) << verb;
+    stop_daemon();
+  }
+}
+
 TEST_F(ServeE2E, AttachedErrorsArriveTypedWithExitTwo) {
   make_tree();
   spawn_daemon();

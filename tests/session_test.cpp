@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -264,6 +265,72 @@ TEST(Session, RandomRegeneratesEveryAdvmEnvironment) {
 }
 
 // ----------------------------------------------- shared cache, shared pool --
+
+TEST(Session, EveryVerbAgreesOnTheTree) {
+  Session session;
+  const BuildResult built = build_small_system(session);
+  ASSERT_TRUE(built.status.ok());
+  support::VirtualFileSystem& vfs = session.vfs();
+  // Every cell gets an undefined-register read (a lint finding) and a
+  // hardwired device value (a check violation), so lint and check both
+  // name each cell they visit.
+  const std::string seeded =
+      ".INCLUDE Globals.inc\n"
+      "DEVICE .EQU 0x12345\n"
+      "_main:\n"
+      " MOV d1, d3\n"
+      " CALL Base_Report_Pass\n";
+  for (const EnvironmentLayout& env : built.layout.environments) {
+    for (const TestSpec& test : env.tests) {
+      vfs.write(env.dir + "/" + test.id + "/test.asm", seeded);
+    }
+  }
+  // Decoys: a stray directory (no TESTPLAN.TXT) holding a test cell, an
+  // environment with no tests, and a test directory without a test.asm.
+  vfs.write("/SYS/docs/notes.txt", "draft\n");
+  vfs.write("/SYS/docs/TEST_DOC/test.asm", seeded);
+  vfs.write("/SYS/EMPTY_MODULE/TESTPLAN.TXT", "no tests yet\n");
+  vfs.write("/SYS/MEM_MODULE/TEST_NO_SOURCE/notes.txt", "todo\n");
+
+  const RunResult run = session.run(RunRequest{});
+  const LintResult lint = session.run(LintRequest{});
+  const CheckResult check = session.run(CheckRequest{});
+  ReleaseRequest release_request;
+  release_request.regress = false;
+  const ReleaseResult release = session.run(release_request);
+  ASSERT_TRUE(run.status.ok() && lint.status.ok() && check.status.ok() &&
+              release.status.ok());
+
+  std::set<std::string> run_cells;
+  for (const TestRunRecord& r : run.report.records) {
+    run_cells.insert(r.environment + "/" + r.test_id);
+  }
+  std::set<std::string> lint_cells;
+  for (const LintFinding& f : lint.report.findings) {
+    lint_cells.insert(f.environment + "/" + f.test_id);
+  }
+  std::set<std::string> check_cells;
+  for (const Violation& v : check.report.violations) {
+    if (v.code != "advm.hardwired-magic") continue;
+    // "/SYS/<environment>/<test>/test.asm"
+    check_cells.insert(v.file.substr(5, v.file.size() - 5 - 9));
+  }
+  EXPECT_EQ(run_cells.size(), 10u);
+  EXPECT_EQ(run.report.records.size(), run_cells.size());
+  EXPECT_EQ(lint.report.cells, run_cells.size());
+  EXPECT_EQ(lint_cells, run_cells);
+  EXPECT_EQ(check_cells, run_cells);
+
+  std::set<std::string> environments = {"EMPTY_MODULE"};
+  for (const std::string& cell : run_cells) {
+    environments.insert(cell.substr(0, cell.find('/')));
+  }
+  std::set<std::string> labels;
+  for (const ReleaseLabel& label : release.release.sub_labels) {
+    if (label.name != "R1/Global_Libraries") labels.insert(label.name.substr(3));
+  }
+  EXPECT_EQ(labels, environments);
+}
 
 TEST(Session, ConsecutiveVerbsShareOneObjectCache) {
   Session session;

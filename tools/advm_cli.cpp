@@ -68,8 +68,7 @@ namespace {
 
 using namespace advm;
 using namespace advm::core;
-
-constexpr const char* kVfsRoot = "/SYS";
+using serve::kVfsRoot;
 
 /// Every flag the CLI knows, and whether it takes a value. A value flag
 /// consumes the next argument; a boolean flag never does.
@@ -340,7 +339,7 @@ int cmd_verb(const Args& args, const char* verb) {
                               /*import=*/request.verb != "init");
   if (!session) return 2;
   const serve::VerbOutcome outcome =
-      serve::execute_verb(*session, request, kVfsRoot, import_error);
+      serve::execute_verb(*session, request, import_error);
   return print_outcome(args, outcome.exit, outcome.json, outcome.text);
 }
 

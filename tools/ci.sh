@@ -128,8 +128,8 @@ echo "==> serve daemon gate (warm resident session vs cold CLI)"
 rm -rf build/serve-cache build/serve-cold-cache
 rm -f build/serve.sock
 start_daemon() {
-  ./build/tools/advm serve --socket build/serve.sock \
-    --jobs 8 --cache-dir build/serve-cache 2>> build/serve-daemon.log &
+  ./build/tools/advm serve --socket build/serve.sock "$@" \
+    2>> build/serve-daemon.log &
   SERVE_PID=$!
   for _ in $(seq 1 100); do
     ./build/tools/advm serve --stats --socket build/serve.sock \
@@ -146,7 +146,7 @@ stop_daemon() {
   fi
 }
 : > build/serve-daemon.log
-start_daemon
+start_daemon --jobs 8 --cache-dir build/serve-cache
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 # Lap 1 fills the daemon's cache dir; a restarted daemon must then start
 # from it (persistent hits), and later laps ride the resident session.
@@ -155,7 +155,7 @@ trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 ./build/tools/advm matrix build/jobs-env $E10_AXES \
   --attach build/serve.sock --format json > build/serve-lap1.json || true
 stop_daemon
-start_daemon
+start_daemon --jobs 8 --cache-dir build/serve-cache
 ./build/tools/advm matrix build/jobs-env $E10_AXES \
   --attach build/serve.sock --format json > build/serve-restart.json || true
 # Alternating pairs. Cold: a standalone CLI lap pays session construction
@@ -218,6 +218,26 @@ print("serve daemon ok: roll-ups byte-identical, restarted daemon %d "
       "persistent hits, warm lap 0 misses, median of %d pairs: cold %.1fms "
       "vs warm %.1fms" % (hits, len(sys.argv[7].split()), cold_ms, warm_ms))
 PY
+stop_daemon
+# Attach parity on a seeded-broken copy of the tree: build failures print
+# the VFS path of the offending file, so an attached verb must see the
+# tree under the same root as the local CLI. A fresh daemon without a
+# cache dir starts as cold as the local process, and `run` goes first:
+# its document carries cache counters; lint's and check's do not.
+rm -rf build/serve-broken-env
+cp -r build/jobs-env build/serve-broken-env
+echo " BOGUS d0, d0" >> \
+  build/serve-broken-env/UART_MODULE/Abstraction_Layer/base_functions.asm
+start_daemon
+for verb in run lint check; do
+  ./build/tools/advm "$verb" build/serve-broken-env --format json \
+    > "build/serve-broken-local-$verb.json" || true
+  ./build/tools/advm "$verb" build/serve-broken-env --format json \
+    --attach build/serve.sock > "build/serve-broken-attached-$verb.json" || true
+  cmp "build/serve-broken-local-$verb.json" \
+    "build/serve-broken-attached-$verb.json"
+done
+echo "serve broken-tree parity ok: run, lint and check byte-identical"
 stop_daemon
 trap - EXIT
 
