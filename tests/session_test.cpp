@@ -327,7 +327,9 @@ TEST(Session, EveryVerbAgreesOnTheTree) {
   }
   std::set<std::string> labels;
   for (const ReleaseLabel& label : release.release.sub_labels) {
-    if (label.name != "R1/Global_Libraries") labels.insert(label.name.substr(3));
+    if (label.name != "R1/Global_Libraries") {
+      labels.insert(label.name.substr(3));
+    }
   }
   EXPECT_EQ(labels, environments);
 }
