@@ -162,18 +162,11 @@ struct Daemon::Impl {
       return frame;
     }
     std::string parse_error;
-    const auto verb_request = parse_verb_request(request.payload, &parse_error);
+    const auto verb_request =
+        parse_request_payload(request.verb, request.payload, &parse_error);
     if (!verb_request) {
       return error_frame(request.id, request.verb,
                          Status::error("advm.serve-bad-request", parse_error));
-    }
-    if (verb_request->verb != request.verb) {
-      return error_frame(
-          request.id, request.verb,
-          Status::error("advm.serve-bad-request",
-                        "frame verb '" + request.verb +
-                            "' does not match request verb '" +
-                            verb_request->verb + "'"));
     }
     const VerbOutcome outcome = run_verb(*verb_request);
     frame.exit = outcome.exit;

@@ -17,7 +17,8 @@
 // substring extraction from inside an escaped string, just "read two
 // lines".
 //
-// Request frames use `verb` + payload (a serve::VerbRequest document;
+// Request frames carry the verb in the header and the CLI's flag map as
+// the payload ({"dir":...,"options":{...}}, see serve::request_payload;
 // `exit`/`text` unused); response frames carry the verb back with the
 // CLI exit code, the human rendering in `text`, and the --format json
 // document as the payload.

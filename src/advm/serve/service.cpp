@@ -2,12 +2,14 @@
 
 #include <sstream>
 #include <utility>
+#include <variant>
 
 #include "advm/globals_gen.h"
 #include "advm/report.h"
 #include "support/disk.h"
 #include "support/hash.h"
 #include "support/json.h"
+#include "support/text.h"
 
 namespace advm::core::serve {
 
@@ -20,16 +22,6 @@ std::string quoted(std::string_view s) {
   out += json_escape(s);
   out += '"';
   return out;
-}
-
-void append_names(std::ostringstream& os, const char* key,
-                  const std::vector<std::string>& names) {
-  os << ",\"" << key << "\":[";
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (i != 0) os << ",";
-    os << quoted(names[i]);
-  }
-  os << "]";
 }
 
 /// The render_error contract: a result whose Status failed renders as
@@ -58,17 +50,115 @@ VerbOutcome status_outcome(std::string_view verb, const Status& status) {
   return outcome;
 }
 
-VerbOutcome do_init(Session& session, const VerbRequest& request) {
-  BuildRequest build = request.build;
-  build.root = kVfsRoot;
+constexpr std::string_view kVerbs[] = {"init", "run",  "matrix",  "port",
+                                       "check", "lint", "release", "random"};
+
+/// The flags of one verb, typed: its Session request, and for run/matrix
+/// the --lint pre-run gate (lint the tree first, refuse to execute on any
+/// finding).
+struct TypedVerb {
+  std::variant<BuildRequest, RunRequest, MatrixRequest, PortRequest,
+               CheckRequest, LintRequest, ReleaseRequest, RandomRequest>
+      request;
+  bool lint_gate = false;
+};
+
+/// Overwrites *field with flag `key` when it is present; the request
+/// struct's default stands otherwise.
+void read_flag(const Options& options, const char* key, std::string* field) {
+  const auto it = options.find(key);
+  if (it != options.end()) *field = it->second;
+}
+
+/// A comma-separated name list flag (--derivatives, --platforms).
+void read_names(const Options& options, const char* key,
+                std::vector<std::string>* names) {
+  const auto it = options.find(key);
+  if (it == options.end()) return;
+  names->clear();
+  for (std::string_view name : support::split(it->second, ',')) {
+    names->emplace_back(name);
+  }
+}
+
+/// The one place verb flag names map onto typed Session requests. Typed
+/// Status on a malformed numeric value or an unknown verb.
+Status build_typed(const VerbRequest& request, TypedVerb* out) {
+  const Options& options = request.options;
+  const std::string& verb = request.verb;
+  if (verb == "init") {
+    BuildRequest build;
+    read_flag(options, "derivative", &build.derivative);
+    if (Status status = parse_count(options, "tests", "advm.bad-tests",
+                                    &build.tests_per_module);
+        !status.ok()) {
+      return status;
+    }
+    out->request = std::move(build);
+  } else if (verb == "run") {
+    RunRequest run;
+    read_flag(options, "derivative", &run.derivative);
+    read_flag(options, "platform", &run.platform);
+    out->request = std::move(run);
+    out->lint_gate = options.count("lint") != 0;
+  } else if (verb == "matrix") {
+    MatrixRequest matrix;
+    read_names(options, "derivatives", &matrix.derivatives);
+    read_names(options, "platforms", &matrix.platforms);
+    out->request = std::move(matrix);
+    out->lint_gate = options.count("lint") != 0;
+  } else if (verb == "port") {
+    PortRequest port;
+    read_flag(options, "to", &port.to);
+    out->request = std::move(port);
+  } else if (verb == "check") {
+    CheckRequest check;
+    read_flag(options, "derivative", &check.derivative);
+    out->request = std::move(check);
+  } else if (verb == "lint") {
+    LintRequest lint;
+    read_flag(options, "derivative", &lint.derivative);
+    out->request = std::move(lint);
+  } else if (verb == "release") {
+    ReleaseRequest release;
+    read_flag(options, "name", &release.name);
+    read_flag(options, "derivative", &release.derivative);
+    read_flag(options, "platform", &release.platform);
+    out->request = std::move(release);
+  } else if (verb == "random") {
+    RandomRequest random;
+    read_flag(options, "derivative", &random.derivative);
+    if (Status status =
+            parse_count(options, "seed", "advm.bad-seed", &random.seed);
+        !status.ok()) {
+      return status;
+    }
+    out->request = std::move(random);
+  } else {
+    return Status::error("advm.serve-bad-request",
+                         "unknown verb '" + verb + "'");
+  }
+  std::visit([](auto& typed) { typed.root = kVfsRoot; }, out->request);
+  return {};
+}
+
+/// What a verb needs besides its typed request.
+struct Call {
+  const std::string& dir;           ///< disk directory of the tree
+  const std::string& import_error;  ///< disk-level import failure, if any
+  bool lint_gate;
+};
+
+VerbOutcome do_verb(Session& session, const BuildRequest& build,
+                    const Call& call) {
   BuildResult result = session.run(build);
   if (!result.status.ok()) return error_outcome(std::move(result), {});
   const std::size_t written =
-      support::export_to_disk(session.vfs(), kVfsRoot, request.dir);
+      support::export_to_disk(session.vfs(), kVfsRoot, call.dir);
   VerbOutcome outcome;
   outcome.json = to_json(result);
   std::ostringstream text;
-  text << "created " << request.dir << " for " << result.derivative << ": "
+  text << "created " << call.dir << " for " << result.derivative << ": "
        << written << " files, " << result.tests << " tests\n";
   outcome.text = text.str();
   return outcome;
@@ -101,19 +191,17 @@ std::optional<VerbOutcome> lint_gate_outcome(
   return std::nullopt;
 }
 
-VerbOutcome do_run(Session& session, const VerbRequest& request,
-                   const std::string& import_error) {
-  RunRequest run = request.run;
-  run.root = kVfsRoot;
-  if (request.lint_gate) {
+VerbOutcome do_verb(Session& session, const RunRequest& run,
+                    const Call& call) {
+  if (call.lint_gate) {
     if (auto gate =
-            lint_gate_outcome(session, {run.derivative}, import_error)) {
+            lint_gate_outcome(session, {run.derivative}, call.import_error)) {
       return *gate;
     }
   }
   RunResult result = session.run(run);
   if (!result.status.ok()) {
-    return error_outcome(std::move(result), import_error);
+    return error_outcome(std::move(result), call.import_error);
   }
   VerbOutcome outcome;
   outcome.exit = result.report.all_passed() ? 0 : 1;
@@ -122,19 +210,17 @@ VerbOutcome do_run(Session& session, const VerbRequest& request,
   return outcome;
 }
 
-VerbOutcome do_matrix(Session& session, const VerbRequest& request,
-                      const std::string& import_error) {
-  MatrixRequest matrix = request.matrix;
-  matrix.root = kVfsRoot;
-  if (request.lint_gate) {
-    if (auto gate =
-            lint_gate_outcome(session, matrix.derivatives, import_error)) {
+VerbOutcome do_verb(Session& session, const MatrixRequest& matrix,
+                    const Call& call) {
+  if (call.lint_gate) {
+    if (auto gate = lint_gate_outcome(session, matrix.derivatives,
+                                      call.import_error)) {
       return *gate;
     }
   }
   MatrixResult result = session.run(matrix);
   if (!result.status.ok()) {
-    return error_outcome(std::move(result), import_error);
+    return error_outcome(std::move(result), call.import_error);
   }
   VerbOutcome outcome;
   outcome.exit = result.all_passed() ? 0 : 1;
@@ -148,19 +234,17 @@ VerbOutcome do_matrix(Session& session, const VerbRequest& request,
   return outcome;
 }
 
-VerbOutcome do_port(Session& session, const VerbRequest& request,
-                    const std::string& import_error) {
-  PortRequest port = request.port;
-  port.root = kVfsRoot;
+VerbOutcome do_verb(Session& session, const PortRequest& port,
+                    const Call& call) {
   PortResult result = session.run(port);
   if (!result.status.ok()) {
-    return error_outcome(std::move(result), import_error);
+    return error_outcome(std::move(result), call.import_error);
   }
-  support::export_to_disk(session.vfs(), kVfsRoot, request.dir);
+  support::export_to_disk(session.vfs(), kVfsRoot, call.dir);
   VerbOutcome outcome;
   outcome.json = to_json(result);
   std::ostringstream text;
-  text << "ported " << request.dir << " to " << result.target << "\n"
+  text << "ported " << call.dir << " to " << result.target << "\n"
        << "  global layer: " << result.repair.global_layer.files_touched()
        << " files\n"
        << "  abstraction layer: "
@@ -172,13 +256,11 @@ VerbOutcome do_port(Session& session, const VerbRequest& request,
   return outcome;
 }
 
-VerbOutcome do_check(Session& session, const VerbRequest& request,
-                     const std::string& import_error) {
-  CheckRequest check = request.check;
-  check.root = kVfsRoot;
+VerbOutcome do_verb(Session& session, const CheckRequest& check,
+                    const Call& call) {
   CheckResult result = session.run(check);
   if (!result.status.ok()) {
-    return error_outcome(std::move(result), import_error);
+    return error_outcome(std::move(result), call.import_error);
   }
   VerbOutcome outcome;
   outcome.exit = result.report.clean() ? 0 : 1;
@@ -198,13 +280,11 @@ VerbOutcome do_check(Session& session, const VerbRequest& request,
   return outcome;
 }
 
-VerbOutcome do_lint(Session& session, const VerbRequest& request,
-                    const std::string& import_error) {
-  LintRequest lint = request.lint;
-  lint.root = kVfsRoot;
+VerbOutcome do_verb(Session& session, const LintRequest& lint,
+                    const Call& call) {
   LintResult result = session.run(lint);
   if (!result.status.ok()) {
-    return error_outcome(std::move(result), import_error);
+    return error_outcome(std::move(result), call.import_error);
   }
   VerbOutcome outcome;
   outcome.exit = result.report.clean() ? 0 : 1;
@@ -213,20 +293,18 @@ VerbOutcome do_lint(Session& session, const VerbRequest& request,
   return outcome;
 }
 
-VerbOutcome do_release(Session& session, const VerbRequest& request,
-                       const std::string& import_error) {
-  ReleaseRequest release = request.release;
-  release.root = kVfsRoot;
+VerbOutcome do_verb(Session& session, const ReleaseRequest& release,
+                    const Call& call) {
   ReleaseResult result = session.run(release);
   if (!result.status.ok()) {
-    return error_outcome(std::move(result), import_error);
+    return error_outcome(std::move(result), call.import_error);
   }
   // Persist the frozen snapshot next to the live tree (outside it, so
   // discovery and future releases never pick it up as an environment). A
   // later invocation can re-verify or re-regress it with plain
   // `advm run`.
   const std::string snapshot_dir =
-      request.dir + ".releases/" + result.release.name;
+      call.dir + ".releases/" + result.release.name;
   support::export_to_disk(session.vfs(), result.release.root, snapshot_dir);
 
   const bool frozen_green = result.frozen && result.frozen->all_passed();
@@ -244,15 +322,13 @@ VerbOutcome do_release(Session& session, const VerbRequest& request,
   return outcome;
 }
 
-VerbOutcome do_random(Session& session, const VerbRequest& request,
-                      const std::string& import_error) {
-  RandomRequest random = request.random;
-  random.root = kVfsRoot;
+VerbOutcome do_verb(Session& session, const RandomRequest& random,
+                    const Call& call) {
   RandomResult result = session.run(random);
   if (!result.status.ok()) {
-    return error_outcome(std::move(result), import_error);
+    return error_outcome(std::move(result), call.import_error);
   }
-  support::export_to_disk(session.vfs(), kVfsRoot, request.dir);
+  support::export_to_disk(session.vfs(), kVfsRoot, call.dir);
   VerbOutcome outcome;
   outcome.json = to_json(result);
   std::ostringstream text;
@@ -267,163 +343,89 @@ VerbOutcome do_random(Session& session, const VerbRequest& request,
 
 }  // namespace
 
-std::string to_json(const VerbRequest& request) {
-  std::ostringstream os;
-  os << "{\"verb\":" << quoted(request.verb) << ",\"dir\":"
-     << quoted(request.dir);
-  if (request.verb == "init") {
-    os << ",\"derivative\":" << quoted(request.build.derivative)
-       << ",\"tests\":" << request.build.tests_per_module;
-  } else if (request.verb == "run") {
-    os << ",\"derivative\":" << quoted(request.run.derivative)
-       << ",\"platform\":" << quoted(request.run.platform)
-       << ",\"max_instructions\":" << request.run.max_instructions;
-    // Only serialized when set: pre-gate golden request bytes must not
-    // change for gate-free runs.
-    if (request.lint_gate) os << ",\"lint\":true";
-  } else if (request.verb == "matrix") {
-    append_names(os, "derivatives", request.matrix.derivatives);
-    append_names(os, "platforms", request.matrix.platforms);
-    os << ",\"max_instructions\":" << request.matrix.max_instructions;
-    if (request.lint_gate) os << ",\"lint\":true";
-  } else if (request.verb == "port") {
-    os << ",\"to\":" << quoted(request.port.to);
-  } else if (request.verb == "check") {
-    os << ",\"derivative\":" << quoted(request.check.derivative);
-  } else if (request.verb == "lint") {
-    os << ",\"derivative\":" << quoted(request.lint.derivative);
-  } else if (request.verb == "release") {
-    os << ",\"name\":" << quoted(request.release.name) << ",\"derivative\":"
-       << quoted(request.release.derivative) << ",\"platform\":"
-       << quoted(request.release.platform)
-       << ",\"max_instructions\":" << request.release.max_instructions;
-  } else if (request.verb == "random") {
-    os << ",\"derivative\":" << quoted(request.random.derivative)
-       << ",\"seed\":" << request.random.seed;
+bool is_verb(std::string_view verb) {
+  for (std::string_view known : kVerbs) {
+    if (verb == known) return true;
   }
-  os << "}";
+  return false;
+}
+
+std::string request_payload(const VerbRequest& request) {
+  std::ostringstream os;
+  os << "{\"dir\":" << quoted(request.dir) << ",\"options\":{";
+  for (auto it = request.options.begin(); it != request.options.end(); ++it) {
+    if (it != request.options.begin()) os << ",";
+    os << quoted(it->first) << ":" << quoted(it->second);
+  }
+  os << "}}";
   return os.str();
 }
 
-std::optional<VerbRequest> parse_verb_request(std::string_view document,
-                                              std::string* error) {
+std::optional<VerbRequest> parse_request_payload(std::string_view verb,
+                                                 std::string_view payload,
+                                                 std::string* error) {
   const auto fail =
       [error](std::string message) -> std::optional<VerbRequest> {
     if (error != nullptr) *error = std::move(message);
     return std::nullopt;
   };
+  if (!is_verb(verb)) return fail("unknown verb '" + std::string(verb) + "'");
   std::string parse_error;
-  const auto doc = support::json::parse(document, &parse_error);
+  const auto doc = support::json::parse(payload, &parse_error);
   if (!doc || !doc->is_object()) {
     return fail("malformed verb request: " +
                 (parse_error.empty() ? "not an object" : parse_error));
   }
-  const auto read_string = [&doc](const char* key)
-      -> std::optional<std::string> {
-    const auto* value = doc->find(key);
-    return value ? value->as_string() : std::nullopt;
-  };
-  const auto read_uint = [&doc](const char* key)
-      -> std::optional<std::uint64_t> {
-    const auto* value = doc->find(key);
-    return value ? value->as_uint64() : std::nullopt;
-  };
-  const auto read_bool = [&doc](const char* key) -> std::optional<bool> {
-    const auto* value = doc->find(key);
-    return value ? value->as_bool() : std::nullopt;
-  };
-
+  const support::json::Value* dir = doc->find("dir");
+  if (dir == nullptr || !dir->is_string() || dir->string.empty()) {
+    return fail("verb request is missing a dir");
+  }
+  const support::json::Value* options = doc->find("options");
+  if (options == nullptr || !options->is_object()) {
+    return fail("verb request is missing its options");
+  }
   VerbRequest request;
-  const auto verb = read_string("verb");
-  if (!verb) return fail("verb request is missing a verb");
-  request.verb = *verb;
-  const auto dir = read_string("dir");
-  if (!dir || dir->empty()) return fail("verb request is missing a dir");
-  request.dir = *dir;
-
-  if (request.verb == "init") {
-    if (const auto v = read_string("derivative")) {
-      request.build.derivative = *v;
+  request.verb = std::string(verb);
+  request.dir = dir->string;
+  for (const auto& [name, value] : options->members) {
+    if (!value.is_string()) {
+      return fail("option '" + name + "' is not a string");
     }
-    if (const auto v = read_uint("tests")) {
-      request.build.tests_per_module = static_cast<std::size_t>(*v);
-    }
-  } else if (request.verb == "run") {
-    if (const auto v = read_string("derivative")) {
-      request.run.derivative = *v;
-    }
-    if (const auto v = read_string("platform")) request.run.platform = *v;
-    if (const auto v = read_uint("max_instructions")) {
-      request.run.max_instructions = *v;
-    }
-    if (const auto v = read_bool("lint")) request.lint_gate = *v;
-  } else if (request.verb == "matrix") {
-    const auto read_names = [&doc](const char* key,
-                                   std::vector<std::string>* out) {
-      const auto* value = doc->find(key);
-      if (value == nullptr || !value->is_array()) return;
-      out->clear();
-      for (const auto& item : value->items) {
-        if (const auto name = item.as_string()) out->push_back(*name);
-      }
-    };
-    read_names("derivatives", &request.matrix.derivatives);
-    read_names("platforms", &request.matrix.platforms);
-    if (const auto v = read_uint("max_instructions")) {
-      request.matrix.max_instructions = *v;
-    }
-    if (const auto v = read_bool("lint")) request.lint_gate = *v;
-  } else if (request.verb == "port") {
-    if (const auto v = read_string("to")) request.port.to = *v;
-  } else if (request.verb == "check") {
-    if (const auto v = read_string("derivative")) {
-      request.check.derivative = *v;
-    }
-  } else if (request.verb == "lint") {
-    if (const auto v = read_string("derivative")) {
-      request.lint.derivative = *v;
-    }
-  } else if (request.verb == "release") {
-    if (const auto v = read_string("name")) request.release.name = *v;
-    if (const auto v = read_string("derivative")) {
-      request.release.derivative = *v;
-    }
-    if (const auto v = read_string("platform")) {
-      request.release.platform = *v;
-    }
-    if (const auto v = read_uint("max_instructions")) {
-      request.release.max_instructions = *v;
-    }
-  } else if (request.verb == "random") {
-    if (const auto v = read_string("derivative")) {
-      request.random.derivative = *v;
-    }
-    if (const auto v = read_uint("seed")) request.random.seed = *v;
-  } else {
-    return fail("unknown verb '" + request.verb + "'");
+    request.options.insert_or_assign(name, value.string);
   }
   return request;
 }
 
+Status session_config(const Options& options, SessionConfig* config) {
+  if (Status status =
+          parse_count(options, "jobs", "advm.bad-jobs", &config->jobs);
+      !status.ok()) {
+    return status;
+  }
+  read_flag(options, "cache-dir", &config->cache_dir);
+  return config->validate();
+}
+
 VerbOutcome execute_verb(Session& session, const VerbRequest& request,
                          const std::string& import_error) {
+  TypedVerb typed;
+  if (Status status = build_typed(request, &typed); !status.ok()) {
+    return status_outcome(request.verb, status);
+  }
+  // Checked like a local run's, whichever process this is; the session
+  // already runs with its own jobs and cache directory.
+  SessionConfig flags;
+  if (Status status = session_config(request.options, &flags);
+      !status.ok()) {
+    return status_outcome(request.verb, status);
+  }
+  const Call call{request.dir, import_error, typed.lint_gate};
   try {
-    if (request.verb == "init") return do_init(session, request);
-    if (request.verb == "run") return do_run(session, request, import_error);
-    if (request.verb == "matrix") {
-      return do_matrix(session, request, import_error);
-    }
-    if (request.verb == "port") return do_port(session, request, import_error);
-    if (request.verb == "check") {
-      return do_check(session, request, import_error);
-    }
-    if (request.verb == "lint") return do_lint(session, request, import_error);
-    if (request.verb == "release") {
-      return do_release(session, request, import_error);
-    }
-    if (request.verb == "random") {
-      return do_random(session, request, import_error);
-    }
+    return std::visit(
+        [&](const auto& typed_request) {
+          return do_verb(session, typed_request, call);
+        },
+        typed.request);
   } catch (const std::exception& e) {
     // Disk side effects (export/import) throw; surface them through the
     // shared error contract instead of unwinding into the caller's serve
@@ -431,10 +433,6 @@ VerbOutcome execute_verb(Session& session, const VerbRequest& request,
     return status_outcome(request.verb,
                           Status::error("advm.export-failed", e.what()));
   }
-  return status_outcome(
-      request.verb,
-      Status::error("advm.serve-bad-request",
-                    "unknown verb '" + request.verb + "'"));
 }
 
 }  // namespace advm::core::serve

@@ -1,20 +1,22 @@
-// serve::VerbRequest / execute_verb — the attach surface of the CLI.
+// serve::VerbRequest / execute_verb — the one request path of the CLI.
 //
-// Every CLI verb reduces to the same shape: a typed Session request
-// built from flags, a disk directory the tree lives in, and a rendering
-// of the typed result (the --format json document, the human text, an
-// exit code). A VerbRequest captures exactly that shape in one
-// serializable struct, and execute_verb runs it against a Session —
-// import side effects, export side effects, text rendering, exit-code
-// policy and all.
+// Every CLI verb is the same data: the verb name, the disk directory its
+// tree lives in, and the CLI's parsed flag map. execute_verb is the one
+// place those flag names turn into a typed Session request — numeric
+// values (--tests, --seed, --jobs) are checked strictly there — and it
+// runs that request against a Session: import side effects, export side
+// effects, text rendering, exit-code policy and all.
 //
-// Parity by construction: the local CLI path and the daemon both call
-// execute_verb, so an attached `advm matrix` cannot drift from a local
-// one — they are the same code, fed the same request, on a tree under the
-// same VFS root, differing only in which process owns the Session.
+// Parity by construction: the local CLI and the daemon both hand the same
+// flag map to execute_verb, so an attached `advm matrix` cannot drift from
+// a local one — same code, same flags, a tree under the same VFS root,
+// differing only in which process owns the Session. An attached --jobs or
+// --cache-dir is checked exactly as a local one; the daemon then runs with
+// its own values.
 #pragma once
 
-#include <cstdint>
+#include <cstdlib>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -23,35 +25,58 @@
 
 namespace advm::core::serve {
 
-/// One CLI verb as data: the verb name, the absolute disk directory it
-/// targets, and the typed request the flags produced. Only the verb's
-/// own member is meaningful; the rest stay default-constructed. The
-/// requests' `root` fields are overwritten by execute_verb with the VFS
-/// root the executing session actually uses, so they do not marshal.
+/// The CLI's parsed flags: name (without the leading dashes) → value; a
+/// boolean flag maps to "1".
+using Options = std::map<std::string, std::string>;
+
+/// One CLI verb as data.
 struct VerbRequest {
   std::string verb;  ///< init|run|matrix|port|check|lint|release|random
-  std::string dir;   ///< absolute disk path of the environment tree
-  BuildRequest build;
-  RunRequest run;
-  MatrixRequest matrix;
-  PortRequest port;
-  CheckRequest check;
-  LintRequest lint;
-  ReleaseRequest release;
-  RandomRequest random;
-  /// run/matrix only: lint the tree first and refuse to execute when any
-  /// finding surfaces (the CLI's --lint pre-run gate).
-  bool lint_gate = false;
+  std::string dir;   ///< disk path of the environment tree
+  Options options;   ///< every flag on the command line
 };
 
-/// Single-line JSON document for the frame payload
-/// ({"verb":...,"dir":...,<verb fields>}).
-[[nodiscard]] std::string to_json(const VerbRequest& request);
+/// Whether execute_verb knows `verb`.
+[[nodiscard]] bool is_verb(std::string_view verb);
 
-/// Inverse of to_json. nullopt (diagnostic in *error when non-null) on
-/// malformed JSON, an unknown verb, or a missing dir.
-[[nodiscard]] std::optional<VerbRequest> parse_verb_request(
-    std::string_view document, std::string* error = nullptr);
+/// The request frame payload, one line:
+/// {"dir":"<dir>","options":{"<flag>":"<value>",...}}. The verb travels
+/// only in the frame header.
+[[nodiscard]] std::string request_payload(const VerbRequest& request);
+
+/// Inverse of request_payload for a frame whose header names `verb`.
+/// nullopt (diagnostic in *error when non-null) on malformed JSON, a
+/// missing dir or options object, a non-string option, or an unknown verb.
+[[nodiscard]] std::optional<VerbRequest> parse_request_payload(
+    std::string_view verb, std::string_view payload,
+    std::string* error = nullptr);
+
+/// Reads the numeric flag `key` strictly: digits only. strtoul would
+/// silently accept "-1" (wrapping to the maximum — for --jobs, fanning out
+/// the whole machine) and read "abc" as 0, so negative and non-numeric
+/// values come back as a typed Status with `code`. An absent flag leaves
+/// *out untouched. Range limits are the Session's job.
+template <typename Count>
+[[nodiscard]] Status parse_count(const Options& options, const char* key,
+                                 const char* code, Count* out) {
+  const auto it = options.find(key);
+  if (it == options.end()) return {};
+  const std::string& value = it->second;
+  // 20 digits cannot fit in 64 bits: reject before strtoull saturates.
+  if (value.empty() || value.size() > 19 ||
+      value.find_first_not_of("0123456789") != std::string::npos) {
+    return Status::error(code, std::string("invalid --") + key + " value '" +
+                                   value +
+                                   "' (expected a non-negative number)");
+  }
+  *out = static_cast<Count>(std::strtoull(value.c_str(), nullptr, 10));
+  return {};
+}
+
+/// Fills the shared execution flags (--jobs, --cache-dir) into `config`
+/// and validates it. Typed Status on a malformed or out-of-range value.
+[[nodiscard]] Status session_config(const Options& options,
+                                    SessionConfig* config);
 
 /// The VFS root every verb's tree lives under, in the local CLI and in
 /// the daemon alike. One root is what makes every path a verb prints —
@@ -69,13 +94,15 @@ struct VerbOutcome {
   std::string text;
 };
 
-/// Executes one verb on `session` exactly as the local CLI would:
-/// validates via the typed Session API, applies the verb's disk side
+/// Executes one verb on `session` exactly as the local CLI would: builds
+/// the typed request from the flags, checks --jobs/--cache-dir with
+/// session_config (the session's own config is what runs), validates via
+/// the typed Session API, applies the verb's disk side
 /// effects (init/port/random export the tree to request.dir, release
 /// exports the snapshot next to it), and renders both output formats.
 /// The tree must already be imported under kVfsRoot for verbs that read
 /// one; a failed import is passed via `import_error` so root-validation
-/// failures report the disk-level message (the make_session contract).
+/// failures report the disk-level message.
 [[nodiscard]] VerbOutcome execute_verb(Session& session,
                                        const VerbRequest& request,
                                        const std::string& import_error = {});

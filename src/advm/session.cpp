@@ -47,12 +47,50 @@ Status bad_root(std::string_view root) {
                            kTestplanFile + ")");
 }
 
-const soc::DerivativeSpec* find_spec(std::string_view name) {
-  return soc::find_derivative(std::string(name));
-}
+/// What the validation preamble resolved: the first failure (if any),
+/// and the spec and platform of every name it checked, in request order.
+struct Checked {
+  Status status;
+  std::vector<const soc::DerivativeSpec*> specs;
+  std::vector<sim::PlatformKind> platforms;
+};
 
-std::optional<sim::PlatformKind> find_platform(std::string_view name) {
-  return sim::platform_from_name(name);
+/// The one validation preamble every verb runs. It checks, in this order
+/// and stopping at the first failure: the session config, each derivative
+/// name, each platform name, the verb's own check (`verb_check`, computed
+/// by the caller), and — when `tree` is set — that the tree holds at least
+/// one environment.
+Checked check_request(const SessionConfig& config,
+                      const support::VirtualFileSystem& vfs,
+                      const std::vector<std::string>& derivatives,
+                      const std::vector<std::string>& platforms,
+                      Status verb_check,
+                      std::optional<std::string_view> tree) {
+  Checked checked;
+  checked.status = config.validate();
+  if (!checked.status.ok()) return checked;
+  for (const std::string& name : derivatives) {
+    const soc::DerivativeSpec* spec = soc::find_derivative(name);
+    if (spec == nullptr) {
+      checked.status = unknown_derivative(name);
+      return checked;
+    }
+    checked.specs.push_back(spec);
+  }
+  for (const std::string& name : platforms) {
+    const auto platform = sim::platform_from_name(name);
+    if (!platform) {
+      checked.status = unknown_platform(name);
+      return checked;
+    }
+    checked.platforms.push_back(*platform);
+  }
+  checked.status = std::move(verb_check);
+  if (checked.status.ok() && tree &&
+      discover_environments(vfs, *tree).empty()) {
+    checked.status = bad_root(*tree);
+  }
+  return checked;
 }
 
 }  // namespace
@@ -86,28 +124,24 @@ SystemLayout layout_from_tree(const support::VirtualFileSystem& vfs,
 
 BuildResult Session::run(const BuildRequest& request) {
   BuildResult result;
-  result.status = config_.validate();
-  if (!result.status.ok()) return result;
-  const soc::DerivativeSpec* spec = find_spec(request.derivative);
-  if (spec == nullptr) {
-    result.status = unknown_derivative(request.derivative);
-    return result;
-  }
+  Status verb_check;
   if (request.root.empty() || request.root == "/") {
-    result.status = Status::error("advm.bad-root",
-                                  "build root must name a directory");
-    return result;
-  }
-  if (request.tests_per_module > BuildRequest::kMaxTestsPerModule) {
-    result.status = Status::error(
+    verb_check =
+        Status::error("advm.bad-root", "build root must name a directory");
+  } else if (request.tests_per_module > BuildRequest::kMaxTestsPerModule) {
+    verb_check = Status::error(
         "advm.bad-tests",
         "tests value " + std::to_string(request.tests_per_module) +
             " exceeds the limit " +
             std::to_string(BuildRequest::kMaxTestsPerModule));
-    return result;
   }
-
-  result.derivative = spec->name;
+  const Checked checked =
+      check_request(config_, vfs_, {request.derivative}, {},
+                    std::move(verb_check), std::nullopt);
+  result.status = checked.status;
+  if (!result.status.ok()) return result;
+  const soc::DerivativeSpec& spec = *checked.specs.front();
+  result.derivative = spec.name;
 
   SystemConfig config;
   config.root = request.root;
@@ -118,7 +152,7 @@ BuildResult Session::run(const BuildRequest& request) {
     config.environments = canonical_environments(request.tests_per_module);
   }
 
-  result.layout = build_system(vfs_, config, *spec, config_.jobs);
+  result.layout = build_system(vfs_, config, spec, config_.jobs);
   result.files = vfs_.list_tree(result.layout.root).size();
   for (const EnvironmentLayout& env : result.layout.environments) {
     result.tests += env.tests.size();
@@ -128,68 +162,39 @@ BuildResult Session::run(const BuildRequest& request) {
 
 RunResult Session::run(const RunRequest& request) {
   RunResult result;
-  result.status = config_.validate();
+  const Checked checked =
+      check_request(config_, vfs_, {request.derivative}, {request.platform},
+                    {}, request.root);
+  result.status = checked.status;
   if (!result.status.ok()) return result;
-  const soc::DerivativeSpec* spec = find_spec(request.derivative);
-  if (spec == nullptr) {
-    result.status = unknown_derivative(request.derivative);
-    return result;
-  }
-  const auto platform = find_platform(request.platform);
-  if (!platform) {
-    result.status = unknown_platform(request.platform);
-    return result;
-  }
-  if (discover_environments(vfs_, request.root).empty()) {
-    result.status = bad_root(request.root);
-    return result;
-  }
 
   RegressionRunner runner(context());
-  result.report = runner.run_system(request.root, *spec, *platform,
-                                    request.max_instructions);
+  result.report =
+      runner.run_system(request.root, *checked.specs.front(),
+                        checked.platforms.front(), request.max_instructions);
   return result;
 }
 
 MatrixResult Session::run(const MatrixRequest& request) {
   MatrixResult result;
-  result.status = config_.validate();
+  Status verb_check;
+  if (request.derivatives.empty() || request.platforms.empty()) {
+    verb_check = Status::error("advm.empty-matrix",
+                               "matrix needs at least one derivative and "
+                               "one platform");
+  }
+  const Checked checked =
+      check_request(config_, vfs_, request.derivatives, request.platforms,
+                    std::move(verb_check), request.root);
+  result.status = checked.status;
   if (!result.status.ok()) return result;
-  std::vector<const soc::DerivativeSpec*> specs;
-  for (const std::string& name : request.derivatives) {
-    const soc::DerivativeSpec* spec = find_spec(name);
-    if (spec == nullptr) {
-      result.status = unknown_derivative(name);
-      return result;
-    }
-    specs.push_back(spec);
-  }
-  std::vector<sim::PlatformKind> platforms;
-  for (const std::string& name : request.platforms) {
-    const auto platform = find_platform(name);
-    if (!platform) {
-      result.status = unknown_platform(name);
-      return result;
-    }
-    platforms.push_back(*platform);
-  }
-  if (specs.empty() || platforms.empty()) {
-    result.status = Status::error(
-        "advm.empty-matrix", "matrix needs at least one derivative and one "
-                             "platform");
-    return result;
-  }
-  if (discover_environments(vfs_, request.root).empty()) {
-    result.status = bad_root(request.root);
-    return result;
-  }
 
   // Derivative-major cube order: the report order every consumer (roll-up,
   // goldens, CI gates) relies on.
   std::vector<MatrixCell> cells;
-  cells.reserve(specs.size() * platforms.size());
-  for (const soc::DerivativeSpec* spec : specs) {
-    for (const sim::PlatformKind platform : platforms) {
+  cells.reserve(checked.specs.size() * checked.platforms.size());
+  for (const soc::DerivativeSpec* spec : checked.specs) {
+    for (const sim::PlatformKind platform : checked.platforms) {
       cells.push_back({spec, platform});
     }
   }
@@ -201,111 +206,79 @@ MatrixResult Session::run(const MatrixRequest& request) {
 
 PortResult Session::run(const PortRequest& request) {
   PortResult result;
-  const soc::DerivativeSpec* target = find_spec(request.to);
-  if (target == nullptr) {
-    result.status = unknown_derivative(request.to);
-    return result;
-  }
-  if (!vfs_.dir_exists(request.root)) {
-    result.status = bad_root(request.root);
-    return result;
-  }
-  result.target = target->name;
+  const Checked checked =
+      check_request(config_, vfs_, {request.to}, {}, {}, request.root);
+  result.status = checked.status;
+  if (!result.status.ok()) return result;
+  const soc::DerivativeSpec& target = *checked.specs.front();
+  result.target = target.name;
 
   const SystemLayout layout = layout_from_tree(vfs_, request.root);
   PortingEngine porter(context());
   result.repair =
-      porter.port(layout, *target, request.globals, request.base_functions);
+      porter.port(layout, target, request.globals, request.base_functions);
   return result;
 }
 
 CheckResult Session::run(const CheckRequest& request) {
   CheckResult result;
-  const soc::DerivativeSpec* spec = find_spec(request.derivative);
-  if (spec == nullptr) {
-    result.status = unknown_derivative(request.derivative);
-    return result;
-  }
-  if (!vfs_.dir_exists(request.root)) {
-    result.status = bad_root(request.root);
-    return result;
-  }
+  const Checked checked = check_request(config_, vfs_, {request.derivative},
+                                        {}, {}, request.root);
+  result.status = checked.status;
+  if (!result.status.ok()) return result;
 
   ViolationChecker checker(context());
-  result.report = checker.check_system(request.root, *spec);
+  result.report = checker.check_system(request.root, *checked.specs.front());
   return result;
 }
 
 LintResult Session::run(const LintRequest& request) {
   LintResult result;
-  result.status = config_.validate();
+  const Checked checked = check_request(config_, vfs_, {request.derivative},
+                                        {}, {}, request.root);
+  result.status = checked.status;
   if (!result.status.ok()) return result;
-  const soc::DerivativeSpec* spec = find_spec(request.derivative);
-  if (spec == nullptr) {
-    result.status = unknown_derivative(request.derivative);
-    return result;
-  }
-  if (!vfs_.dir_exists(request.root)) {
-    result.status = bad_root(request.root);
-    return result;
-  }
 
   Linter linter(context());
-  result.report = linter.lint_system(request.root, *spec);
+  result.report = linter.lint_system(request.root, *checked.specs.front());
   return result;
 }
 
 ReleaseResult Session::run(const ReleaseRequest& request) {
   ReleaseResult result;
-  result.status = config_.validate();
-  if (!result.status.ok()) return result;
-  const soc::DerivativeSpec* spec = find_spec(request.derivative);
-  if (spec == nullptr) {
-    result.status = unknown_derivative(request.derivative);
-    return result;
-  }
-  const auto platform = find_platform(request.platform);
-  if (!platform) {
-    result.status = unknown_platform(request.platform);
-    return result;
-  }
+  Status verb_check;
   if (request.name.empty()) {
-    result.status =
-        Status::error("advm.bad-release-name", "release name must not be "
-                                               "empty");
-    return result;
+    verb_check = Status::error("advm.bad-release-name",
+                               "release name must not be empty");
   }
-  if (discover_environments(vfs_, request.root).empty()) {
-    result.status = bad_root(request.root);
-    return result;
-  }
+  const Checked checked =
+      check_request(config_, vfs_, {request.derivative}, {request.platform},
+                    std::move(verb_check), request.root);
+  result.status = checked.status;
+  if (!result.status.ok()) return result;
 
   const SystemLayout layout = layout_from_tree(vfs_, request.root);
   ReleaseManager manager(context(), config_.release_root);
   result.release = manager.create_system_release(request.name, layout);
   result.verified = manager.verify(result.release);
   if (request.regress) {
-    result.frozen = manager.run_frozen(result.release, *spec, *platform,
-                                       request.max_instructions);
+    result.frozen =
+        manager.run_frozen(result.release, *checked.specs.front(),
+                           checked.platforms.front(), request.max_instructions);
   }
   return result;
 }
 
 RandomResult Session::run(const RandomRequest& request) {
   RandomResult result;
-  const soc::DerivativeSpec* spec = find_spec(request.derivative);
-  if (spec == nullptr) {
-    result.status = unknown_derivative(request.derivative);
-    return result;
-  }
-  if (!vfs_.dir_exists(request.root)) {
-    result.status = bad_root(request.root);
-    return result;
-  }
+  const Checked checked = check_request(config_, vfs_, {request.derivative},
+                                        {}, {}, request.root);
+  result.status = checked.status;
+  if (!result.status.ok()) return result;
+  const soc::DerivativeSpec& spec = *checked.specs.front();
 
   result.seed = request.seed;
-  result.values =
-      randomize_defines(default_constraints(*spec), request.seed);
+  result.values = randomize_defines(default_constraints(spec), request.seed);
   GlobalsOptions options;
   options.overrides = result.values;
   for (const std::string& env_dir :
@@ -313,7 +286,7 @@ RandomResult Session::run(const RandomRequest& request) {
     const std::string abstraction = join_path(env_dir, kAbstractionLayerDir);
     if (!vfs_.dir_exists(abstraction)) continue;
     vfs_.write(join_path(abstraction, kGlobalsFile),
-               generate_globals(*spec, options));
+               generate_globals(spec, options));
     ++result.regenerated;
   }
   return result;

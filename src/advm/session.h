@@ -17,8 +17,11 @@
 //   RandomRequest  → RandomResult    randomized Globals.inc regeneration
 //
 // Callers construct a request struct and call `session.run(request)`;
-// validation (unknown derivative/platform, bad root) comes back as a typed
-// Status instead of subsystem wiring errors. Every operation in one process
+// validation comes back as a typed Status instead of subsystem wiring
+// errors. Every verb validates through one preamble, in one order: the
+// session config, the derivative(s), the platform(s), the verb's own
+// check, then that the tree holds at least one environment (init, which
+// creates the tree, skips the last). Every operation in one process
 // shares one cache and one board pool *by construction*.
 //
 // Every result serializes to stable JSON through src/advm/report.h, which
@@ -212,9 +215,8 @@ struct SessionConfig {
   /// --jobs silently fanning out the whole machine).
   static constexpr std::size_t kMaxJobs = 1'000'000;
 
-  /// Pool-size sanity, applied by every verb that fans work out: an
-  /// absurd value fails as a typed Status, never fans out across the
-  /// machine.
+  /// Pool-size sanity, applied by every verb: an absurd value fails as a
+  /// typed Status, never fans out across the machine.
   [[nodiscard]] Status validate() const;
 };
 

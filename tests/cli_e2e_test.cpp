@@ -334,7 +334,8 @@ TEST_F(CliE2E, BadTestsAndSeedValuesAreTypedLocallyAndAttached) {
   const std::string fresh = (scratch_ / "fresh_env").string();
 
   // Each used to slip past strtoul: a wrapped or zero count, a bare
-  // std::bad_alloc, or a silently substituted seed.
+  // std::bad_alloc, or a silently substituted seed. An attached --jobs
+  // was not checked at all.
   struct Case {
     std::string args;
     std::string verb;
@@ -347,6 +348,8 @@ TEST_F(CliE2E, BadTestsAndSeedValuesAreTypedLocallyAndAttached) {
       {"init \"" + fresh + "\" --tests abc", "init", "advm.bad-tests"},
       {"random \"" + env_dir_ + "\" --seed xyz", "random", "advm.bad-seed"},
       {"random \"" + env_dir_ + "\" --seed -3", "random", "advm.bad-seed"},
+      {"run \"" + env_dir_ + "\" --jobs abc", "run", "advm.bad-jobs"},
+      {"run \"" + env_dir_ + "\" --jobs -1", "run", "advm.bad-jobs"},
   };
   for (const Case& c : cases) {
     const auto local = run_cli(c.args);

@@ -231,57 +231,36 @@ TEST(ServeFrame, MalformedHeaderIsRejectedWithDiagnostic) {
   EXPECT_FALSE(serve::decode_frame_header("{\"verb\":\"run\"}", &error));
 }
 
-TEST(ServeService, VerbRequestRoundTripsThroughJson) {
+TEST(ServeService, RequestPayloadRoundTripsTheFlagMap) {
   serve::VerbRequest request;
   request.verb = "matrix";
-  request.dir = "/some/dir with space";
-  request.matrix.derivatives = {"SC88-A", "SC88-D"};
-  request.matrix.platforms = {"golden-model", "hdl-rtl"};
-  request.matrix.max_instructions = 123456;
+  request.dir = "/some/dir with space/and \"quotes\"";
+  request.options = {{"derivatives", "SC88-A,SC88-D"},
+                     {"platforms", "golden-model,hdl-rtl"},
+                     {"name", "a,b \\ tab\there\nnewline \"q\""},
+                     {"lint", "1"}};
+  const std::string payload = serve::request_payload(request);
+  // One line, and the verb travels only in the frame header.
+  EXPECT_EQ(payload.find('\n'), std::string::npos) << payload;
+  EXPECT_EQ(payload.find("matrix"), std::string::npos) << payload;
   std::string error;
-  const auto parsed = serve::parse_verb_request(serve::to_json(request),
-                                                &error);
+  const auto parsed = serve::parse_request_payload("matrix", payload, &error);
   ASSERT_TRUE(parsed) << error;
   EXPECT_EQ(parsed->verb, "matrix");
   EXPECT_EQ(parsed->dir, request.dir);
-  EXPECT_EQ(parsed->matrix.derivatives, request.matrix.derivatives);
-  EXPECT_EQ(parsed->matrix.platforms, request.matrix.platforms);
-  EXPECT_EQ(parsed->matrix.max_instructions, 123456u);
+  EXPECT_EQ(parsed->options, request.options);
+  EXPECT_EQ(parsed->options.at("lint"), "1");
 
-  EXPECT_FALSE(serve::parse_verb_request("{\"verb\":\"nope\",\"dir\":\"/x\"}",
-                                         &error));
-  EXPECT_FALSE(serve::parse_verb_request("{\"verb\":\"run\"}", &error));
-}
-
-TEST(ServeService, LintVerbAndGateRoundTripThroughJson) {
-  serve::VerbRequest request;
-  request.verb = "lint";
-  request.dir = "/some/dir";
-  request.lint.derivative = "SC88-C";
-  std::string error;
-  auto parsed = serve::parse_verb_request(serve::to_json(request), &error);
-  ASSERT_TRUE(parsed) << error;
-  EXPECT_EQ(parsed->verb, "lint");
-  EXPECT_EQ(parsed->lint.derivative, "SC88-C");
-  EXPECT_FALSE(parsed->lint_gate);
-
-  // The --lint pre-run gate marshals on run and matrix…
-  for (const char* verb : {"run", "matrix"}) {
-    serve::VerbRequest gated;
-    gated.verb = verb;
-    gated.dir = "/some/dir";
-    gated.lint_gate = true;
-    parsed = serve::parse_verb_request(serve::to_json(gated), &error);
-    ASSERT_TRUE(parsed) << error;
-    EXPECT_TRUE(parsed->lint_gate) << verb;
-  }
-
-  // …and a gate-free request serializes without the key at all, so the
-  // request documents of pre-gate clients are byte-identical.
-  serve::VerbRequest plain;
-  plain.verb = "run";
-  plain.dir = "/some/dir";
-  EXPECT_EQ(serve::to_json(plain).find("\"lint\""), std::string::npos);
+  error.clear();
+  EXPECT_FALSE(serve::parse_request_payload("run", "{\"dir\":", &error));
+  EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(
+      serve::parse_request_payload("run", "{\"options\":{}}", &error));
+  EXPECT_NE(error.find("missing a dir"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(serve::parse_request_payload("nope", payload, &error));
+  EXPECT_NE(error.find("unknown verb 'nope'"), std::string::npos) << error;
 }
 
 // ------------------------------------------------------------ e2e: parity --
@@ -516,12 +495,12 @@ TEST_F(ServeE2E, ClientVanishingMidRequestLeavesDaemonHealthy) {
     serve::VerbRequest request;
     request.verb = "matrix";
     request.dir = env_dir_;
-    request.matrix.derivatives = {"SC88-A", "SC88-B"};
-    request.matrix.platforms = {"golden-model"};
+    request.options = {{"derivatives", "SC88-A,SC88-B"},
+                       {"platforms", "golden-model"}};
     serve::Frame frame;
     frame.id = 7;
     frame.verb = "matrix";
-    frame.payload = serve::to_json(request);
+    frame.payload = serve::request_payload(request);
     ASSERT_TRUE(serve::write_all_fd(fd, serve::encode_frame(frame)));
     ::close(fd);
   }

@@ -104,6 +104,22 @@ TEST(SessionValidation, BadRootIsATypedError) {
 
   RandomRequest random_request;
   EXPECT_EQ(session.run(random_request).status.code, "advm.bad-root");
+
+  LintRequest lint_request;
+  EXPECT_EQ(session.run(lint_request).status.code, "advm.bad-root");
+
+  // A tree that exists but holds no environment is refused by every verb
+  // alike, and a refused port writes nothing.
+  session.vfs().write("/SYS/docs/README", "notes\n");
+  EXPECT_EQ(session.run(run_request).status.code, "advm.bad-root");
+  EXPECT_EQ(session.run(matrix_request).status.code, "advm.bad-root");
+  EXPECT_EQ(session.run(check_request).status.code, "advm.bad-root");
+  EXPECT_EQ(session.run(lint_request).status.code, "advm.bad-root");
+  EXPECT_EQ(session.run(port_request).status.code, "advm.bad-root");
+  EXPECT_EQ(session.run(release_request).status.code, "advm.bad-root");
+  EXPECT_EQ(session.run(random_request).status.code, "advm.bad-root");
+  EXPECT_EQ(session.vfs().list_tree("/SYS"),
+            std::vector<std::string>{"/SYS/docs/README"});
 }
 
 TEST(SessionValidation, MatrixValidatesEveryAxisName) {
@@ -139,6 +155,12 @@ TEST(SessionValidation, JobLimitIsATypedError) {
     EXPECT_EQ(session.run(MatrixRequest{}).status.code, "advm.bad-jobs");
     EXPECT_EQ(session.run(BuildRequest{}).status.code, "advm.bad-jobs");
     EXPECT_EQ(session.run(ReleaseRequest{}).status.code, "advm.bad-jobs");
+    EXPECT_EQ(session.run(CheckRequest{}).status.code, "advm.bad-jobs");
+    PortRequest port;
+    port.to = "SC88-C";
+    EXPECT_EQ(session.run(port).status.code, "advm.bad-jobs");
+    EXPECT_EQ(session.run(RandomRequest{}).status.code, "advm.bad-jobs");
+    EXPECT_EQ(session.run(LintRequest{}).status.code, "advm.bad-jobs");
   }
   // jobs = 0 stays legal: it means one worker per hardware thread.
   {

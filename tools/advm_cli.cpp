@@ -31,18 +31,21 @@
 //                                                        --stats / --stop
 //                                                        control a live one
 //
-// Every verb is the same thin adapter: parse arguments into a typed
-// request, run it on one advm::Session (which owns the VFS, object cache,
-// board pool and thread-pool size), render the typed result. `--format
-// json` (any verb) renders the result as the stable machine-readable
-// document from src/advm/report.h instead of the human text. Flags come
-// from one table (kFlags); an unknown flag is a typed advm.bad-option.
+// Every verb is the same thin adapter: parse the command line into a flag
+// map, hand the verb, its directory and that map to serve::execute_verb
+// (src/advm/serve/service.h) — the one place flag names become a typed
+// request — on one advm::Session (which owns the VFS, object cache, board
+// pool and thread-pool size), and print the rendered result. `--format
+// json` (any verb) prints the stable machine-readable document from
+// src/advm/report.h instead of the human text. Flags come from one table
+// (kFlags); an unknown flag is a typed advm.bad-option.
 //
 // `--cache-dir` points the content-addressed object cache at a persistent
 // directory that consecutive invocations share. `--attach <socket>` (or
-// ADVM_SOCKET) ships any verb to a resident `advm serve` daemon instead —
-// same flags, same documents, same exit codes, but a warm shared Session
-// on the far side.
+// ADVM_SOCKET) ships the same verb, directory and flag map to a resident
+// `advm serve` daemon instead — same checks, same documents, same exit
+// codes, but a warm shared Session (with the daemon's own --jobs and
+// --cache-dir) on the far side.
 //
 // Environments are imported from disk into the session's VFS, transformed,
 // and written back — so `port` literally edits only the abstraction layer
@@ -50,8 +53,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -62,7 +63,6 @@
 #include "advm/serve/service.h"
 #include "advm/session.h"
 #include "support/disk.h"
-#include "support/text.h"
 
 namespace {
 
@@ -96,7 +96,7 @@ const FlagSpec* find_flag(std::string_view name) {
 struct Args {
   std::string command;
   std::string dir;
-  std::map<std::string, std::string> options;
+  serve::Options options;
   bool json = false;
   /// First unknown flag or missing flag value (advm.bad-option); the rest
   /// of the line is still parsed so --format json shapes the error.
@@ -142,49 +142,6 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
-/// Parses a numeric option strictly: digits only. strtoul would silently
-/// accept "-1" (wrapping to ULONG_MAX — i.e. maximum fan-out, the exact
-/// accident to prevent) and read "abc" as 0, so negative and non-numeric
-/// values come back as a typed Status instead. Range validation (absurd
-/// jobs or tests) is the Session's job — numeric values pass through so
-/// the typed error has one home.
-template <typename Count>
-Status parse_count(const Args& args, const char* key, const char* code,
-                   Count* out) {
-  auto it = args.options.find(key);
-  if (it == args.options.end()) return {};
-  const std::string& value = it->second;
-  const bool all_digits =
-      !value.empty() &&
-      value.find_first_not_of("0123456789") == std::string::npos;
-  // 20 digits cannot fit in 64 bits: reject before strtoul saturates.
-  if (!all_digits || value.size() > 19) {
-    return Status::error(std::string(code),
-                         std::string("invalid --") + key + " value '" +
-                             value + "' (expected a non-negative number)");
-  }
-  *out = static_cast<Count>(std::strtoull(value.c_str(), nullptr, 10));
-  return {};
-}
-
-std::string option_or(const Args& args, const char* key,
-                      const char* fallback) {
-  auto it = args.options.find(key);
-  return it == args.options.end() ? fallback : it->second;
-}
-
-/// SessionConfig from the shared execution flags (--jobs, --cache-dir).
-/// Typed Status on malformed values.
-Status config_from_args(const Args& args, SessionConfig* config) {
-  if (Status status = parse_count(args, "jobs", "advm.bad-jobs",
-                                  &config->jobs);
-      !status.ok()) {
-    return status;
-  }
-  config->cache_dir = option_or(args, "cache-dir", "");
-  return {};
-}
-
 /// Renders a pre-request failure (bad flag or value) through the same
 /// contract request validation uses: JSON error document on stdout in
 /// --format json mode, bare message on stderr otherwise, exit code 2.
@@ -195,81 +152,6 @@ int render_status(const Args& args, const char* verb, const Status& status) {
     std::cerr << status.message << "\n";
   }
   return 2;
-}
-
-/// Builds a Session from the shared execution flags, with the tree at
-/// `args.dir` imported under kVfsRoot. Null after a diagnostic on a bad
-/// flag value. An unreadable disk tree is *not* fatal here: the failure is
-/// stashed in `import_error` so that request validation (unknown
-/// derivative/platform) still gets to report first — the session then
-/// fails root validation and the verb substitutes the disk-level message.
-std::unique_ptr<Session> make_session(const Args& args, const char* verb,
-                                      std::string* import_error,
-                                      bool import = true) {
-  SessionConfig config;
-  if (Status status = config_from_args(args, &config); !status.ok()) {
-    render_status(args, verb, status);
-    return nullptr;
-  }
-  auto session = std::make_unique<Session>(std::move(config));
-  if (import) {
-    try {
-      support::import_from_disk(session->vfs(), args.dir, kVfsRoot);
-    } catch (const std::exception& e) {
-      if (import_error) *import_error = e.what();
-    }
-  }
-  return session;
-}
-
-/// Builds the verb's typed request from its flags — the one place CLI
-/// flag names map onto serve::VerbRequest fields, shared verbatim by the
-/// local and attached paths (parity by construction: both feed the same
-/// request to serve::execute_verb, one directly and one over the socket).
-/// Typed Status on a malformed numeric value.
-Status build_verb_request(const Args& args, const std::string& verb,
-                          serve::VerbRequest* out) {
-  serve::VerbRequest& request = *out;
-  request.verb = verb;
-  request.dir = args.dir;
-  if (verb == "init") {
-    request.build.derivative = option_or(args, "derivative", "SC88-A");
-    if (Status status = parse_count(args, "tests", "advm.bad-tests",
-                                    &request.build.tests_per_module);
-        !status.ok()) {
-      return status;
-    }
-  } else if (verb == "run") {
-    request.run.derivative = option_or(args, "derivative", "SC88-A");
-    request.run.platform = option_or(args, "platform", "golden-model");
-    request.lint_gate = args.options.count("lint") != 0;
-  } else if (verb == "matrix") {
-    const std::string derivatives = option_or(args, "derivatives", "SC88-A");
-    const std::string platforms = option_or(args, "platforms", "golden-model");
-    request.matrix.derivatives.clear();
-    for (std::string_view name : support::split(derivatives, ',')) {
-      request.matrix.derivatives.emplace_back(name);
-    }
-    request.matrix.platforms.clear();
-    for (std::string_view name : support::split(platforms, ',')) {
-      request.matrix.platforms.emplace_back(name);
-    }
-    request.lint_gate = args.options.count("lint") != 0;
-  } else if (verb == "port") {
-    request.port.to = option_or(args, "to", "");
-  } else if (verb == "check") {
-    request.check.derivative = option_or(args, "derivative", "SC88-A");
-  } else if (verb == "lint") {
-    request.lint.derivative = option_or(args, "derivative", "SC88-A");
-  } else if (verb == "release") {
-    request.release.name = option_or(args, "name", "R1");
-    request.release.derivative = option_or(args, "derivative", "SC88-A");
-    request.release.platform = option_or(args, "platform", "golden-model");
-  } else if (verb == "random") {
-    request.random.derivative = option_or(args, "derivative", "SC88-A");
-    return parse_count(args, "seed", "advm.bad-seed", &request.random.seed);
-  }
-  return {};
 }
 
 /// The shared output contract: JSON document on stdout in --format json
@@ -296,15 +178,14 @@ std::string attach_socket(const Args& args) {
   return "";
 }
 
-/// Runs a verb against the resident daemon: marshal the typed request
-/// over the socket, print the returned documents exactly as a local run
-/// would (the payload IS the local JSON, byte for byte), exit with the
-/// daemon-computed code.
+/// Runs a verb against the resident daemon: ship the verb, the tree's
+/// directory and the flag map over the socket, print the returned
+/// documents exactly as a local run would (the payload IS the local JSON,
+/// byte for byte), exit with the daemon-computed code.
 int run_attached(const Args& args, const std::string& socket,
                  serve::VerbRequest request) {
   // The daemon's working directory is not the client's: ship an absolute,
-  // normalized path so both sides (and the daemon's per-dir VFS roots)
-  // agree on which tree this is.
+  // normalized path so both sides agree on which tree this is.
   std::error_code ec;
   const std::filesystem::path absolute =
       std::filesystem::absolute(request.dir, ec);
@@ -313,7 +194,7 @@ int run_attached(const Args& args, const std::string& socket,
   serve::Frame frame;
   frame.id = 1;
   frame.verb = request.verb;
-  frame.payload = serve::to_json(request);
+  frame.payload = serve::request_payload(request);
   serve::Frame response;
   if (Status status = serve::attach_roundtrip(socket, frame, &response);
       !status.ok()) {
@@ -322,24 +203,33 @@ int run_attached(const Args& args, const std::string& socket,
   return print_outcome(args, response.exit, response.payload, response.text);
 }
 
-/// Every verb, one adapter: build the typed request from flags, then
-/// either ship it to the daemon (--attach / ADVM_SOCKET) or execute it on
-/// a session in this process. Both paths render through print_outcome.
+/// Every verb, one adapter: ship the verb, its directory and its flags to
+/// the daemon (--attach / ADVM_SOCKET), or execute them on a session in
+/// this process. Either way serve::execute_verb turns the flags into the
+/// typed request, and the result renders through print_outcome.
 int cmd_verb(const Args& args, const char* verb) {
-  serve::VerbRequest request;
-  if (Status status = build_verb_request(args, verb, &request);
-      !status.ok()) {
-    return render_status(args, verb, status);
-  }
+  serve::VerbRequest request{verb, args.dir, args.options};
   const std::string socket = attach_socket(args);
   if (!socket.empty()) return run_attached(args, socket, std::move(request));
 
+  SessionConfig config;
+  if (!serve::session_config(args.options, &config).ok()) {
+    config = {};  // execute_verb reports the bad value, as it does attached
+  }
+  Session session(std::move(config));
+  // An unreadable tree is not fatal here: request validation (unknown
+  // derivative/platform) still reports first, then root validation fails
+  // and execute_verb substitutes this disk-level message.
   std::string import_error;
-  auto session = make_session(args, verb, &import_error,
-                              /*import=*/request.verb != "init");
-  if (!session) return 2;
+  if (request.verb != "init") {
+    try {
+      support::import_from_disk(session.vfs(), args.dir, kVfsRoot);
+    } catch (const std::exception& e) {
+      import_error = e.what();
+    }
+  }
   const serve::VerbOutcome outcome =
-      serve::execute_verb(*session, request, import_error);
+      serve::execute_verb(session, request, import_error);
   return print_outcome(args, outcome.exit, outcome.json, outcome.text);
 }
 
@@ -347,7 +237,9 @@ int cmd_verb(const Args& args, const char* verb) {
 /// --stats or --stop the command is a thin client instead: one control
 /// frame to the live daemon, its document printed like any verb.
 int cmd_serve(const Args& args) {
-  std::string socket = option_or(args, "socket", "");
+  auto socket_flag = args.options.find("socket");
+  std::string socket =
+      socket_flag == args.options.end() ? "" : socket_flag->second;
   if (socket.empty()) {
     if (const char* env = std::getenv("ADVM_SOCKET")) socket = env;
   }
@@ -374,13 +266,13 @@ int cmd_serve(const Args& args) {
 
   serve::DaemonConfig config;
   config.socket_path = socket;
-  if (Status status = config_from_args(args, &config.session);
+  if (Status status = serve::session_config(args.options, &config.session);
       !status.ok()) {
     return render_status(args, "serve", status);
   }
-  if (Status status = parse_count(args, "idle-timeout-ms",
-                                  "advm.bad-idle-timeout",
-                                  &config.idle_timeout_ms);
+  if (Status status = serve::parse_count(args.options, "idle-timeout-ms",
+                                         "advm.bad-idle-timeout",
+                                         &config.idle_timeout_ms);
       !status.ok()) {
     return render_status(args, "serve", status);
   }
@@ -421,19 +313,11 @@ int usage() {
   return 2;
 }
 
-bool is_verb(std::string_view command) {
-  for (std::string_view verb : {"init", "run", "matrix", "port", "check",
-                                "lint", "release", "random", "serve"}) {
-    if (command == verb) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args = parse_args(argc, argv);
-  if (!is_verb(args.command)) {
+  if (!serve::is_verb(args.command) && args.command != "serve") {
     if (!args.command.empty()) {
       std::cerr << "unknown verb '" << args.command << "'\n";
     }

@@ -237,7 +237,23 @@ for verb in run lint check; do
   cmp "build/serve-broken-local-$verb.json" \
     "build/serve-broken-attached-$verb.json"
 done
-echo "serve broken-tree parity ok: run, lint and check byte-identical"
+# Bad-flag parity: the daemon checks an attached --jobs exactly as a local
+# run does, so a malformed value is the same typed error document with the
+# same exit code.
+LOCAL_EXIT=0
+./build/tools/advm run build/serve-broken-env --jobs abc --format json \
+  > build/serve-badflag-local.json || LOCAL_EXIT=$?
+ATTACHED_EXIT=0
+./build/tools/advm run build/serve-broken-env --jobs abc --format json \
+  --attach build/serve.sock > build/serve-badflag-attached.json \
+  || ATTACHED_EXIT=$?
+cmp build/serve-badflag-local.json build/serve-badflag-attached.json
+if [[ "$LOCAL_EXIT" != "$ATTACHED_EXIT" ]]; then
+  echo "bad --jobs exits $LOCAL_EXIT locally but $ATTACHED_EXIT attached" >&2
+  exit 1
+fi
+echo "serve broken-tree parity ok: run, lint, check and a bad --jobs" \
+  "byte-identical"
 stop_daemon
 trap - EXIT
 
