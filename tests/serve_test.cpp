@@ -231,14 +231,13 @@ TEST(ServeFrame, MalformedHeaderIsRejectedWithDiagnostic) {
   EXPECT_FALSE(serve::decode_frame_header("{\"verb\":\"run\"}", &error));
 }
 
-TEST(ServeService, RequestPayloadRoundTripsTheFlagMap) {
+TEST(ServeService, VerbRequestRoundTripsThroughJson) {
   serve::VerbRequest request;
   request.verb = "matrix";
   request.dir = "/some/dir with space/and \"quotes\"";
   request.options = {{"derivatives", "SC88-A,SC88-D"},
                      {"platforms", "golden-model,hdl-rtl"},
-                     {"name", "a,b \\ tab\there\nnewline \"q\""},
-                     {"lint", "1"}};
+                     {"name", "a,b \\ tab\there\nnewline \"q\""}};
   const std::string payload = serve::request_payload(request);
   // One line, and the verb travels only in the frame header.
   EXPECT_EQ(payload.find('\n'), std::string::npos) << payload;
@@ -249,7 +248,6 @@ TEST(ServeService, RequestPayloadRoundTripsTheFlagMap) {
   EXPECT_EQ(parsed->verb, "matrix");
   EXPECT_EQ(parsed->dir, request.dir);
   EXPECT_EQ(parsed->options, request.options);
-  EXPECT_EQ(parsed->options.at("lint"), "1");
 
   error.clear();
   EXPECT_FALSE(serve::parse_request_payload("run", "{\"dir\":", &error));
@@ -261,6 +259,43 @@ TEST(ServeService, RequestPayloadRoundTripsTheFlagMap) {
   error.clear();
   EXPECT_FALSE(serve::parse_request_payload("nope", payload, &error));
   EXPECT_NE(error.find("unknown verb 'nope'"), std::string::npos) << error;
+}
+
+TEST(ServeService, LintVerbAndGateRoundTripThroughJson) {
+  serve::VerbRequest request;
+  request.verb = "lint";
+  request.dir = "/some/dir";
+  request.options = {{"derivative", "SC88-C"}};
+  std::string error;
+  auto parsed = serve::parse_request_payload(
+      "lint", serve::request_payload(request), &error);
+  ASSERT_TRUE(parsed) << error;
+  EXPECT_EQ(parsed->verb, "lint");
+  EXPECT_EQ(parsed->options, request.options);
+
+  // The boolean --lint pre-run gate travels as an ordinary flag on run and
+  // matrix…
+  for (const char* verb : {"run", "matrix"}) {
+    serve::VerbRequest gated;
+    gated.verb = verb;
+    gated.dir = "/some/dir";
+    gated.options = {{"lint", "1"}};
+    parsed = serve::parse_request_payload(
+        verb, serve::request_payload(gated), &error);
+    ASSERT_TRUE(parsed) << error;
+    EXPECT_EQ(parsed->options.at("lint"), "1") << verb;
+  }
+
+  // …and a gate-free request carries no "lint" key at all.
+  serve::VerbRequest plain;
+  plain.verb = "run";
+  plain.dir = "/some/dir";
+  EXPECT_EQ(serve::request_payload(plain).find("\"lint\""),
+            std::string::npos);
+  parsed = serve::parse_request_payload(
+      "run", serve::request_payload(plain), &error);
+  ASSERT_TRUE(parsed) << error;
+  EXPECT_EQ(parsed->options.count("lint"), 0u);
 }
 
 // ------------------------------------------------------------ e2e: parity --
