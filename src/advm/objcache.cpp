@@ -13,21 +13,7 @@ using assembler::Assembler;
 using assembler::AssemblerOptions;
 using assembler::IncludeEdge;
 using assembler::ObjectFile;
-
-std::uint64_t options_fingerprint(const AssemblerOptions& options) {
-  support::Fnv1a h;
-  h.update(std::uint64_t{options.include_dirs.size()});
-  for (const std::string& dir : options.include_dirs) h.update(dir);
-  h.update(std::uint64_t{options.predefines.size()});
-  for (const auto& [name, value] : options.predefines) {
-    h.update(name);
-    h.update(static_cast<std::uint64_t>(value));
-  }
-  h.update(std::uint64_t{options.emit_listing ? 1u : 0u});
-  h.update(std::uint64_t{options.max_include_depth});
-  h.update(std::uint64_t{options.max_macro_depth});
-  return h.digest();
-}
+using assembler::options_fingerprint;
 
 namespace {
 
@@ -159,7 +145,7 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
 
     if (!entry->valid) {
       support::DiagnosticEngine diags;
-      Assembler assembler(vfs, diags, options);
+      Assembler assembler(vfs, diags, options, &include_memo_);
       auto result = assembler.assemble_file(norm);
       if (result) {
         entry->object =

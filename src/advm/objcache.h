@@ -34,6 +34,14 @@
 // are surfaced in ObjectCacheStats. Entries currently being built or read
 // are never evicted.
 //
+// Include memo: the cache owns one assembler::IncludeMemo and hands it to
+// every assembly it runs, so a miss replays its module's Globals.inc (and
+// the register_defs.inc it includes) instead of re-processing them — see
+// src/asm/assembler.h for when an include is recorded and served. The memo
+// lives in memory only, starts empty in every process and stays out of
+// ObjectCacheStats: a memo hit is still an object-cache miss, so the
+// counters mean what they meant without it.
+//
 // Persistence: an optional on-disk tier (`disk_dir`, see
 // src/advm/objstore.h) makes entries outlive the process. A request that
 // misses in memory probes the disk entry under the same key and adopts it
@@ -88,11 +96,6 @@ struct CachedObject {
 
   [[nodiscard]] bool ok() const { return object != nullptr; }
 };
-
-/// FNV-1a fingerprint of everything in AssemblerOptions that can change an
-/// assembly's output (include path order, predefines, limits).
-[[nodiscard]] std::uint64_t options_fingerprint(
-    const assembler::AssemblerOptions& options);
 
 class ObjectCache {
  public:
@@ -155,6 +158,7 @@ class ObjectCache {
   std::map<std::uint64_t, std::shared_ptr<Entry>> entries_;
   std::uint64_t max_bytes_ = 0;
   std::unique_ptr<PersistentObjectStore> store_;
+  assembler::IncludeMemo include_memo_;
   std::atomic<std::uint64_t> tick_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

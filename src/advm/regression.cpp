@@ -118,41 +118,16 @@ std::string describe_stuck_loop(const sim::RunResult& run,
   return text;
 }
 
-/// Link+run phase for one (cell, test): links the cached test object
-/// against the environment's shared objects and executes the image. An
-/// environment-wide build problem is reported on every cell.
-TestRunRecord run_one_test(const EnvBuildContext& env, std::size_t test,
-                           const CachedObject& test_obj,
-                           const soc::DerivativeSpec& spec,
-                           sim::PlatformKind platform,
-                           std::uint64_t max_instructions, BoardPool& boards) {
-  TestRunRecord record;
-  record.environment = support::base_name(env.dir);
-  record.test_id = env.tests[test];
-
-  if (!env.ok()) {
-    record.detail = "shared object '" + env.failed_library +
-                    "': " + env.failure.error;
-    append_include_trail(record.detail, env.failure.includes);
-    return record;
-  }
-  if (!test_obj.ok()) {
-    record.detail = test_obj.error;
-    append_include_trail(record.detail, test_obj.includes);
-    return record;
-  }
-
-  support::DiagnosticEngine diags;
-  auto image = link_cell(env, *test_obj.object, spec, diags);
-  if (!image) {
-    record.detail = diags.to_string();
-    return record;
-  }
-
+/// Runs one linked image on a board leased for (spec, platform). `record`
+/// arrives carrying the cell's identity.
+TestRunRecord run_image(TestRunRecord record, const assembler::Image& image,
+                        const soc::DerivativeSpec& spec,
+                        sim::PlatformKind platform,
+                        std::uint64_t max_instructions, BoardPool& boards) {
   BoardPool::Lease lease = boards.acquire(spec, platform);
   soc::Board& board = lease.board();
   std::string load_error;
-  if (!board.load(*image, &load_error)) {
+  if (!board.load(image, &load_error)) {
     record.detail = load_error;
     return record;
   }
@@ -167,9 +142,39 @@ TestRunRecord run_one_test(const EnvBuildContext& env, std::size_t test,
   record.state_digest = board.machine().state_digest();
   record.modeled_seconds = outcome.modeled_seconds;
   if (outcome.machine.fast_forwarded != 0) {
-    record.stuck = describe_stuck_loop(outcome.machine, *image);
+    record.stuck = describe_stuck_loop(outcome.machine, image);
   }
   return record;
+}
+
+/// Link half of the link+run phase for one (derivative, test): fills in
+/// `record`'s identity and links the cached test object against the
+/// environment's shared objects. The image depends on the derivative
+/// alone, so every platform cell of it runs this one image. nullopt with
+/// the reason in `record.detail` on a build problem (environment-wide, the
+/// test's own, or the link) — the record every platform cell then gets.
+std::optional<assembler::Image> link_test(const EnvBuildContext& env,
+                                          std::size_t test,
+                                          const CachedObject& test_obj,
+                                          const soc::DerivativeSpec& spec,
+                                          TestRunRecord& record) {
+  record.environment = support::base_name(env.dir);
+  record.test_id = env.tests[test];
+  if (!env.ok()) {
+    record.detail = "shared object '" + env.failed_library +
+                    "': " + env.failure.error;
+    append_include_trail(record.detail, env.failure.includes);
+    return std::nullopt;
+  }
+  if (!test_obj.ok()) {
+    record.detail = test_obj.error;
+    append_include_trail(record.detail, test_obj.includes);
+    return std::nullopt;
+  }
+  support::DiagnosticEngine diags;
+  auto image = link_cell(env, *test_obj.object, spec, diags);
+  if (!image) record.detail = diags.to_string();
+  return image;
 }
 
 /// Assembly phase 2: every test.asm becomes an ObjectFile exactly once,
@@ -202,41 +207,72 @@ std::vector<std::vector<CachedObject>> assemble_tests(
 }
 
 /// Link+run phase: executes the (cell × environment × test) cube over the
-/// worker pool against the phase-A object cube. Every task writes one
-/// pre-allocated record slot, so aggregation is in submission order by
-/// construction — pool size never reorders a report.
+/// worker pool against the phase-A object cube, one task per (derivative,
+/// environment, test) — each task links its image once and runs it on
+/// every platform cell of that derivative. Every task writes pre-allocated
+/// record slots, so aggregation is in submission order by construction —
+/// pool size never reorders a report.
 std::vector<RegressionReport> run_planned_matrix(
     const std::vector<EnvBuildContext>& envs,
     const std::vector<std::vector<CachedObject>>& objects,
     const std::vector<MatrixCell>& cells, std::size_t jobs,
     std::uint64_t max_instructions, BoardPool& boards) {
+  /// The cells of one derivative, in `cells` order.
+  struct Derivative {
+    const soc::DerivativeSpec* spec = nullptr;
+    std::vector<std::size_t> cells;
+  };
   struct Task {
-    std::size_t cell = 0;
+    std::size_t derivative = 0;
     std::size_t env = 0;
     std::size_t test = 0;
-    std::size_t slot = 0;  ///< record index within the cell's report
+    std::size_t slot = 0;  ///< record index within each cell's report
   };
 
+  std::vector<Derivative> derivatives;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    auto it = std::find_if(
+        derivatives.begin(), derivatives.end(),
+        [&](const Derivative& d) { return d.spec == cells[c].spec; });
+    if (it == derivatives.end()) {
+      it = derivatives.insert(derivatives.end(), {cells[c].spec, {}});
+    }
+    it->cells.push_back(c);
+  }
+
+  std::size_t record_count = 0;
+  for (const EnvBuildContext& env : envs) record_count += env.tests.size();
   std::vector<RegressionReport> reports(cells.size());
-  std::vector<Task> tasks;
   for (std::size_t c = 0; c < cells.size(); ++c) {
     reports[c].derivative = cells[c].spec->name;
     reports[c].platform = cells[c].platform;
+    reports[c].records.resize(record_count);
+  }
+
+  std::vector<Task> tasks;
+  tasks.reserve(derivatives.size() * record_count);
+  for (std::size_t d = 0; d < derivatives.size(); ++d) {
     std::size_t slot = 0;
     for (std::size_t e = 0; e < envs.size(); ++e) {
       for (std::size_t t = 0; t < envs[e].tests.size(); ++t) {
-        tasks.push_back({c, e, t, slot++});
+        tasks.push_back({d, e, t, slot++});
       }
     }
-    reports[c].records.resize(slot);
   }
 
   parallel_for(tasks.size(), jobs, [&](std::size_t i) {
     const Task& task = tasks[i];
-    reports[task.cell].records[task.slot] = run_one_test(
-        envs[task.env], task.test, objects[task.env][task.test],
-        *cells[task.cell].spec, cells[task.cell].platform, max_instructions,
-        boards);
+    const Derivative& derivative = derivatives[task.derivative];
+    TestRunRecord record;
+    const auto image = link_test(envs[task.env], task.test,
+                                 objects[task.env][task.test],
+                                 *derivative.spec, record);
+    for (std::size_t c : derivative.cells) {
+      reports[c].records[task.slot] =
+          image ? run_image(record, *image, *cells[c].spec, cells[c].platform,
+                            max_instructions, boards)
+                : record;
+    }
   });
   return reports;
 }

@@ -95,9 +95,11 @@ class RegressionRunner {
   /// default — pass one in to share objects across runners, e.g. between a
   /// regression and a violation check in one process), and a link+run phase
   /// that executes the (cell × test) cube against the cached objects
-  /// without copying any of them. Boards for the link+run phase are leased
-  /// from `boards` (the runner's own pool by default), so repeated runs
-  /// reuse reset soc::Board instances instead of reconstructing them.
+  /// without copying any of them: one link per (test, derivative), the
+  /// image shared by every platform cell of that derivative. Boards for
+  /// the link+run phase are leased from `boards` (the runner's own pool by
+  /// default), so repeated runs reuse reset soc::Board instances instead
+  /// of reconstructing them.
   explicit RegressionRunner(const support::VirtualFileSystem& vfs,
                             std::size_t jobs = 1, ObjectCache* cache = nullptr,
                             BoardPool* boards = nullptr)
@@ -126,8 +128,9 @@ class RegressionRunner {
   /// Runs the full derivative × platform matrix over one system tree.
   /// Environment builds are shared across cells (they are target-neutral by
   /// construction — that is the ADVM premise), and every test cell of every
-  /// matrix entry is fanned out over the same worker pool. Reports come
-  /// back in `cells` order, each internally in discovery order.
+  /// matrix entry is fanned out over the same worker pool. Cells sharing a
+  /// derivative share each test's linked image. Reports come back in
+  /// `cells` order, each internally in discovery order.
   [[nodiscard]] std::vector<RegressionReport> run_matrix(
       std::string_view system_root, const std::vector<MatrixCell>& cells,
       std::uint64_t max_instructions = 2'000'000);

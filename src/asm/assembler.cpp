@@ -8,6 +8,7 @@
 #include "isa/instruction.h"
 #include "isa/opcodes.h"
 #include "isa/registers.h"
+#include "support/hash.h"
 #include "support/text.h"
 
 namespace advm::assembler {
@@ -35,11 +36,64 @@ struct SrcOperand {
 
 }  // namespace
 
+std::uint64_t options_fingerprint(const AssemblerOptions& options) {
+  support::Fnv1a h;
+  h.update(std::uint64_t{options.include_dirs.size()});
+  for (const std::string& dir : options.include_dirs) h.update(dir);
+  h.update(std::uint64_t{options.predefines.size()});
+  for (const auto& [name, value] : options.predefines) {
+    h.update(name);
+    h.update(static_cast<std::uint64_t>(value));
+  }
+  h.update(std::uint64_t{options.emit_listing ? 1u : 0u});
+  h.update(std::uint64_t{options.max_include_depth});
+  h.update(std::uint64_t{options.max_macro_depth});
+  return h.digest();
+}
+
+std::shared_ptr<const IncludeMemo::Effect> IncludeMemo::lookup(
+    const support::VirtualFileSystem& vfs, const std::string& path,
+    std::uint64_t options_digest) {
+  std::shared_ptr<const Effect> effect;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find({path, options_digest});
+    if (it == entries_.end()) return nullptr;
+    effect = it->second;
+  }
+  for (const auto& [file, content] : effect->files) {
+    if (!vfs.exists(file) || vfs.read_required(file) != content) {
+      return nullptr;
+    }
+  }
+  for (const std::string& miss : effect->probed_misses) {
+    if (vfs.exists(miss)) return nullptr;
+  }
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  return effect;
+}
+
+void IncludeMemo::remember(const std::string& path,
+                           std::uint64_t options_digest, Effect effect) {
+  auto entry = std::make_shared<const Effect>(std::move(effect));
+  const std::lock_guard<std::mutex> lock(mutex_);
+  entries_[{path, options_digest}] = std::move(entry);
+}
+
+std::size_t IncludeMemo::size() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
+}
+
 class Assembler::Impl {
  public:
   Impl(const support::VirtualFileSystem& vfs, DiagnosticEngine& diags,
-       AssemblerOptions options)
-      : vfs_(vfs), diags_(diags), options_(std::move(options)) {}
+       AssemblerOptions options, IncludeMemo* memo)
+      : vfs_(vfs),
+        diags_(diags),
+        options_(std::move(options)),
+        memo_(memo),
+        options_digest_(memo ? options_fingerprint(options_) : 0) {}
 
   std::optional<AssembleResult> assemble_file(std::string_view path) {
     std::string norm = support::normalize_path(path);
@@ -568,10 +622,62 @@ class Assembler::Impl {
     }
 
     includes_.push_back(IncludeEdge{current_file, *resolved, name_tok.loc});
+    const bool memoizable = memo_ != nullptr && at_entry_state();
+    if (memoizable) {
+      if (auto effect = memo_->lookup(vfs_, *resolved, options_digest_)) {
+        equates_ = effect->equates;
+        defines_ = effect->defines;
+        includes_.insert(includes_.end(), effect->includes.begin(),
+                         effect->includes.end());
+        probed_misses_.insert(probed_misses_.end(),
+                              effect->probed_misses.begin(),
+                              effect->probed_misses.end());
+        return;
+      }
+    }
+    const std::size_t edges_before = includes_.size();
+    const std::size_t misses_before = probed_misses_.size();
+    const std::size_t diags_before = diags_.all().size();
+
     std::string content = vfs_.read_required(*resolved);
     include_stack_.push_back(*resolved);
     process_buffer(*resolved, content);
     include_stack_.pop_back();
+
+    // Record only an include that left nothing but equates and defines
+    // behind: no bytes, labels, sections, macros, open .IF or diagnostic.
+    if (!memoizable || !at_entry_state(/*allow_definitions=*/true) ||
+        diags_.all().size() != diags_before) {
+      return;
+    }
+    IncludeMemo::Effect effect;
+    effect.equates = equates_;
+    effect.defines = defines_;
+    effect.includes.assign(includes_.begin() + edges_before, includes_.end());
+    effect.probed_misses.assign(probed_misses_.begin() + misses_before,
+                                probed_misses_.end());
+    effect.files.emplace_back(*resolved, std::move(content));
+    for (const IncludeEdge& edge : effect.includes) {
+      effect.files.emplace_back(edge.to_file,
+                                vfs_.read_required(edge.to_file));
+    }
+    memo_->remember(*resolved, options_digest_, std::move(effect));
+  }
+
+  /// True while the translation unit has no state of its own: top of the
+  /// include stack, nothing emitted, no macro, no open `.IF`, and — unless
+  /// `allow_definitions` — no equate beyond the predefines and no define.
+  /// The include memo serves and records includes only from this state.
+  [[nodiscard]] bool at_entry_state(bool allow_definitions = false) const {
+    const ObjSection& code = object_.sections.front();
+    return include_stack_.empty() && cond_stack_.empty() &&
+           macros_.empty() && !collecting_macro_ &&
+           object_.sections.size() == 1 && !code.org && code.bytes.empty() &&
+           object_.symbols.empty() && object_.relocations.empty() &&
+           listing_.empty() &&
+           (allow_definitions ||
+            (defines_.empty() &&
+             equates_.size() == options_.predefines.size()));
   }
 
   std::optional<std::string> resolve_include(const std::string& name,
@@ -1209,6 +1315,8 @@ class Assembler::Impl {
   const support::VirtualFileSystem& vfs_;
   DiagnosticEngine& diags_;
   AssemblerOptions options_;
+  IncludeMemo* memo_ = nullptr;
+  std::uint64_t options_digest_ = 0;
 
   ObjectFile object_;
   std::vector<IncludeEdge> includes_;
@@ -1228,8 +1336,9 @@ class Assembler::Impl {
 };
 
 Assembler::Assembler(const support::VirtualFileSystem& vfs,
-                     DiagnosticEngine& diags, AssemblerOptions options)
-    : impl_(std::make_unique<Impl>(vfs, diags, std::move(options))) {}
+                     DiagnosticEngine& diags, AssemblerOptions options,
+                     IncludeMemo* memo)
+    : impl_(std::make_unique<Impl>(vfs, diags, std::move(options), memo)) {}
 
 Assembler::~Assembler() = default;
 

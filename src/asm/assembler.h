@@ -24,13 +24,34 @@
 // forward references to labels need no second pass. Labels whose name starts
 // with '.' are object-local: they are name-mangled per object and never
 // collide across test cells.
+//
+// Include memo. Every ADVM test opens with `.INCLUDE Globals.inc`, so a
+// regression processes the same abstraction layer once per test. An
+// Assembler given an IncludeMemo replays such an include instead:
+//
+//  * Eligible: an `.INCLUDE` reached with an empty include stack, no
+//    equates but the predefines, no defines or macros, nothing emitted
+//    (no label, byte, relocation, `.ORG` or `.SECTION`) and no `.IF` open.
+//  * Recorded: only when processing the include emitted nothing, defined
+//    no label, section or macro, left no `.IF` open and produced no
+//    diagnostic. The entry holds the include's whole effect — the equates
+//    and defines afterwards, the nested IncludeEdges and probed misses in
+//    order — keyed by (resolved path, options_fingerprint). A newer
+//    recording replaces the older one.
+//  * Served: only while every file the include read still has its
+//    recorded content and every recorded probed miss still misses. A hit
+//    appends the edges and misses exactly where a full pass would, so the
+//    object cache and the violation checker cannot tell the difference.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "asm/object.h"
@@ -71,12 +92,56 @@ struct AssembleResult {
   std::string listing;  ///< populated when options.emit_listing
 };
 
+/// FNV-1a fingerprint of everything in AssemblerOptions that can change an
+/// assembly's output (include path order, predefines, limits).
+[[nodiscard]] std::uint64_t options_fingerprint(
+    const AssemblerOptions& options);
+
+/// The include memo (see the file comment). Thread-safe: one memo serves
+/// every Assembler of a process, on any number of threads.
+class IncludeMemo {
+ public:
+  /// The whole effect of one eligible include on the assembler's state.
+  struct Effect {
+    std::map<std::string, std::int64_t, std::less<>> equates;
+    std::map<std::string, std::vector<Token>, std::less<>> defines;
+    std::vector<IncludeEdge> includes;  ///< nested edges, in order
+    std::vector<std::string> probed_misses;
+    /// Every file the include read (itself first) with its content then.
+    std::vector<std::pair<std::string, std::string>> files;
+  };
+
+  /// The recorded effect of the include at `path` under options with
+  /// `options_digest`, if one is held and still valid against `vfs`.
+  [[nodiscard]] std::shared_ptr<const Effect> lookup(
+      const support::VirtualFileSystem& vfs, const std::string& path,
+      std::uint64_t options_digest);
+  /// Records (or replaces) the effect of the include at `path`.
+  void remember(const std::string& path, std::uint64_t options_digest,
+                Effect effect);
+
+  [[nodiscard]] std::size_t size() const;  ///< entries held
+  [[nodiscard]] std::uint64_t hits() const {
+    return hits_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::map<std::pair<std::string, std::uint64_t>,
+           std::shared_ptr<const Effect>>
+      entries_;
+  std::atomic<std::uint64_t> hits_{0};
+};
+
 /// Assembles one translation unit (a top-level file plus everything it
 /// includes) into an object file.
 class Assembler {
  public:
+  /// `memo`, when given, serves and records eligible includes; the output
+  /// is the same with or without it.
   Assembler(const support::VirtualFileSystem& vfs,
-            support::DiagnosticEngine& diags, AssemblerOptions options);
+            support::DiagnosticEngine& diags, AssemblerOptions options,
+            IncludeMemo* memo = nullptr);
   ~Assembler();
 
   Assembler(const Assembler&) = delete;

@@ -1,22 +1,30 @@
 // Unit tests for the content-addressed object cache: the assemble-once
 // guarantee (hit on identical source/options), the invalidation rules
 // (changed source, changed include, changed predefine → miss), failure
-// caching, and counter determinism under concurrent same-key requests.
+// caching, and counter determinism under concurrent same-key requests —
+// plus the include memo the cache owns: memo-on assembly must be
+// indistinguishable from memo-off, see edits and shadowing, and never
+// serve an include that touched more than equates and defines.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "advm/environment.h"
 #include "advm/objcache.h"
 #include "advm/objstore.h"
 #include "advm/regression.h"
+#include "asm/assembler.h"
+#include "soc/derivative.h"
+#include "support/diagnostics.h"
 #include "support/vfs.h"
 
 namespace {
@@ -524,6 +532,216 @@ TEST(PersistentObjectCache, ByteBudgetSpansBothTiers) {
   EXPECT_LE(stats.bytes + cache.disk_store()->disk_bytes(),
             2 * one_object);
   EXPECT_GT(stats.evictions + stats.persistent_evictions, 0u);
+}
+
+// ------------------------------------------------------------ include memo --
+
+/// Everything an assembly reports, rendered: the object (sections,
+/// symbols, relocations with their locations) or the failure diagnostics,
+/// then the include edges and the probed misses in order.
+std::string assemble_rendered(const support::VirtualFileSystem& vfs,
+                              const std::string& path,
+                              const AssemblerOptions& options,
+                              assembler::IncludeMemo* memo) {
+  support::DiagnosticEngine diags;
+  assembler::Assembler assembler(vfs, diags, options, memo);
+  const auto result = assembler.assemble_file(path);
+  std::ostringstream os;
+  os << diags.to_string();
+  if (result) {
+    const assembler::ObjectFile& object = result->object;
+    os << "object " << object.name << "\n";
+    for (const auto& section : object.sections) {
+      os << "section " << section.name << " org "
+         << section.org.value_or(~0u) << " bytes";
+      for (std::uint8_t byte : section.bytes) os << " " << int{byte};
+      os << "\n";
+    }
+    for (const auto& symbol : object.symbols) {
+      os << "symbol " << symbol.name << " " << symbol.section << "+"
+         << symbol.offset << " @" << symbol.loc.to_string() << "\n";
+    }
+    for (const auto& reloc : object.relocations) {
+      os << "reloc " << reloc.section << "+" << reloc.offset << " "
+         << reloc.symbol << "+" << reloc.addend << "/" << int{reloc.size}
+         << " @" << reloc.loc.to_string() << "\n";
+    }
+  }
+  const auto& edges = result ? result->includes : assembler.last_includes();
+  for (const auto& edge : edges) {
+    os << "edge " << edge.from_file << " -> " << edge.to_file << " @"
+       << edge.loc.to_string() << "\n";
+  }
+  const auto& misses =
+      result ? result->probed_misses : assembler.last_probed_misses();
+  for (const auto& miss : misses) os << "miss " << miss << "\n";
+  return os.str();
+}
+
+TEST(IncludeMemo, MemoOnAndOffAssembleEveryTranslationUnitIdentically) {
+  // The `advm init --tests 40` tree and the e10 tree (--tests 2) generated
+  // for every derivative, plus three broken cells on the wide tree: every
+  // translation unit a regression assembles must come out the same with
+  // one shared memo as without one, failures included.
+  struct Tree {
+    std::size_t tests;
+    const soc::DerivativeSpec* spec;
+    bool broken;
+  };
+  std::vector<Tree> trees{{40, &soc::derivative_a(), true}};
+  for (const soc::DerivativeSpec* spec : soc::all_derivatives()) {
+    trees.push_back({2, spec, false});
+  }
+  for (const Tree& tree : trees) {
+    support::VirtualFileSystem vfs;
+    SystemConfig config;
+    config.environments = canonical_environments(tree.tests);
+    const SystemLayout layout = build_system(vfs, config, *tree.spec);
+    if (tree.broken) {
+      const std::string env = layout.root + "/MEM_MODULE/";
+      vfs.write(env + "BROKEN_SYNTAX/test.asm",
+                ".INCLUDE Globals.inc\n_main:\n BOGUS d0, d0\n");
+      vfs.write(env + "BROKEN_INCLUDE/test.asm",
+                ".INCLUDE Globals.inc\n.INCLUDE no_such.inc\n_main:\n HALT\n");
+      vfs.write(env + "WARNS/test.asm",
+                ".INCLUDE Globals.inc\n.WARNING \"late\"\n_main:\n"
+                " CALL Base_Report_Pass\n");
+    }
+    ObjectCache cache;
+    const auto envs = prepare_system(vfs, layout.root, 1, cache);
+    ASSERT_EQ(envs.size(), 5u);
+
+    assembler::IncludeMemo memo;
+    std::size_t units = 0;
+    for (const EnvBuildContext& env : envs) {
+      std::vector<std::string> sources;
+      for (const std::string& path : vfs.list_tree(env.dir)) {
+        if (path.ends_with(".asm")) sources.push_back(path);
+      }
+      for (const std::string& path : vfs.list_tree(layout.global_dir)) {
+        if (path.ends_with(".asm")) sources.push_back(path);
+      }
+      for (const std::string& path : sources) {
+        EXPECT_EQ(assemble_rendered(vfs, path, env.asm_options, &memo),
+                  assemble_rendered(vfs, path, env.asm_options, nullptr))
+            << path;
+        ++units;
+      }
+    }
+    // Per module: its Globals.inc, and the register_defs.inc the global
+    // libraries include under its include path. Everything else replays.
+    EXPECT_EQ(memo.size(), 2 * envs.size()) << tree.tests;
+    EXPECT_GE(memo.hits(), units / 2) << tree.tests;
+  }
+}
+
+/// Two test cells sharing one module's Globals.inc, which includes the
+/// global register_defs.inc — the generated tree's shape in miniature.
+struct SharedIncludeTree {
+  static constexpr const char* kGlobals = "/sys/M/Abstraction_Layer/Globals.inc";
+  static constexpr const char* kRegs = "/sys/Global_Libraries/register_defs.inc";
+  static constexpr const char* kShadow =
+      "/sys/M/Abstraction_Layer/register_defs.inc";
+  static constexpr const char* kFirst = "/sys/M/T1/test.asm";
+  static constexpr const char* kSecond = "/sys/M/T2/test.asm";
+
+  SharedIncludeTree() {
+    vfs.write(kRegs, "REG_A .EQU 0x11\n");
+    vfs.write(kGlobals, ".INCLUDE register_defs.inc\nVALUE .EQU 5\n"
+                        ".DEFINE Arg d4\n");
+    const char* test = ".INCLUDE Globals.inc\n_main:\n MOV Arg, VALUE\n"
+                       " MOV d1, REG_A\n HALT\n";
+    vfs.write(kFirst, test);
+    vfs.write(kSecond, test);
+    options.include_dirs = {"/sys/M/Abstraction_Layer",
+                            "/sys/Global_Libraries"};
+  }
+
+  /// Assembles the first cell through the memo, applies `edit`, then
+  /// checks the second cell through the memo against a memo-off build.
+  void expect_second_sees(const std::function<void()>& edit,
+                          const std::string& marker) {
+    (void)assemble_rendered(vfs, kFirst, options, &memo);
+    const std::string before =
+        assemble_rendered(vfs, kSecond, options, nullptr);
+    edit();
+    const std::string after = assemble_rendered(vfs, kSecond, options, &memo);
+    EXPECT_EQ(after, assemble_rendered(vfs, kSecond, options, nullptr));
+    EXPECT_NE(after, before);
+    EXPECT_NE(after.find(marker), std::string::npos) << after;
+  }
+
+  support::VirtualFileSystem vfs;
+  AssemblerOptions options;
+  assembler::IncludeMemo memo;
+};
+
+TEST(IncludeMemo, SecondCellSeesEditsAndShadowingBetweenCells) {
+  SharedIncludeTree tree;
+  EXPECT_EQ(assemble_rendered(tree.vfs, tree.kFirst, tree.options, &tree.memo),
+            assemble_rendered(tree.vfs, tree.kFirst, tree.options, nullptr));
+  EXPECT_EQ(assemble_rendered(tree.vfs, tree.kSecond, tree.options,
+                              &tree.memo),
+            assemble_rendered(tree.vfs, tree.kSecond, tree.options, nullptr));
+  EXPECT_EQ(tree.memo.hits(), 1u);
+
+  // MOV's immediate is the little-endian tail of the instruction bytes.
+  tree.expect_second_sees(
+      [&] {
+        tree.vfs.write(tree.kGlobals, ".INCLUDE register_defs.inc\n"
+                                      "VALUE .EQU 0x77\n.DEFINE Arg d4\n");
+      },
+      " 119 0 0 0");
+  tree.expect_second_sees(
+      [&] { tree.vfs.write(tree.kRegs, "REG_A .EQU 0x22\n"); }, " 34 0 0 0");
+  tree.expect_second_sees(
+      [&] { tree.vfs.write(tree.kShadow, "REG_A .EQU 0x33\n"); },
+      std::string("-> ") + tree.kShadow);
+  // Each edit replaced the module's one entry instead of adding another.
+  EXPECT_EQ(tree.memo.size(), 1u);
+}
+
+TEST(IncludeMemo, IneligibleIncludesAreProcessedEveryTime) {
+  struct Case {
+    const char* name;
+    const char* include;
+    const char* test;
+  };
+  const Case cases[] = {
+      {"after a label", "V .EQU 1\n",
+       "_start:\n.INCLUDE inc.inc\n MOV d0, V\n HALT\n"},
+      {"after the unit's own .EQU", ".IFDEF X\nV .EQU 1\n.ENDIF\n",
+       "X .EQU 1\n.INCLUDE inc.inc\n_main:\n MOV d0, V\n HALT\n"},
+      {"after the unit's own .DEFINE", "V .EQU 1\n",
+       ".DEFINE R d0\n.INCLUDE inc.inc\n_main:\n MOV R, V\n HALT\n"},
+      {"emits .DD", "V .EQU 1\n .DD 5\n",
+       ".INCLUDE inc.inc\n_main:\n MOV d0, V\n HALT\n"},
+      {"warns", "V .EQU 1\n.WARNING \"careful\"\n",
+       ".INCLUDE inc.inc\n_main:\n MOV d0, V\n HALT\n"},
+      {"defines a macro", ".MACRO Stop\n HALT\n.ENDM\n",
+       ".INCLUDE inc.inc\n_main:\n Stop\n"},
+      {"leaves .IF open", ".IF 1\nV .EQU 1\n",
+       ".INCLUDE inc.inc\n.ENDIF\n_main:\n MOV d0, V\n HALT\n"},
+  };
+  for (const Case& c : cases) {
+    support::VirtualFileSystem vfs;
+    vfs.write("/m/inc.inc", c.include);
+    vfs.write("/m/a/test.asm", c.test);
+    vfs.write("/m/b/test.asm", c.test);
+    AssemblerOptions options;
+    options.include_dirs = {"/m"};
+    assembler::IncludeMemo memo;
+    for (const char* path : {"/m/a/test.asm", "/m/b/test.asm"}) {
+      const std::string on = assemble_rendered(vfs, path, options, &memo);
+      EXPECT_EQ(on, assemble_rendered(vfs, path, options, nullptr))
+          << c.name;
+      EXPECT_NE(on.find("edge " + std::string(path) + " -> /m/inc.inc"),
+                std::string::npos)
+          << c.name << "\n" << on;
+    }
+    EXPECT_EQ(memo.size(), 0u) << c.name;
+    EXPECT_EQ(memo.hits(), 0u) << c.name;
+  }
 }
 
 }  // namespace

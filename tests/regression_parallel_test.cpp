@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <sstream>
 #include <vector>
 
 #include "advm/environment.h"
@@ -136,6 +137,77 @@ TEST(ParallelRegression, MatrixMatchesIndividualRuns) {
     EXPECT_EQ(format_report(matrix[i]), format_report(solo))
         << cells[i].spec->name << " cell " << i;
     EXPECT_EQ(matrix[i].outcome_digest(), solo.outcome_digest());
+  }
+}
+
+/// Every field of a record, detail included (format_report omits it).
+std::string render_record(const TestRunRecord& r) {
+  std::ostringstream os;
+  os << r.environment << "/" << r.test_id << " build_ok=" << r.build_ok
+     << " verdict=" << static_cast<int>(r.verdict)
+     << " stop=" << static_cast<int>(r.stop) << " instr=" << r.instructions
+     << " cyc=" << r.cycles << " digest=" << r.state_digest
+     << " modeled=" << r.modeled_seconds << " stuck=" << r.stuck
+     << " detail=" << r.detail;
+  return os.str();
+}
+
+TEST(ParallelRegression, PlatformCellsOfADerivativeShareOneLink) {
+  // The matrix links each (test, derivative) once and runs that image on
+  // every platform cell of the derivative. Interleaved cells, a test that
+  // does not assemble and one that does not link: each report must still
+  // match a solo run of its cell record for record, at any pool size, and
+  // a build failure reads the same on every platform of a derivative.
+  support::VirtualFileSystem vfs;
+  auto layout = build_test_system(vfs);
+  vfs.write(layout.root + "/MEM_MODULE/TEST_MEMORY_000/test.asm",
+            ".INCLUDE Globals.inc\n_main:\n BOGUS d0, d0\n");
+  vfs.write(layout.root + "/UART_MODULE/TEST_UART_000/test.asm",
+            ".INCLUDE Globals.inc\n_main:\n CALL Nowhere_To_Be_Found\n");
+
+  const std::vector<MatrixCell> cells = {
+      {&soc::derivative_a(), sim::PlatformKind::GoldenModel},
+      {&soc::derivative_b(), sim::PlatformKind::GoldenModel},
+      {&soc::derivative_a(), sim::PlatformKind::RtlSim},
+      {&soc::derivative_b(), sim::PlatformKind::RtlSim},
+  };
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    RegressionRunner runner(vfs, jobs);
+    const auto matrix = runner.run_matrix(layout.root, cells);
+    ASSERT_EQ(matrix.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      RegressionRunner serial(vfs, 1);
+      const auto solo = serial.run_system(layout.root, *cells[i].spec,
+                                          cells[i].platform);
+      EXPECT_EQ(format_report(matrix[i]), format_report(solo))
+          << "jobs " << jobs << " cell " << i;
+      ASSERT_EQ(matrix[i].records.size(), solo.records.size());
+      for (std::size_t r = 0; r < solo.records.size(); ++r) {
+        EXPECT_EQ(render_record(matrix[i].records[r]),
+                  render_record(solo.records[r]))
+            << "jobs " << jobs << " cell " << i;
+      }
+    }
+
+    std::size_t failures = 0;
+    for (std::size_t cell : {0, 1}) {  // golden-model vs hdl-rtl
+      const auto& golden = matrix[cell].records;
+      const auto& rtl = matrix[cell + 2].records;
+      for (std::size_t r = 0; r < golden.size(); ++r) {
+        if (golden[r].build_ok) continue;
+        ++failures;
+        EXPECT_FALSE(golden[r].detail.empty());
+        EXPECT_FALSE(rtl[r].build_ok);
+        EXPECT_EQ(golden[r].detail, rtl[r].detail);
+      }
+    }
+    EXPECT_EQ(failures, 4u) << "two broken cells on two derivatives";
+    bool undefined_named = false;
+    for (const auto& record : matrix[0].records) {
+      undefined_named |=
+          record.detail.find("Nowhere_To_Be_Found") != std::string::npos;
+    }
+    EXPECT_TRUE(undefined_named);
   }
 }
 

@@ -387,6 +387,40 @@ TEST_F(ServeE2E, AttachedBuildFailuresAreByteIdenticalToLocal) {
   }
 }
 
+TEST_F(ServeE2E, AttachedTextNamesTheDirectoryAsTyped) {
+  // The client ships an absolute path, but the human text of init, port
+  // and release must name the tree as the user typed it — relative here —
+  // exactly like the local run. Each verb runs locally, the tree is put
+  // back as it was, and the same command runs attached.
+  spawn_daemon();
+  const fs::path tree = scratch_ / "typed_env";
+  const fs::path releases = scratch_ / "typed_env.releases";
+  const fs::path saved = scratch_ / "saved_env";
+  const std::string typed =
+      fs::relative(tree, fs::current_path()).string();
+  const std::string named = std::string(" ").append(typed);
+  const std::string absolute = std::string(" ").append(tree.string());
+  const auto copy_tree = [](const fs::path& from, const fs::path& to) {
+    fs::remove_all(to);
+    if (fs::exists(from)) fs::copy(from, to, fs::copy_options::recursive);
+  };
+  for (const std::string& verb : {std::string("init \"") + typed +
+                                      "\" --tests 2",
+                                  "port \"" + typed + "\" --to SC88-B",
+                                  "release \"" + typed + "\" --name R1"}) {
+    copy_tree(tree, saved);
+    const auto local = run_cli(verb);
+    copy_tree(saved, tree);
+    fs::remove_all(releases);
+    const auto attached = run_cli(verb + attach_flag());
+    EXPECT_EQ(attached.exit_code, local.exit_code) << verb;
+    EXPECT_EQ(attached.out, local.out) << verb;
+    EXPECT_NE(local.out.find(named), std::string::npos) << local.out;
+    EXPECT_EQ(attached.out.find(absolute), std::string::npos)
+        << attached.out;
+  }
+}
+
 TEST_F(ServeE2E, AttachedErrorsArriveTypedWithExitTwo) {
   make_tree();
   spawn_daemon();
@@ -495,6 +529,25 @@ TEST_F(ServeE2E, DiskEditsBetweenAttachedLapsAreSeen) {
   EXPECT_EQ(pruned.out.find("TEST_MEMORY_001"), std::string::npos)
       << pruned.out;
   EXPECT_NE(pruned.out.find("TEST_MEMORY_000"), std::string::npos);
+
+  // Give one module's Globals.inc a new TEST_PATTERN_A: the resident
+  // session's include memo must replay the new value, not the one it
+  // recorded, and only that module's translation units (two tests and
+  // base_functions.asm) re-assemble.
+  const fs::path globals =
+      fs::path(env_dir_) / "PAGE_MODULE" / "Abstraction_Layer" / "Globals.inc";
+  std::string text = slurp(globals);
+  const std::string pattern = "TEST_PATTERN_A .EQU 0x5a5a5a5a";
+  const auto at = text.find(pattern);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, pattern.size(), "TEST_PATTERN_A .EQU 0x3c3c3c3c");
+  std::ofstream(globals) << text;
+  const auto repatterned = run_cli(command);
+  EXPECT_EQ(repatterned.exit_code, 1) << repatterned.err;
+  EXPECT_EQ(misses(repatterned.out), 3u);
+  EXPECT_NE(before_cache(repatterned.out), before_cache(pruned.out));
+  EXPECT_EQ(before_cache(repatterned.out),
+            before_cache(run_cli("run \"" + env_dir_ + "\" --format json").out));
 }
 
 // -------------------------------------------------------- e2e: lifecycle --

@@ -63,6 +63,7 @@
 #include "advm/serve/service.h"
 #include "advm/session.h"
 #include "support/disk.h"
+#include "support/text.h"
 
 namespace {
 
@@ -185,7 +186,10 @@ std::string attach_socket(const Args& args) {
 int run_attached(const Args& args, const std::string& socket,
                  serve::VerbRequest request) {
   // The daemon's working directory is not the client's: ship an absolute,
-  // normalized path so both sides agree on which tree this is.
+  // normalized path so both sides agree on which tree this is. The human
+  // text names that path ("created <dir>", "snapshot <dir>.releases/…");
+  // it is put back as the user typed it, as a local run prints it.
+  const std::string typed = request.dir;
   std::error_code ec;
   const std::filesystem::path absolute =
       std::filesystem::absolute(request.dir, ec);
@@ -199,6 +203,9 @@ int run_attached(const Args& args, const std::string& socket,
   if (Status status = serve::attach_roundtrip(socket, frame, &response);
       !status.ok()) {
     return render_status(args, request.verb.c_str(), status);
+  }
+  if (request.dir != typed) {
+    response.text = support::replace_all(response.text, request.dir, typed);
   }
   return print_outcome(args, response.exit, response.payload, response.text);
 }

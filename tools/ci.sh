@@ -113,6 +113,20 @@ assert hits > 0, "second lap on the cache dir had no persistent-cache hits"
 print("jobs determinism ok: %d cells byte-identical at --jobs 1/4/0, "
       "%d persistent-cache hits on the warm lap" % (len(serial["rollup"]), hits))
 PY
+# The 200-test tree (advm init --tests 40) over SC88-A,B x golden-model,
+# hdl-rtl at --jobs 1 and 4: 800 executions whose workers contend for the
+# include memo and share one linked image across each derivative's two
+# platform cells. The whole document, cache counters included, must be
+# byte-identical.
+rm -rf build/jobs-wide-env
+./build/tools/advm init build/jobs-wide-env --tests 40 > /dev/null
+WIDE_AXES="--derivatives SC88-A,SC88-B --platforms golden-model,hdl-rtl"
+for jobs in 1 4; do
+  ./build/tools/advm matrix build/jobs-wide-env $WIDE_AXES --jobs "$jobs" \
+    --format json > "build/jobs-wide-$jobs.json" || true
+done
+cmp build/jobs-wide-1.json build/jobs-wide-4.json
+echo "jobs determinism ok: 200-test matrix byte-identical at --jobs 1/4"
 
 echo "==> serve daemon gate (warm resident session vs cold CLI)"
 # One daemon owns a warm Session (thread pool + persistent cache); every
@@ -221,22 +235,30 @@ PY
 stop_daemon
 # Attach parity on a seeded-broken copy of the tree: build failures print
 # the VFS path of the offending file, so an attached verb must see the
-# tree under the same root as the local CLI. A fresh daemon without a
-# cache dir starts as cold as the local process, and `run` goes first:
-# its document carries cache counters; lint's and check's do not.
+# tree under the same root as the local CLI — in the JSON documents and in
+# the human text alike. Each format gets a fresh daemon without a cache
+# dir, as cold as the local process, and `run` goes first: its output
+# carries cache counters; lint's and check's do not.
 rm -rf build/serve-broken-env
 cp -r build/jobs-env build/serve-broken-env
 echo " BOGUS d0, d0" >> \
   build/serve-broken-env/UART_MODULE/Abstraction_Layer/base_functions.asm
-start_daemon
-for verb in run lint check; do
-  ./build/tools/advm "$verb" build/serve-broken-env --format json \
-    > "build/serve-broken-local-$verb.json" || true
-  ./build/tools/advm "$verb" build/serve-broken-env --format json \
-    --attach build/serve.sock > "build/serve-broken-attached-$verb.json" || true
-  cmp "build/serve-broken-local-$verb.json" \
-    "build/serve-broken-attached-$verb.json"
+for format in json text; do
+  FORMAT_FLAG=""
+  [[ "$format" == json ]] && FORMAT_FLAG="--format json"
+  start_daemon
+  for verb in run lint check; do
+    ./build/tools/advm "$verb" build/serve-broken-env $FORMAT_FLAG \
+      > "build/serve-broken-local-$verb.$format" || true
+    ./build/tools/advm "$verb" build/serve-broken-env $FORMAT_FLAG \
+      --attach build/serve.sock > "build/serve-broken-attached-$verb.$format" \
+      || true
+    cmp "build/serve-broken-local-$verb.$format" \
+      "build/serve-broken-attached-$verb.$format"
+  done
+  stop_daemon
 done
+start_daemon
 # Bad-flag parity: the daemon checks an attached --jobs exactly as a local
 # run does, so a malformed value is the same typed error document with the
 # same exit code.
@@ -252,8 +274,8 @@ if [[ "$LOCAL_EXIT" != "$ATTACHED_EXIT" ]]; then
   echo "bad --jobs exits $LOCAL_EXIT locally but $ATTACHED_EXIT attached" >&2
   exit 1
 fi
-echo "serve broken-tree parity ok: run, lint, check and a bad --jobs" \
-  "byte-identical"
+echo "serve broken-tree parity ok: run, lint, check (JSON and text) and a" \
+  "bad --jobs byte-identical"
 stop_daemon
 trap - EXIT
 
