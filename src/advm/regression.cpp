@@ -147,12 +147,13 @@ TestRunRecord run_image(TestRunRecord record, const assembler::Image& image,
   return record;
 }
 
-/// Link half of the link+run phase for one (derivative, test): fills in
+/// Link half of the link+run phase for one (memory map, test): fills in
 /// `record`'s identity and links the cached test object against the
-/// environment's shared objects. The image depends on the derivative
-/// alone, so every platform cell of it runs this one image. nullopt with
-/// the reason in `record.detail` on a build problem (environment-wide, the
-/// test's own, or the link) — the record every platform cell then gets.
+/// environment's shared objects. The image depends on the derivative only
+/// through link_options(spec), so every cell with those options runs this
+/// one image. nullopt with the reason in `record.detail` on a build
+/// problem (environment-wide, the test's own, or the link) — the record
+/// every such cell then gets.
 std::optional<assembler::Image> link_test(const EnvBuildContext& env,
                                           std::size_t test,
                                           const CachedObject& test_obj,
@@ -207,35 +208,37 @@ std::vector<std::vector<CachedObject>> assemble_tests(
 }
 
 /// Link+run phase: executes the (cell × environment × test) cube over the
-/// worker pool against the phase-A object cube, one task per (derivative,
+/// worker pool against the phase-A object cube, one task per (memory map,
 /// environment, test) — each task links its image once and runs it on
-/// every platform cell of that derivative. Every task writes pre-allocated
-/// record slots, so aggregation is in submission order by construction —
-/// pool size never reorders a report.
+/// every cell whose derivative induces that map's link_options(). Every
+/// task writes pre-allocated record slots, so aggregation is in submission
+/// order by construction — pool size never reorders a report.
 std::vector<RegressionReport> run_planned_matrix(
     const std::vector<EnvBuildContext>& envs,
     const std::vector<std::vector<CachedObject>>& objects,
     const std::vector<MatrixCell>& cells, std::size_t jobs,
     std::uint64_t max_instructions, BoardPool& boards) {
-  /// The cells of one derivative, in `cells` order.
-  struct Derivative {
-    const soc::DerivativeSpec* spec = nullptr;
+  /// The cells of one memory map, in `cells` order.
+  struct MemoryMap {
+    assembler::LinkOptions options;
+    const soc::DerivativeSpec* spec = nullptr;  ///< the first cell's
     std::vector<std::size_t> cells;
   };
   struct Task {
-    std::size_t derivative = 0;
+    std::size_t map = 0;
     std::size_t env = 0;
     std::size_t test = 0;
     std::size_t slot = 0;  ///< record index within each cell's report
   };
 
-  std::vector<Derivative> derivatives;
+  std::vector<MemoryMap> maps;
   for (std::size_t c = 0; c < cells.size(); ++c) {
-    auto it = std::find_if(
-        derivatives.begin(), derivatives.end(),
-        [&](const Derivative& d) { return d.spec == cells[c].spec; });
-    if (it == derivatives.end()) {
-      it = derivatives.insert(derivatives.end(), {cells[c].spec, {}});
+    assembler::LinkOptions options = link_options(*cells[c].spec);
+    auto it = std::find_if(maps.begin(), maps.end(), [&](const MemoryMap& m) {
+      return m.options == options;
+    });
+    if (it == maps.end()) {
+      it = maps.insert(maps.end(), {std::move(options), cells[c].spec, {}});
     }
     it->cells.push_back(c);
   }
@@ -250,24 +253,24 @@ std::vector<RegressionReport> run_planned_matrix(
   }
 
   std::vector<Task> tasks;
-  tasks.reserve(derivatives.size() * record_count);
-  for (std::size_t d = 0; d < derivatives.size(); ++d) {
+  tasks.reserve(maps.size() * record_count);
+  for (std::size_t m = 0; m < maps.size(); ++m) {
     std::size_t slot = 0;
     for (std::size_t e = 0; e < envs.size(); ++e) {
       for (std::size_t t = 0; t < envs[e].tests.size(); ++t) {
-        tasks.push_back({d, e, t, slot++});
+        tasks.push_back({m, e, t, slot++});
       }
     }
   }
 
   parallel_for(tasks.size(), jobs, [&](std::size_t i) {
     const Task& task = tasks[i];
-    const Derivative& derivative = derivatives[task.derivative];
+    const MemoryMap& map = maps[task.map];
     TestRunRecord record;
     const auto image = link_test(envs[task.env], task.test,
-                                 objects[task.env][task.test],
-                                 *derivative.spec, record);
-    for (std::size_t c : derivative.cells) {
+                                 objects[task.env][task.test], *map.spec,
+                                 record);
+    for (std::size_t c : map.cells) {
       reports[c].records[task.slot] =
           image ? run_image(record, *image, *cells[c].spec, cells[c].platform,
                             max_instructions, boards)
@@ -383,6 +386,13 @@ std::vector<EnvBuildContext> prepare_system(
   return envs;
 }
 
+assembler::LinkOptions link_options(const soc::DerivativeSpec& spec) {
+  assembler::LinkOptions options;
+  options.code_base = spec.code_base();
+  options.data_base = spec.data_base();
+  return options;
+}
+
 std::optional<assembler::Image> link_cell(
     const EnvBuildContext& env, const ObjectFile& test_object,
     const soc::DerivativeSpec& spec, support::DiagnosticEngine& diags) {
@@ -392,10 +402,7 @@ std::optional<assembler::Image> link_cell(
   for (const auto& shared : env.shared_objects) {
     objects.push_back(shared.get());
   }
-  assembler::LinkOptions link_options;
-  link_options.code_base = spec.code_base();
-  link_options.data_base = spec.data_base();
-  return assembler::link(objects, link_options, diags);
+  return assembler::link(objects, link_options(spec), diags);
 }
 
 void parallel_for(std::size_t count, std::size_t jobs,

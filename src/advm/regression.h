@@ -128,9 +128,12 @@ class RegressionRunner {
   /// Runs the full derivative × platform matrix over one system tree.
   /// Environment builds are shared across cells (they are target-neutral by
   /// construction — that is the ADVM premise), and every test cell of every
-  /// matrix entry is fanned out over the same worker pool. Cells sharing a
-  /// derivative share each test's linked image. Reports come back in
-  /// `cells` order, each internally in discovery order.
+  /// matrix entry is fanned out over the same worker pool. Each test is
+  /// linked once per memory map: every cell whose derivative induces the
+  /// same link_options() runs that one image, on its own board, so
+  /// derivatives that share a memory map (and their platform cells) share
+  /// each test's link. Reports come back in `cells` order, each internally
+  /// in discovery order.
   [[nodiscard]] std::vector<RegressionReport> run_matrix(
       std::string_view system_root, const std::vector<MatrixCell>& cells,
       std::uint64_t max_instructions = 2'000'000);
@@ -165,7 +168,7 @@ class RegressionRunner {
 ///   - link order: the test object, then base_functions.asm, the trap
 ///     library, the embedded software and the common functions — each
 ///     only when its source exists;
-///   - LinkOptions: the derivative's code and data bases (link_cell).
+///   - LinkOptions: link_options(derivative), the code and data bases.
 /// Shared objects are held by pointer into the cache, so linking a cell
 /// never copies them.
 struct EnvBuildContext {
@@ -195,9 +198,16 @@ struct EnvBuildContext {
     const support::VirtualFileSystem& vfs, std::string_view system_root,
     std::size_t jobs, ObjectCache& cache);
 
+/// The LinkOptions `spec` induces: its code and data bases. A linked image
+/// depends on the derivative through these alone, so the matrix groups
+/// cells by them — derivatives with equal link options share one image.
+[[nodiscard]] assembler::LinkOptions link_options(
+    const soc::DerivativeSpec& spec);
+
 /// Links one cell of `env` — `test_object` first, then the shared objects,
-/// all by pointer — for `spec`. nullopt with the reasons in `diags` when
-/// the cell does not link.
+/// all by pointer — with link_options(spec). Any derivative with the same
+/// link options gets the same image. nullopt with the reasons in `diags`
+/// when the cell does not link.
 [[nodiscard]] std::optional<assembler::Image> link_cell(
     const EnvBuildContext& env, const assembler::ObjectFile& test_object,
     const soc::DerivativeSpec& spec, support::DiagnosticEngine& diags);

@@ -28,6 +28,8 @@ struct LinkOptions {
   std::uint32_t code_base = 0x0000'1000;
   std::uint32_t data_base = 0x0010'0000;
   std::string entry_symbol = "_main";
+
+  bool operator==(const LinkOptions&) const = default;
 };
 
 /// A placed, fully patched run of bytes. Carries its provenance (section

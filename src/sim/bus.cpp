@@ -156,9 +156,7 @@ bool Bus::load_bytes(std::uint32_t addr,
     const std::size_t chunk =
         std::min<std::size_t>(bytes.size() - index, m->size - offset);
     if (auto* rom = dynamic_cast<Rom*>(m->device.get())) {
-      rom->program(offset, {bytes.begin() + static_cast<std::ptrdiff_t>(index),
-                            bytes.begin() +
-                                static_cast<std::ptrdiff_t>(index + chunk)});
+      rom->program(offset, std::span(bytes).subspan(index, chunk));
     } else {
       for (std::size_t i = 0; i < chunk; ++i) {
         if (!m->device->write8(offset + static_cast<std::uint32_t>(i),
@@ -329,11 +327,13 @@ void Rom::reset() {
   bump_generation();
 }
 
-void Rom::program(std::uint32_t offset,
-                  const std::vector<std::uint8_t>& bytes) {
-  const std::uint32_t end = static_cast<std::uint32_t>(
-      std::min<std::size_t>(offset + bytes.size(), bytes_.size()));
-  if (offset < end) {
+void Rom::program(std::uint32_t offset, std::span<const std::uint8_t> bytes) {
+  const std::size_t fit =
+      offset < bytes_.size()
+          ? std::min<std::size_t>(bytes.size(), bytes_.size() - offset)
+          : 0;
+  if (fit != 0) {
+    const std::uint32_t end = offset + static_cast<std::uint32_t>(fit);
     if (dirty_lo_ == dirty_hi_) {
       dirty_lo_ = offset;
       dirty_hi_ = end;
@@ -341,9 +341,7 @@ void Rom::program(std::uint32_t offset,
       dirty_lo_ = std::min(dirty_lo_, offset);
       dirty_hi_ = std::max(dirty_hi_, end);
     }
-  }
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    if (offset + i < bytes_.size()) bytes_[offset + i] = bytes[i];
+    std::copy_n(bytes.begin(), fit, bytes_.begin() + offset);
   }
   bump_generation();
 }

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -250,8 +251,10 @@ class Rom : public BusDevice {
     return bytes_.data();
   }
 
-  /// Image loading backdoor (not a bus write).
-  void program(std::uint32_t offset, const std::vector<std::uint8_t>& bytes);
+  /// Image loading backdoor (not a bus write): copies `bytes` in bulk to
+  /// `offset`, keeping only the bytes that fit inside the window, and bumps
+  /// the generation even when none fit.
+  void program(std::uint32_t offset, std::span<const std::uint8_t> bytes);
 
  private:
   std::string name_;

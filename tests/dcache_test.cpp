@@ -686,9 +686,16 @@ TEST(BusWindows, GenerationBumpsOnEveryContentChange) {
   EXPECT_GT(ram.generation(), g2);
 
   Rom rom("rom", 16);
+  const std::uint8_t image[] = {1, 2, 3};
   const auto r0 = rom.generation();
-  rom.program(0, {1, 2, 3});
+  rom.program(0, image);
   EXPECT_GT(rom.generation(), r0);
+  const auto r1 = rom.generation();
+  rom.program(14, image);  // straddles the end of the window
+  EXPECT_GT(rom.generation(), r1);
+  const auto r2 = rom.generation();
+  rom.program(16, image);  // wholly outside: nothing written, still a bump
+  EXPECT_GT(rom.generation(), r2);
 }
 
 TEST(EventHorizon, TimerReportsCyclesToNextPossibleIrq) {

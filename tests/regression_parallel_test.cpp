@@ -211,6 +211,73 @@ TEST(ParallelRegression, PlatformCellsOfADerivativeShareOneLink) {
   }
 }
 
+TEST(ParallelRegression, CellsWithOneMemoryMapShareOneLink) {
+  // The matrix links each test once per memory map: SC88-A and SC88-B
+  // induce the same LinkOptions and share an image, while a copy of
+  // SC88-A with its code ROM moved must link and run its own. Each report
+  // must match a solo run of its cell record for record, at any pool size.
+  soc::DerivativeSpec moved = soc::derivative_a();
+  moved.name = "SC88-A-MOVED";
+  moved.rom_base += 0x1000;
+  ASSERT_EQ(link_options(soc::derivative_a()),
+            link_options(soc::derivative_b()));
+  ASSERT_FALSE(link_options(moved) == link_options(soc::derivative_a()));
+
+  support::VirtualFileSystem vfs;
+  auto layout = build_test_system(vfs);
+  // The state digest covers registers, not the PC: this test leaves its
+  // own code address in a register, so it shows which image ran.
+  const std::string placed = "TEST_MEMORY_001";
+  vfs.write(layout.root + "/MEM_MODULE/" + placed + "/test.asm",
+            ".INCLUDE Globals.inc\n_main:\n LEA a12, _main\n"
+            " CALL Base_Report_Pass\n");
+  const std::vector<MatrixCell> cells = {
+      {&soc::derivative_a(), sim::PlatformKind::GoldenModel},
+      {&moved, sim::PlatformKind::GoldenModel},
+      {&soc::derivative_b(), sim::PlatformKind::GoldenModel},
+      {&soc::derivative_a(), sim::PlatformKind::RtlSim},
+      {&moved, sim::PlatformKind::RtlSim},
+      {&soc::derivative_b(), sim::PlatformKind::RtlSim},
+  };
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    RegressionRunner runner(vfs, jobs);
+    const auto matrix = runner.run_matrix(layout.root, cells);
+    ASSERT_EQ(matrix.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      RegressionRunner serial(vfs, 1);
+      const auto solo = serial.run_system(layout.root, *cells[i].spec,
+                                          cells[i].platform);
+      EXPECT_EQ(matrix[i].derivative, cells[i].spec->name);
+      EXPECT_EQ(format_report(matrix[i]), format_report(solo))
+          << "jobs " << jobs << " cell " << i;
+      ASSERT_EQ(matrix[i].records.size(), solo.records.size());
+      for (std::size_t r = 0; r < solo.records.size(); ++r) {
+        EXPECT_EQ(render_record(matrix[i].records[r]),
+                  render_record(solo.records[r]))
+            << "jobs " << jobs << " cell " << i;
+      }
+    }
+
+    // The moved map ran an image placed at its own code base.
+    for (std::size_t cell : {0, 3}) {  // SC88-A golden-model, hdl-rtl
+      const auto& a = matrix[cell].records;
+      const auto& m = matrix[cell + 1].records;
+      ASSERT_EQ(a.size(), m.size());
+      bool placed_seen = false;
+      for (std::size_t r = 0; r < a.size(); ++r) {
+        ASSERT_TRUE(a[r].build_ok && m[r].build_ok) << a[r].test_id;
+        EXPECT_EQ(a[r].verdict, m[r].verdict) << a[r].test_id;
+        if (a[r].test_id != placed) continue;
+        placed_seen = true;
+        EXPECT_EQ(a[r].verdict, soc::Verdict::Pass);
+        EXPECT_NE(a[r].state_digest, m[r].state_digest)
+            << "the moved map ran SC88-A's image";
+      }
+      EXPECT_TRUE(placed_seen);
+    }
+  }
+}
+
 TEST(ParallelRegression, WarmRerunIsPureHitsAndDigestStable) {
   // Re-running on the same runner serves every object from the cache —
   // hit/miss counters swap — while the outcome digest must not move.

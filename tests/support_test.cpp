@@ -1,12 +1,19 @@
 // Unit tests for the support layer: text utilities, VFS, hashing, RNG,
 // diagnostics.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <set>
 
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <limits>
+#include <thread>
 
 #include "support/diagnostics.h"
 #include "support/disk.h"
@@ -19,6 +26,7 @@
 namespace {
 
 using namespace advm::support;
+using namespace std::string_literals;
 
 // ---------------------------------------------------------------- text ----
 
@@ -285,18 +293,179 @@ class DiskTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
+/// The std::runtime_error message `fn` throws, or "" when it returns.
+template <typename Fn>
+std::string thrown_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Writes `content` to a host file, creating its parent directories.
+void write_host_file(const std::filesystem::path& path,
+                     const std::string& content) {
+  std::filesystem::create_directories(path.parent_path());
+  std::ofstream(path, std::ios::binary) << content;
+}
+
 TEST_F(DiskTest, ExportImportRoundTripPreservesTree) {
   VirtualFileSystem vfs;
   vfs.write("/env/Abstraction_Layer/Globals.inc", "PAGE .EQU 8\n");
   vfs.write("/env/TEST_1/test.asm", "_main: HALT\n");
   vfs.write("/env/TESTPLAN.TXT", "plan");
+  // Four levels below the root, with siblings at every level.
+  vfs.write("/env/a/b/c/deep.txt", "deep");
+  vfs.write("/env/a/b/c/deeper.txt", "deeper");
+  vfs.write("/env/a/b/mid.txt", "mid");
+  vfs.write("/env/a/b2/c2/other.txt", "other");
+  vfs.write("/env/a/top.txt", "top");
 
-  EXPECT_EQ(export_to_disk(vfs, "/env", dir_.string()), 3u);
+  EXPECT_EQ(export_to_disk(vfs, "/env", dir_.string()), 8u);
+  EXPECT_EQ(read_file((dir_ / "a/b/c/deeper.txt").string()), "deeper");
 
   VirtualFileSystem back;
-  EXPECT_EQ(import_from_disk(back, dir_.string(), "/env"), 3u);
+  EXPECT_EQ(import_from_disk(back, dir_.string(), "/env"), 8u);
   EXPECT_EQ(hash_tree(vfs, "/env"), hash_tree(back, "/env"));
+  EXPECT_EQ(back.list_tree("/env"), vfs.list_tree("/env"));
   EXPECT_EQ(back.read("/env/TEST_1/test.asm"), "_main: HALT\n");
+  EXPECT_EQ(back.read("/env/a/b/c/deep.txt"), "deep");
+}
+
+TEST_F(DiskTest, ExportCreatesNothingForAnEmptyTree) {
+  VirtualFileSystem vfs;
+  vfs.write("/elsewhere/file.txt", "x");
+  EXPECT_EQ(export_to_disk(vfs, "/env", (dir_ / "out").string()), 0u);
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "out"));
+}
+
+TEST_F(DiskTest, ExportErrorsNameTheTarget) {
+  // A directory where a file must go cannot be opened for writing.
+  std::filesystem::create_directories(dir_ / "sub" / "file.txt");
+  VirtualFileSystem vfs;
+  vfs.write("/env/sub/file.txt", "content");
+  EXPECT_EQ(thrown_message([&] { export_to_disk(vfs, "/env", dir_.string()); }),
+            "cannot write " + (dir_ / "sub" / "file.txt").string());
+}
+
+TEST_F(DiskTest, FileContentsRoundTripByteForByte) {
+  const std::string binary = "NUL\0CR\rLF\nCRLF\r\n\xFF\xFE\0"s;
+  std::string large(std::size_t{1} << 20, '\0');
+  for (std::size_t i = 0; i < large.size(); ++i) {
+    large[i] = static_cast<char>((i * 131 + i / 977) & 0xFF);
+  }
+  large += "tail past one MiB";
+
+  VirtualFileSystem vfs;
+  vfs.write("/env/empty.bin", "");
+  vfs.write("/env/binary.bin", binary);
+  vfs.write("/env/large.bin", large);
+  ASSERT_EQ(export_to_disk(vfs, "/env", dir_.string()), 3u);
+  EXPECT_EQ(std::filesystem::file_size(dir_ / "empty.bin"), 0u);
+  EXPECT_EQ(std::filesystem::file_size(dir_ / "binary.bin"), binary.size());
+  EXPECT_EQ(std::filesystem::file_size(dir_ / "large.bin"), large.size());
+
+  VirtualFileSystem back;
+  ASSERT_EQ(import_from_disk(back, dir_.string(), "/env"), 3u);
+  ASSERT_TRUE(back.exists("/env/empty.bin"));
+  EXPECT_EQ(back.read_required("/env/empty.bin"), "");
+  EXPECT_EQ(back.read_required("/env/binary.bin"), binary);
+  EXPECT_TRUE(back.read_required("/env/large.bin") == large)
+      << "the 1 MiB file did not round-trip";
+}
+
+TEST_F(DiskTest, SymlinkedFileImportsAtItsInTreePath) {
+  write_host_file(dir_ / "other" / "real.txt", "real content");
+  std::filesystem::create_directories(dir_ / "symt" / "sub");
+  std::filesystem::create_symlink("../../other/real.txt",
+                                  dir_ / "symt" / "sub" / "link.txt");
+
+  VirtualFileSystem vfs;
+  EXPECT_EQ(import_from_disk(vfs, (dir_ / "symt").string(), "/SYS"), 1u);
+  EXPECT_EQ(vfs.list_tree("/"),
+            std::vector<std::string>{"/SYS/sub/link.txt"});
+  EXPECT_EQ(vfs.read("/SYS/sub/link.txt"), "real content");
+}
+
+TEST_F(DiskTest, DirectorySpellingsImportIdentically) {
+  write_host_file(dir_ / "tree" / "TESTPLAN.TXT", "plan");
+  write_host_file(dir_ / "tree" / "a" / "b" / "test.asm", "_main: HALT\n");
+  write_host_file(dir_ / "tree" / "a" / "Globals.inc", "X .EQU 1\n");
+
+  // Relative spellings resolve against the working directory.
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir_);
+  std::vector<VirtualFileSystem> imports;
+  for (const char* spelling : {"tree", "tree/", "./tree", "tree/."}) {
+    imports.emplace_back();
+    EXPECT_EQ(import_from_disk(imports.back(), spelling, "/SYS"), 3u)
+        << spelling;
+  }
+  std::filesystem::current_path(cwd);
+
+  const std::vector<std::string> expected = {
+      "/SYS/TESTPLAN.TXT", "/SYS/a/Globals.inc", "/SYS/a/b/test.asm"};
+  for (const VirtualFileSystem& vfs : imports) {
+    EXPECT_EQ(vfs.list_tree("/"), expected);
+    EXPECT_EQ(hash_tree(vfs, "/SYS"), hash_tree(imports.front(), "/SYS"));
+    EXPECT_EQ(vfs.read("/SYS/a/b/test.asm"), "_main: HALT\n");
+  }
+}
+
+TEST_F(DiskTest, ReadFailuresThrowCannotRead) {
+  std::filesystem::create_directories(dir_ / "a_directory");
+  const std::string missing = (dir_ / "missing.txt").string();
+  const std::string directory = (dir_ / "a_directory").string();
+  // open() fails on a missing file; read() fails (EISDIR) on a directory.
+  EXPECT_EQ(thrown_message([&] { (void)read_file(missing); }),
+            "cannot read " + missing);
+  EXPECT_EQ(thrown_message([&] { (void)read_file(directory); }),
+            "cannot read " + directory);
+}
+
+TEST_F(DiskTest, ReadFileReadsAPipeToItsEndAcrossShortReads) {
+  // A FIFO stats as empty and delivers each write as its own short read:
+  // the whole stream must still arrive, in order, with nothing dropped.
+  std::filesystem::create_directories(dir_);
+  const std::string fifo = (dir_ / "fifo").string();
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const std::vector<std::string> chunks = {"first,", std::string(5000, 'x'),
+                                           "", "\0\xFF,"s, "last"};
+  std::thread writer([&] {
+    // A reader that stops early must fail the comparison below, not kill
+    // the process: a blocked SIGPIPE turns into EPIPE on this thread.
+    sigset_t pipe_signal;
+    sigemptyset(&pipe_signal);
+    sigaddset(&pipe_signal, SIGPIPE);
+    pthread_sigmask(SIG_BLOCK, &pipe_signal, nullptr);
+    int fd = -1;
+    // O_NONBLOCK fails with ENXIO until the reader has opened the FIFO,
+    // so a reader that never comes cannot hang the test.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (fd < 0 && std::chrono::steady_clock::now() < deadline) {
+      fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+      if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (fd < 0) return;
+    ::fcntl(fd, F_SETFL, 0);  // blocking writes from here on
+    for (const std::string& chunk : chunks) {
+      if (!chunk.empty()) {
+        (void)!::write(fd, chunk.data(), chunk.size());
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ::close(fd);
+  });
+  std::string content;
+  const std::string error = thrown_message([&] { content = read_file(fifo); });
+  writer.join();
+  EXPECT_EQ(error, "");
+  std::string expected;
+  for (const std::string& chunk : chunks) expected += chunk;
+  EXPECT_EQ(content, expected);
 }
 
 TEST_F(DiskTest, ImportMissingDirectoryThrows) {

@@ -115,9 +115,10 @@ print("jobs determinism ok: %d cells byte-identical at --jobs 1/4/0, "
 PY
 # The 200-test tree (advm init --tests 40) over SC88-A,B x golden-model,
 # hdl-rtl at --jobs 1 and 4: 800 executions whose workers contend for the
-# include memo and share one linked image across each derivative's two
-# platform cells. The whole document, cache counters included, must be
-# byte-identical.
+# include memo and share one linked image across every cell with one
+# memory map. The whole document, cache counters included, must be
+# byte-identical. A third lap types the tree as ./build/jobs-wide-env/:
+# the import derives VFS paths lexically, so the spelling must not show.
 rm -rf build/jobs-wide-env
 ./build/tools/advm init build/jobs-wide-env --tests 40 > /dev/null
 WIDE_AXES="--derivatives SC88-A,SC88-B --platforms golden-model,hdl-rtl"
@@ -125,8 +126,12 @@ for jobs in 1 4; do
   ./build/tools/advm matrix build/jobs-wide-env $WIDE_AXES --jobs "$jobs" \
     --format json > "build/jobs-wide-$jobs.json" || true
 done
+./build/tools/advm matrix ./build/jobs-wide-env/ $WIDE_AXES --jobs 4 \
+  --format json > build/jobs-wide-spelled.json || true
 cmp build/jobs-wide-1.json build/jobs-wide-4.json
-echo "jobs determinism ok: 200-test matrix byte-identical at --jobs 1/4"
+cmp build/jobs-wide-1.json build/jobs-wide-spelled.json
+echo "jobs determinism ok: 200-test matrix byte-identical at --jobs 1/4" \
+  "and under a second spelling of its path"
 
 echo "==> serve daemon gate (warm resident session vs cold CLI)"
 # One daemon owns a warm Session (thread pool + persistent cache); every
