@@ -13,6 +13,12 @@
 // thread that has no pooled board for a key constructs one rather than
 // stealing from another shard — construction is the cold path by design.
 //
+// Memory: a board's ROM and RAM images come from std::calloc
+// (sim::ZeroedBytes), so constructing one maps zero pages without writing
+// them and each page faults in on a test's first touch. Returning a board
+// clears only the RAM pages the test dirtied and the ROM range it
+// programmed, never the whole image.
+//
 // Reuse is only sound if the board really is the board the spec describes.
 // Keys are (DerivativeSpec address, platform), but a pooled board also
 // records a fingerprint over every spec field the Board constructor

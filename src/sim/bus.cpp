@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <new>
 
 namespace advm::sim {
 
@@ -202,11 +204,22 @@ BusDevice* Bus::device_at(std::uint32_t addr) {
   return m ? m->device.get() : nullptr;
 }
 
+// ------------------------------------------------------------ ZeroedBytes --
+
+// calloc(0) may return null, so a zero-size image takes one byte and null
+// always means the allocation failed.
+ZeroedBytes::ZeroedBytes(std::uint32_t size)
+    : bytes_(static_cast<std::uint8_t*>(
+          std::calloc(std::max<std::size_t>(size, 1), 1))),
+      size_(size) {
+  if (!bytes_) throw std::bad_alloc();
+}
+
 // -------------------------------------------------------------------- Ram --
 
 Ram::Ram(std::string name, std::uint32_t size, bool track_init)
     : name_(std::move(name)),
-      bytes_(size, 0),
+      bytes_(size),
       initialized_(track_init ? size : 0, false),
       track_init_(track_init),
       dirty_pages_((static_cast<std::size_t>(size) + (64u << kPageShift) - 1) /
@@ -216,13 +229,13 @@ Ram::Ram(std::string name, std::uint32_t size, bool track_init)
 bool Ram::read8(std::uint32_t offset, std::uint8_t& value) {
   if (offset >= bytes_.size()) return false;
   if (track_init_ && !initialized_[offset]) ++uninitialized_reads_;
-  value = bytes_[offset];
+  value = bytes_.data()[offset];
   return true;
 }
 
 bool Ram::write8(std::uint32_t offset, std::uint8_t value) {
   if (offset >= bytes_.size()) return false;
-  bytes_[offset] = value;
+  bytes_.data()[offset] = value;
   if (track_init_) initialized_[offset] = true;
   const std::uint32_t page = offset >> kPageShift;
   dirty_pages_[page >> 6] |= 1ULL << (page & 63u);
@@ -277,9 +290,7 @@ void Ram::reset() {
       const std::size_t page_end =
           std::min<std::size_t>(page_start + (1u << kPageShift),
                                 bytes_.size());
-      std::fill(bytes_.begin() + static_cast<std::ptrdiff_t>(page_start),
-                bytes_.begin() + static_cast<std::ptrdiff_t>(page_end),
-                std::uint8_t{0});
+      std::memset(bytes_.data() + page_start, 0, page_end - page_start);
       if (track_init_) {
         std::fill(
             initialized_.begin() + static_cast<std::ptrdiff_t>(page_start),
@@ -296,11 +307,11 @@ void Ram::reset() {
 // -------------------------------------------------------------------- Rom --
 
 Rom::Rom(std::string name, std::uint32_t size)
-    : name_(std::move(name)), bytes_(size, 0) {}
+    : name_(std::move(name)), bytes_(size) {}
 
 bool Rom::read8(std::uint32_t offset, std::uint8_t& value) {
   if (offset >= bytes_.size()) return false;
-  value = bytes_[offset];
+  value = bytes_.data()[offset];
   return true;
 }
 
@@ -321,8 +332,7 @@ bool Rom::read32(std::uint32_t offset, std::uint32_t& value) {
 }
 
 void Rom::reset() {
-  std::fill(bytes_.begin() + dirty_lo_, bytes_.begin() + dirty_hi_,
-            std::uint8_t{0});
+  std::memset(bytes_.data() + dirty_lo_, 0, dirty_hi_ - dirty_lo_);
   dirty_lo_ = dirty_hi_ = 0;
   bump_generation();
 }
@@ -341,7 +351,7 @@ void Rom::program(std::uint32_t offset, std::span<const std::uint8_t> bytes) {
       dirty_lo_ = std::min(dirty_lo_, offset);
       dirty_hi_ = std::max(dirty_hi_, end);
     }
-    std::copy_n(bytes.begin(), fit, bytes_.begin() + offset);
+    std::copy_n(bytes.begin(), fit, bytes_.data() + offset);
   }
   bump_generation();
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <span>
@@ -186,6 +187,28 @@ class Bus {
   std::vector<BusDevice*> ticking_;    // devices with wants_tick()
 };
 
+/// Zero-filled byte image of a Ram or Rom, taken from std::calloc. A fresh
+/// large calloc block is zero pages the allocator maps without writing, so
+/// building a board faults in almost none of its memory: each page faults
+/// in when a test first touches it, and a test touches a few KB of the
+/// hundreds a board maps.
+class ZeroedBytes {
+ public:
+  /// Throws std::bad_alloc when the block cannot be had.
+  explicit ZeroedBytes(std::uint32_t size);
+
+  [[nodiscard]] std::uint8_t* data() { return bytes_.get(); }
+  [[nodiscard]] const std::uint8_t* data() const { return bytes_.get(); }
+  [[nodiscard]] std::uint32_t size() const { return size_; }
+
+ private:
+  struct Free {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
+  std::unique_ptr<std::uint8_t[], Free> bytes_;
+  std::uint32_t size_ = 0;
+};
+
 /// Plain RAM. Optionally tracks per-byte initialisation so the gate-level
 /// platform can flag reads of never-written memory (X-propagation checking).
 class Ram : public BusDevice {
@@ -193,9 +216,7 @@ class Ram : public BusDevice {
   Ram(std::string name, std::uint32_t size, bool track_init = false);
 
   [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] std::uint32_t size() const override {
-    return static_cast<std::uint32_t>(bytes_.size());
-  }
+  [[nodiscard]] std::uint32_t size() const override { return bytes_.size(); }
   bool read8(std::uint32_t offset, std::uint8_t& value) override;
   bool write8(std::uint32_t offset, std::uint8_t value) override;
   /// Single-memcpy word access. read32 preserves the byte-composed
@@ -225,7 +246,7 @@ class Ram : public BusDevice {
   static constexpr std::uint32_t kPageShift = 12;
 
   std::string name_;
-  std::vector<std::uint8_t> bytes_;
+  ZeroedBytes bytes_;
   std::vector<bool> initialized_;
   bool track_init_ = false;
   std::uint64_t uninitialized_reads_ = 0;
@@ -238,9 +259,7 @@ class Rom : public BusDevice {
   Rom(std::string name, std::uint32_t size);
 
   [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] std::uint32_t size() const override {
-    return static_cast<std::uint32_t>(bytes_.size());
-  }
+  [[nodiscard]] std::uint32_t size() const override { return bytes_.size(); }
   bool read8(std::uint32_t offset, std::uint8_t& value) override;
   bool write8(std::uint32_t offset, std::uint8_t value) override;
   bool read32(std::uint32_t offset, std::uint32_t& value) override;
@@ -258,7 +277,7 @@ class Rom : public BusDevice {
 
  private:
   std::string name_;
-  std::vector<std::uint8_t> bytes_;
+  ZeroedBytes bytes_;
   std::uint32_t dirty_lo_ = 0;
   std::uint32_t dirty_hi_ = 0;
 };

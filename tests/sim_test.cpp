@@ -129,6 +129,98 @@ TEST(Ram, TracksUninitializedReads) {
   EXPECT_EQ(ram.uninitialized_reads(), 1u);  // now initialised
 }
 
+// Memories are calloc-backed and fault their pages in on first touch, so
+// these probe every 4KB page of an SC88-D-sized image, not just its ends.
+constexpr std::uint32_t kPage = 0x1000;
+constexpr std::uint32_t kBigRamSize = 0x0008'0000;  // SC88-D's RAM
+constexpr std::uint32_t kBigRomSize = 0x0004'0000;
+
+/// Byte 0, the first byte of every 4KB page and the last byte of `size`.
+std::vector<std::uint32_t> page_probes(std::uint32_t size) {
+  std::vector<std::uint32_t> probes;
+  for (std::uint32_t offset = 0; offset < size; offset += kPage) {
+    probes.push_back(offset);
+  }
+  probes.push_back(size - 1);
+  return probes;
+}
+
+TEST(Ram, FreshMemoryReadsZeroOnEveryPage) {
+  for (const bool track_init : {false, true}) {
+    Ram ram("ram", kBigRamSize, track_init);
+    ASSERT_EQ(ram.size(), kBigRamSize);
+    for (const std::uint32_t offset : page_probes(kBigRamSize)) {
+      std::uint8_t b = 0xFF;
+      ASSERT_TRUE(ram.read8(offset, b));
+      EXPECT_EQ(b, 0) << "offset " << offset << " track " << track_init;
+      std::uint32_t w = 0xFFFF'FFFF;
+      ASSERT_TRUE(ram.read32(offset & ~3u, w));
+      EXPECT_EQ(w, 0u) << "offset " << offset << " track " << track_init;
+    }
+    std::uint8_t b = 0;
+    EXPECT_FALSE(ram.read8(kBigRamSize, b));
+  }
+}
+
+TEST(Rom, FreshMemoryReadsZeroOnEveryPage) {
+  Rom rom("rom", kBigRomSize);
+  ASSERT_EQ(rom.size(), kBigRomSize);
+  for (const std::uint32_t offset : page_probes(kBigRomSize)) {
+    std::uint8_t b = 0xFF;
+    ASSERT_TRUE(rom.read8(offset, b));
+    EXPECT_EQ(b, 0) << "offset " << offset;
+    EXPECT_EQ(rom.direct_bytes()[offset], 0) << "offset " << offset;
+  }
+  std::uint8_t b = 0;
+  EXPECT_FALSE(rom.read8(kBigRomSize, b));
+}
+
+TEST(Ram, ResetZeroesEveryTouchedPageAndClearsInitTracking) {
+  Ram ram("ram", kBigRamSize, /*track_init=*/true);
+  const std::vector<std::uint32_t> probes = page_probes(kBigRamSize);
+  for (const std::uint32_t offset : probes) {
+    ASSERT_TRUE(ram.write8(offset, 0xA5));
+  }
+  // Words at the start, straddling a page boundary, and at the very end.
+  ASSERT_TRUE(ram.write32(0x10, 0xDEAD'BEEF));
+  ASSERT_TRUE(ram.write32(3 * kPage - 2, 0xDEAD'BEEF));
+  ASSERT_TRUE(ram.write32(kBigRamSize - 4, 0xDEAD'BEEF));
+  std::uint8_t b = 0;
+  ASSERT_TRUE(ram.read8(3 * kPage + 1, b));
+  EXPECT_EQ(b, 0xDE);
+  EXPECT_EQ(ram.uninitialized_reads(), 0u);
+
+  ram.reset();
+  EXPECT_EQ(ram.uninitialized_reads(), 0u);
+  for (const std::uint32_t offset : probes) {
+    ASSERT_TRUE(ram.read8(offset, b));
+    EXPECT_EQ(b, 0) << "offset " << offset;
+  }
+  std::uint32_t w = 0xFFFF'FFFF;
+  for (const std::uint32_t offset :
+       {0x10u, 3 * kPage - 2, kBigRamSize - 4}) {
+    ASSERT_TRUE(ram.read32(offset, w));
+    EXPECT_EQ(w, 0u) << "offset " << offset;
+  }
+  // Every byte read above was written before the reset; each one now
+  // counts as never written: one per probe byte, four per word.
+  EXPECT_EQ(ram.uninitialized_reads(), probes.size() + 3 * 4);
+}
+
+TEST(Rom, ResetZeroesEveryProgrammedPage) {
+  Rom rom("rom", kBigRomSize);
+  const std::uint8_t image[] = {0x11, 0x22, 0x33, 0x44};
+  const std::vector<std::uint32_t> probes = page_probes(kBigRomSize);
+  for (const std::uint32_t offset : probes) rom.program(offset, image);
+  EXPECT_EQ(rom.direct_bytes()[kBigRomSize - 1], 0x11);
+  rom.reset();
+  for (const std::uint32_t offset : probes) {
+    for (std::uint32_t i = 0; i < 4 && offset + i < kBigRomSize; ++i) {
+      EXPECT_EQ(rom.direct_bytes()[offset + i], 0) << "offset " << offset;
+    }
+  }
+}
+
 // --------------------------------------------------------------- machine ---
 
 /// Assembles, links and loads a bare-metal program into a flat RAM board.

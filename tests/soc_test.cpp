@@ -1,6 +1,7 @@
 // Tests for the SoC layer: derivative specs, peripherals, global-layer
 // source generation, and end-to-end board runs across all six platforms.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include "asm/assembler.h"
 #include "asm/linker.h"
@@ -589,6 +590,29 @@ _main:
   Board golden(derivative_a(), PlatformKind::GoldenModel);
   ASSERT_TRUE(golden.load(*image, &error));
   EXPECT_EQ(golden.run().x_register_reads, 0u);
+}
+
+/// Minor page faults this process has taken so far.
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+TEST(Board, ConstructionFaultsInAlmostNoMemory) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators poison or shadow fresh memory";
+#else
+  // SC88-D on hdl-gate maps 0.8 MB of ROM and RAM plus the X-tracking
+  // bitmap. Memories are calloc-backed, so a board faults a page in only
+  // when a test touches it; zero-filling them eagerly costs ~200 faults.
+  const DerivativeSpec& spec = derivative_d();
+  const long before = minor_faults();
+  Board board(spec, PlatformKind::GateSim);
+  const long faults = minor_faults() - before;
+  EXPECT_LT(faults, 64) << "building a board faulted in " << faults
+                        << " pages";
+#endif
 }
 
 TEST_F(BoardTest, ImageOutsideMemoryMapRejected) {

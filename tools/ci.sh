@@ -113,6 +113,21 @@ assert hits > 0, "second lap on the cache dir had no persistent-cache hits"
 print("jobs determinism ok: %d cells byte-identical at --jobs 1/4/0, "
       "%d persistent-cache hits on the warm lap" % (len(serial["rollup"]), hits))
 PY
+# The e10 tree over all six platforms at --jobs 1 and 4, no cache dir.
+# Pooled boards run a different sequence of tests at each pool size, with
+# plain RAM on five platforms and init-tracking RAM on hdl-gate, so a reset
+# that left a dirty page behind would change what a later test reads: its
+# verdict, state digest or instruction count. The whole document must be
+# byte-identical.
+SIX_AXES="--derivatives SC88-A,SC88-B,SC88-C,SC88-D"
+SIX_AXES="$SIX_AXES --platforms golden-model,hdl-rtl,hdl-gate,accelerator,bondout,product"
+for jobs in 1 4; do
+  ./build/tools/advm matrix build/jobs-env $SIX_AXES --jobs "$jobs" \
+    --format json > "build/jobs-six-$jobs.json" || true
+done
+cmp build/jobs-six-1.json build/jobs-six-4.json
+echo "jobs determinism ok: e10 tree on all six platforms byte-identical" \
+  "at --jobs 1/4"
 # The 200-test tree (advm init --tests 40) over SC88-A,B x golden-model,
 # hdl-rtl at --jobs 1 and 4: 800 executions whose workers contend for the
 # include memo and share one linked image across every cell with one
