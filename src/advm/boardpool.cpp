@@ -103,14 +103,7 @@ void BoardPool::give_back(std::uint64_t fingerprint,
         ++i;
       }
     }
-    if (max_free_per_key_ != 0 && list.size() >= max_free_per_key_) {
-      // Free list full: every pooled board under the key is equivalent
-      // (all reset), so the returning one is simply destroyed.
-      trimmed_.fetch_add(1, std::memory_order_relaxed);
-      dropped.push_back(Pooled{fingerprint, std::move(board)});
-    } else {
-      list.push_back(Pooled{fingerprint, std::move(board)});
-    }
+    list.push_back(Pooled{fingerprint, std::move(board)});
   }
 }
 
@@ -119,7 +112,6 @@ BoardPoolStats BoardPool::stats() const {
   s.constructed = constructed_.load(std::memory_order_relaxed);
   s.reused = reused_.load(std::memory_order_relaxed);
   s.discarded = discarded_.load(std::memory_order_relaxed);
-  s.trimmed = trimmed_.load(std::memory_order_relaxed);
   s.stale_evicted = stale_evicted_.load(std::memory_order_relaxed);
   return s;
 }

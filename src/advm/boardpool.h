@@ -24,8 +24,13 @@
 // records a fingerprint over every spec field the Board constructor
 // consumed: if the address is reused by a *different* spec (a stack-local
 // ported derivative, say), the fingerprint mismatches and the stale board
-// is discarded instead of leased. Outcome digests are therefore identical
-// to per-run construction by construction — regression tests enforce it.
+// is discarded instead of leased, and a returning board evicts every board
+// pooled under its key with a different fingerprint. Outcome digests are
+// therefore identical to per-run construction by construction — regression
+// tests enforce it.
+//
+// Free lists are unbounded: every returned board stays pooled until it is
+// leased again, evicted as stale or the pool is destroyed.
 #pragma once
 
 #include <array>
@@ -47,7 +52,6 @@ struct BoardPoolStats {
   std::uint64_t constructed = 0;  ///< leases served by building a new board
   std::uint64_t reused = 0;       ///< leases served from a free list
   std::uint64_t discarded = 0;    ///< stale boards dropped (spec changed)
-  std::uint64_t trimmed = 0;      ///< boards dropped by the free-list cap
   /// Boards dropped because their (derivative × platform) key went stale
   /// (the spec at that address changed) while they sat on a free list.
   std::uint64_t stale_evicted = 0;
@@ -60,20 +64,9 @@ struct BoardPoolStats {
 
 class BoardPool {
  public:
-  /// `max_free_per_key` caps each shard's free list per (derivative ×
-  /// platform) key — the trim policy that keeps residency bounded when
-  /// thousands of keys flow through one long-lived pool. 0 = unbounded,
-  /// the historical behaviour. Boards past the cap are destroyed on
-  /// release (`trimmed` in stats); stale boards sharing a key with a
-  /// returning board are evicted eagerly (`stale_evicted`).
-  explicit BoardPool(std::size_t max_free_per_key = 0)
-      : max_free_per_key_(max_free_per_key) {}
+  BoardPool() = default;
   BoardPool(const BoardPool&) = delete;
   BoardPool& operator=(const BoardPool&) = delete;
-
-  [[nodiscard]] std::size_t max_free_per_key() const {
-    return max_free_per_key_;
-  }
 
   /// RAII lease: the board returns to the pool (reset) on destruction.
   class Lease {
@@ -130,11 +123,9 @@ class BoardPool {
   void give_back(std::uint64_t fingerprint, std::unique_ptr<soc::Board> board);
 
   std::array<Shard, kShards> shards_;
-  std::size_t max_free_per_key_ = 0;
   std::atomic<std::uint64_t> constructed_{0};
   std::atomic<std::uint64_t> reused_{0};
   std::atomic<std::uint64_t> discarded_{0};
-  std::atomic<std::uint64_t> trimmed_{0};
   std::atomic<std::uint64_t> stale_evicted_{0};
 };
 

@@ -1,6 +1,5 @@
 #include "advm/objcache.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -75,21 +74,19 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
   key.update(*source);
   key.update(options_digest);
 
-  std::shared_ptr<Entry> entry;
+  Entry* entry = nullptr;
   {
+    // Map nodes never move and entries are never erased, so the pointer
+    // stays valid after the map lock is released.
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = entries_[key.digest()];
-    if (!slot) slot = std::make_shared<Entry>();
-    entry = slot;
+    entry = &entries_[key.digest()];
   }
 
-  bool added_bytes = false;
   bool persist = false;
   {
     // Entry-level lock: one thread builds, concurrent same-key requests
     // wait and then hit — the counters come out the same for any pool size.
     const std::lock_guard<std::mutex> lock(entry->mutex);
-    entry->last_used = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
     const bool same_inputs = entry->valid && entry->path == norm &&
                              entry->source_digest == source_digest &&
                              entry->options_digest == options_digest;
@@ -138,7 +135,6 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
           entry->deps_digest = stored->deps_digest;
           entry->valid = true;
           bytes_.fetch_add(entry->object_bytes, std::memory_order_relaxed);
-          added_bytes = entry->object_bytes != 0;
         }
       }
     }
@@ -174,7 +170,6 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
       entry->deps_digest = deps_digest_of(vfs, entry->includes.get());
       entry->valid = true;
       bytes_.fetch_add(entry->object_bytes, std::memory_order_relaxed);
-      added_bytes = entry->object_bytes != 0;
     }
 
     out.object = entry->object;
@@ -198,62 +193,7 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
       }
     }
   }
-
-  if (added_bytes && max_bytes_ != 0) {
-    if (bytes_.load(std::memory_order_relaxed) > max_bytes_) {
-      evict_over_budget();
-    }
-    // The budget spans both tiers: whatever memory still holds, the disk
-    // tier may only keep the remainder.
-    if (store_ != nullptr) {
-      const std::uint64_t memory = bytes_.load(std::memory_order_relaxed);
-      const std::uint64_t disk_budget =
-          max_bytes_ > memory ? max_bytes_ - memory : 0;
-      if (store_->disk_bytes() > disk_budget) {
-        persistent_evictions_.fetch_add(store_->trim_to(disk_budget),
-                                        std::memory_order_relaxed);
-      }
-    }
-  }
   return out;
-}
-
-void ObjectCache::evict_over_budget() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (bytes_.load(std::memory_order_relaxed) <= max_bytes_) return;
-
-  // One scan per burst: collect every evictable entry, oldest-first, then
-  // drop in LRU order until the footprint fits. Evictable = nobody else
-  // references it: every accessor copies the shared_ptr under mutex_
-  // before touching an entry, so use_count()==1 while we hold mutex_
-  // proves the entry is idle — its byte accounting cannot race with an
-  // in-flight build, and no new borrow can appear until we release.
-  struct Candidate {
-    std::uint64_t last_used;
-    std::uint64_t key;
-  };
-  std::vector<Candidate> candidates;
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    Entry& e = *it->second;
-    if (it->second.use_count() != 1) continue;  // borrowed: not evictable
-    // use_count()==1 under mutex_ means the lock is free; taking it
-    // (never blocking) publishes the last builder's writes to us.
-    if (!e.mutex.try_lock()) continue;
-    const std::lock_guard<std::mutex> entry_lock(e.mutex, std::adopt_lock);
-    if (!e.valid || e.object_bytes == 0) continue;
-    candidates.push_back({e.last_used, it->first});
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return a.last_used < b.last_used;
-            });
-  for (const Candidate& victim : candidates) {
-    if (bytes_.load(std::memory_order_relaxed) <= max_bytes_) break;
-    auto it = entries_.find(victim.key);
-    bytes_.fetch_sub(it->second->object_bytes, std::memory_order_relaxed);
-    entries_.erase(it);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 ObjectCacheStats ObjectCache::stats() const {
@@ -261,11 +201,8 @@ ObjectCacheStats ObjectCache::stats() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.bytes = bytes_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
   s.persistent_hits = persistent_hits_.load(std::memory_order_relaxed);
   s.persistent_stores = persistent_stores_.load(std::memory_order_relaxed);
-  s.persistent_evictions =
-      persistent_evictions_.load(std::memory_order_relaxed);
   return s;
 }
 

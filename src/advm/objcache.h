@@ -28,11 +28,8 @@
 // the search path therefore invalidates the entry — the hole ccache's
 // direct mode leaves open is closed here.
 //
-// Budget: an optional byte budget (`max_bytes`, 0 = unbounded) caps the
-// emitted-byte footprint. When a build pushes the cache over budget the
-// least-recently-used entries are evicted until it fits; eviction counts
-// are surfaced in ObjectCacheStats. Entries currently being built or read
-// are never evicted.
+// Nothing is ever evicted: an entry lives as long as its cache (one per
+// Session), and a stale entry is rebuilt in place under its key.
 //
 // Include memo: the cache owns one assembler::IncludeMemo and hands it to
 // every assembly it runs, so a miss replays its module's Globals.inc (and
@@ -49,9 +46,7 @@
 // contents, probed-miss shadowing) — counted as a `persistent_hit` on top
 // of the in-memory miss, so the hit/miss counters keep their historical
 // meaning. Successful builds are published to disk with atomic renames, so
-// concurrent processes can share one cache directory. The byte budget
-// spans both tiers: memory evicts LRU first, then the disk tier trims its
-// oldest entries until memory + disk fits.
+// concurrent processes can share one cache directory.
 #pragma once
 
 #include <atomic>
@@ -75,12 +70,15 @@ struct ObjectCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t bytes = 0;
-  std::uint64_t evictions = 0;  ///< entries dropped by the byte budget
-  /// Persistent-tier counters (all zero without a cache dir): in-memory
-  /// misses served from disk, entries published to disk, entries trimmed
-  /// off disk by the byte budget.
+  /// Always 0 (nothing is evicted); kept for the report contract and the
+  /// perfbench replay.
+  std::uint64_t evictions = 0;
+  /// Persistent-tier counters (zero without a cache dir): in-memory misses
+  /// served from disk and entries published to disk.
   std::uint64_t persistent_hits = 0;
   std::uint64_t persistent_stores = 0;
+  /// Always 0 (the disk tier is never trimmed); kept for the perfbench
+  /// replay.
   std::uint64_t persistent_evictions = 0;
 };
 
@@ -99,19 +97,14 @@ struct CachedObject {
 
 class ObjectCache {
  public:
-  /// `max_bytes` caps the emitted-byte footprint across both tiers (LRU
-  /// eviction); 0 keeps the cache unbounded, the historical behaviour. A
-  /// non-empty `disk_dir` enables the persistent tier in that directory.
-  explicit ObjectCache(std::uint64_t max_bytes = 0, std::string disk_dir = {})
-      : max_bytes_(max_bytes) {
+  /// A non-empty `disk_dir` enables the persistent tier in that directory.
+  explicit ObjectCache(std::string disk_dir = {}) {
     if (!disk_dir.empty()) {
       store_ = std::make_unique<PersistentObjectStore>(std::move(disk_dir));
     }
   }
   ObjectCache(const ObjectCache&) = delete;
   ObjectCache& operator=(const ObjectCache&) = delete;
-
-  [[nodiscard]] std::uint64_t max_bytes() const { return max_bytes_; }
 
   /// The persistent tier, or nullptr when the cache is memory-only.
   [[nodiscard]] const PersistentObjectStore* disk_store() const {
@@ -146,27 +139,17 @@ class ObjectCache {
     std::shared_ptr<const std::vector<std::string>> probed_misses;
     std::uint64_t deps_digest = 0;
     std::uint64_t object_bytes = 0;
-    std::uint64_t last_used = 0;  ///< LRU tick (monotonic request counter)
   };
 
-  /// Evicts least-recently-used entries until the footprint fits
-  /// `max_bytes_`. Called with no locks held; entries whose lock cannot be
-  /// taken without blocking (in-flight builds/reads) are skipped.
-  void evict_over_budget();
-
-  mutable std::mutex mutex_;  ///< guards `entries_` (not entry payloads)
-  std::map<std::uint64_t, std::shared_ptr<Entry>> entries_;
-  std::uint64_t max_bytes_ = 0;
+  std::mutex mutex_;  ///< guards `entries_` (not entry payloads)
+  std::map<std::uint64_t, Entry> entries_;
   std::unique_ptr<PersistentObjectStore> store_;
   assembler::IncludeMemo include_memo_;
-  std::atomic<std::uint64_t> tick_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> persistent_hits_{0};
   std::atomic<std::uint64_t> persistent_stores_{0};
-  std::atomic<std::uint64_t> persistent_evictions_{0};
 };
 
 }  // namespace advm::core

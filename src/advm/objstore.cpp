@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -287,101 +286,12 @@ bool PersistentObjectStore::store(std::uint64_t key,
       return false;
     }
   }
-  // Renaming over an existing entry replaces it: account the delta, not
-  // the sum. Only once the lazy scan has grounded the counter — before
-  // that, the first disk_bytes() scan will see this file anyway.
-  std::error_code exists_ec;
-  const bool existed = fs::exists(target, exists_ec);
-  std::error_code size_ec;
-  const std::uintmax_t replaced =
-      (!exists_ec && existed) ? fs::file_size(target, size_ec) : 0;
-  const bool replaced_known = !exists_ec && (!existed || !size_ec);
   fs::rename(tmp, target, ec);
   if (ec) {
     fs::remove(tmp, ec);
     return false;
   }
-  if (scanned_.load(std::memory_order_acquire)) {
-    if (!replaced_known) {
-      // The replaced entry's size is unknowable (file_size errored), so
-      // the delta is too: adding the new size with a replaced size of 0
-      // would drift the advisory counter upward on every such store.
-      // Drop the incremental total and let the next disk_bytes() call
-      // re-ground it with a fresh scan instead.
-      scanned_.store(false, std::memory_order_release);
-    } else {
-      const std::uint64_t old_size = replaced;
-      bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
-      // Saturating subtract: the counter is advisory (trim_to re-grounds
-      // it), but it must never wrap.
-      std::uint64_t current = bytes_.load(std::memory_order_relaxed);
-      while (!bytes_.compare_exchange_weak(
-          current, current > old_size ? current - old_size : 0,
-          std::memory_order_relaxed)) {
-      }
-    }
-  }
   return true;
-}
-
-std::uint64_t PersistentObjectStore::disk_bytes() const {
-  if (!scanned_.load(std::memory_order_acquire)) {
-    const std::lock_guard<std::mutex> lock(scan_mutex_);
-    if (!scanned_.load(std::memory_order_acquire)) {
-      std::uint64_t total = 0;
-      std::error_code ec;
-      for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-        if (!entry.is_regular_file(ec)) continue;
-        if (entry.path().extension() != ".advmobj") continue;
-        const std::uintmax_t size = entry.file_size(ec);
-        if (!ec) total += size;
-      }
-      bytes_.store(total, std::memory_order_relaxed);
-      scanned_.store(true, std::memory_order_release);
-    }
-  }
-  return bytes_.load(std::memory_order_relaxed);
-}
-
-std::size_t PersistentObjectStore::trim_to(std::uint64_t budget) {
-  struct OnDisk {
-    fs::file_time_type mtime;
-    std::uintmax_t size = 0;
-    fs::path path;
-  };
-  std::vector<OnDisk> entries;
-  std::uint64_t total = 0;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    if (entry.path().extension() != ".advmobj") continue;
-    OnDisk on_disk;
-    on_disk.size = entry.file_size(ec);
-    if (ec) continue;
-    on_disk.mtime = entry.last_write_time(ec);
-    if (ec) continue;
-    on_disk.path = entry.path();
-    total += on_disk.size;
-    entries.push_back(std::move(on_disk));
-  }
-  std::size_t removed = 0;
-  if (total > budget) {
-    std::sort(entries.begin(), entries.end(), [](const OnDisk& a,
-                                                 const OnDisk& b) {
-      return a.mtime < b.mtime;
-    });
-    for (const OnDisk& victim : entries) {
-      if (total <= budget) break;
-      if (fs::remove(victim.path, ec) && !ec) {
-        total -= victim.size;
-        ++removed;
-      }
-    }
-  }
-  // The scan was authoritative: re-ground the incremental counter.
-  bytes_.store(total, std::memory_order_relaxed);
-  scanned_.store(true, std::memory_order_release);
-  return removed;
 }
 
 }  // namespace advm::core

@@ -18,11 +18,12 @@
 // workers racing on the same key leave whichever complete entry renamed
 // last. Loads verify a magic header, a format version and a trailing
 // payload checksum; torn, truncated or foreign files fail closed to a miss.
+//
+// The store never deletes an entry: the directory grows with every distinct
+// key published to it, and removing it (or any entry in it) is always safe.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -67,24 +68,8 @@ class PersistentObjectStore {
   /// Atomic-rename publish. Returns whether the entry landed.
   bool store(std::uint64_t key, const StoredObject& entry);
 
-  /// Sum of entry-file sizes on disk. The directory is scanned once
-  /// (lazily) and the total maintained incrementally by store()/trim_to()
-  /// afterwards, so the budget check on the assembly path never walks the
-  /// directory. The figure is this process's view — concurrent writers in
-  /// sibling shard processes drift it, and trim_to() (a full rescan)
-  /// re-grounds it.
-  [[nodiscard]] std::uint64_t disk_bytes() const;
-
-  /// Deletes oldest entries (by mtime) until the on-disk footprint is at
-  /// most `budget` bytes. Returns the number of entries removed. Races with
-  /// concurrent writers are benign: a vanished file is simply skipped.
-  std::size_t trim_to(std::uint64_t budget);
-
  private:
   std::string dir_;
-  mutable std::mutex scan_mutex_;
-  mutable std::atomic<bool> scanned_{false};
-  mutable std::atomic<std::uint64_t> bytes_{0};
 };
 
 }  // namespace advm::core

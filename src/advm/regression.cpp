@@ -141,6 +141,8 @@ TestRunRecord run_image(TestRunRecord record, const assembler::Image& image,
   record.cycles = outcome.machine.cycles;
   record.state_digest = board.machine().state_digest();
   record.modeled_seconds = outcome.modeled_seconds;
+  record.x_register_reads = outcome.x_register_reads;
+  record.x_ram_reads = outcome.x_ram_reads;
   if (outcome.machine.fast_forwarded != 0) {
     record.stuck = describe_stuck_loop(outcome.machine, image);
   }
@@ -296,14 +298,11 @@ std::vector<RegressionReport> run_two_phase(
   for (RegressionReport& report : reports) {
     report.cache.hits = after.hits - before.hits;
     report.cache.misses = after.misses - before.misses;
-    report.cache.evictions = after.evictions - before.evictions;
     report.cache.bytes = after.bytes;
     report.cache.persistent_hits =
         after.persistent_hits - before.persistent_hits;
     report.cache.persistent_stores =
         after.persistent_stores - before.persistent_stores;
-    report.cache.persistent_evictions =
-        after.persistent_evictions - before.persistent_evictions;
   }
   return reports;
 }
@@ -489,6 +488,10 @@ std::string format_report(const RegressionReport& report) {
       os << to_string(r.verdict) << " (" << sim::to_string(r.stop) << ", "
          << r.instructions << " instr, " << r.cycles << " cyc";
       if (!r.stuck.empty()) os << "; " << r.stuck;
+      if (r.x_register_reads != 0) {
+        os << "; " << r.x_register_reads << " X register reads";
+      }
+      if (r.x_ram_reads != 0) os << "; " << r.x_ram_reads << " X RAM reads";
       os << ")";
     }
     os << "\n";

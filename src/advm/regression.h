@@ -48,6 +48,11 @@ struct TestRunRecord {
   /// the budget: "stuck polling uart+0x4 at ES_Uart_Send_Byte". Outside
   /// outcome_digest().
   std::string stuck;
+  /// Reads of never-written registers and RAM bytes, counted only on
+  /// platforms with X-checking (hdl-gate). Outside outcome_digest(); they
+  /// never change a verdict.
+  std::uint64_t x_register_reads = 0;
+  std::uint64_t x_ram_reads = 0;
 
   [[nodiscard]] bool passed() const {
     return build_ok && verdict == soc::Verdict::Pass &&

@@ -64,6 +64,10 @@ void append_record(std::ostringstream& os, const TestRunRecord& r) {
     os << ",\"stuck\":";
     append_quoted(os, r.stuck);
   }
+  if (r.x_register_reads != 0) {
+    os << ",\"x_register_reads\":" << r.x_register_reads;
+  }
+  if (r.x_ram_reads != 0) os << ",\"x_ram_reads\":" << r.x_ram_reads;
   os << "}";
 }
 
@@ -318,11 +322,7 @@ std::string to_json(const ReleaseResult& result) {
     os << "}";
   }
   os << "],\"frozen\":";
-  if (result.frozen) {
-    append_report(os, *result.frozen);
-  } else {
-    os << "null";
-  }
+  append_report(os, result.frozen);
   os << "}";
   return os.str();
 }

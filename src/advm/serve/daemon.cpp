@@ -116,7 +116,6 @@ struct Daemon::Impl {
     os << ",\"boards\":{\"constructed\":" << boards.constructed
        << ",\"reused\":" << boards.reused
        << ",\"discarded\":" << boards.discarded
-       << ",\"trimmed\":" << boards.trimmed
        << ",\"stale_evicted\":" << boards.stale_evicted << "}}";
     return os.str();
   }

@@ -307,12 +307,11 @@ VerbOutcome do_verb(Session& session, const ReleaseRequest& release,
       call.dir + ".releases/" + result.release.name;
   support::export_to_disk(session.vfs(), result.release.root, snapshot_dir);
 
-  const bool frozen_green = result.frozen && result.frozen->all_passed();
   VerbOutcome outcome;
-  outcome.exit = result.verified && frozen_green ? 0 : 1;
+  outcome.exit = result.verified && result.frozen.all_passed() ? 0 : 1;
   outcome.json = to_json(result);
   std::ostringstream text;
-  if (result.frozen) text << format_report(*result.frozen);
+  text << format_report(result.frozen);
   text << "release " << result.release.name << ": "
        << result.release.sub_labels.size() << " sub-labels, composed "
        << support::hash_to_string(result.release.composed_hash)

@@ -258,14 +258,12 @@ ReleaseResult Session::run(const ReleaseRequest& request) {
   if (!result.status.ok()) return result;
 
   const SystemLayout layout = layout_from_tree(vfs_, request.root);
-  ReleaseManager manager(context(), config_.release_root);
+  ReleaseManager manager(context());
   result.release = manager.create_system_release(request.name, layout);
   result.verified = manager.verify(result.release);
-  if (request.regress) {
-    result.frozen =
-        manager.run_frozen(result.release, *checked.specs.front(),
-                           checked.platforms.front(), request.max_instructions);
-  }
+  result.frozen =
+      manager.run_frozen(result.release, *checked.specs.front(),
+                         checked.platforms.front(), request.max_instructions);
   return result;
 }
 

@@ -24,13 +24,17 @@
 // creates the tree, skips the last). Every operation in one process
 // shares one cache and one board pool *by construction*.
 //
+// SessionConfig holds exactly what a caller can set from the CLI or the
+// daemon: the worker-pool size and the persistent cache directory. The
+// object cache and the board pool are unbounded for the Session's life,
+// and release snapshots land under /releases in the VFS.
+//
 // Every result serializes to stable JSON through src/advm/report.h, which
 // is what `advm --format json` prints for machine consumers.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -160,13 +164,12 @@ struct LintResult {
 };
 
 /// `release`: freeze the tree as a content-hashed snapshot (the paper's
-/// §3 label), verify it, and optionally regress the frozen copy.
+/// §3 label), verify it and regress the frozen copy.
 struct ReleaseRequest {
   std::string root = "/SYS";
   std::string name = "R1";
   std::string derivative = "SC88-A";
   std::string platform = "golden-model";
-  bool regress = true;  ///< run the frozen regression after snapshotting
   std::uint64_t max_instructions = 2'000'000;
 };
 
@@ -174,7 +177,7 @@ struct ReleaseResult {
   Status status;
   SystemRelease release;
   bool verified = false;
-  std::optional<RegressionReport> frozen;
+  RegressionReport frozen;  ///< the frozen copy's regression
 };
 
 /// `random`: regenerate every ADVM environment's Globals.inc from a
@@ -194,22 +197,15 @@ struct RandomResult {
 
 // ---------------------------------------------------------------- session --
 
+/// The settings `advm` and `advm serve` fill from --jobs and --cache-dir.
 struct SessionConfig {
   /// Worker-pool size for every operation: 1 = serial, 0 = one worker per
   /// hardware thread. Values above kMaxJobs fail request validation.
   std::size_t jobs = 1;
-  /// Object-cache byte budget, spanning the in-memory and persistent
-  /// tiers (LRU eviction); 0 = unbounded.
-  std::uint64_t cache_max_bytes = 0;
   /// Persistent object-cache directory; empty = in-memory cache only.
   /// Consecutive sessions (and CLI invocations) pointed at the same
   /// directory share one cache by construction.
   std::string cache_dir;
-  /// Board-pool trim policy: per-shard free boards kept per (derivative ×
-  /// platform) key; 0 = unbounded.
-  std::size_t board_pool_max_free_per_key = 0;
-  /// VFS directory release snapshots land under.
-  std::string release_root = "/releases";
 
   /// Upper bound request validation enforces (guards against a typo'd
   /// --jobs silently fanning out the whole machine).
@@ -223,9 +219,7 @@ struct SessionConfig {
 class Session {
  public:
   explicit Session(SessionConfig config = {})
-      : config_(std::move(config)),
-        cache_(config_.cache_max_bytes, config_.cache_dir),
-        boards_(config_.board_pool_max_free_per_key) {}
+      : config_(std::move(config)), cache_(config_.cache_dir) {}
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 

@@ -217,40 +217,6 @@ TEST(ObjectCache, CachedIncludeNotFoundFailureInvalidatesWhenFileAppears) {
   EXPECT_TRUE(repaired.ok()) << repaired.error;
 }
 
-TEST(ObjectCache, ByteBudgetEvictsLeastRecentlyUsedEntries) {
-  support::VirtualFileSystem vfs;
-  const char* files[] = {"/src/a.asm", "/src/b.asm", "/src/c.asm"};
-  for (const char* path : files) {
-    vfs.write(path, std::string("_main:\n MOV d0, 1\n HALT\n"));
-  }
-  AssemblerOptions options;
-
-  // Budget fits roughly one object: every new build evicts the oldest.
-  ObjectCache unbounded;
-  auto probe = unbounded.assemble(vfs, files[0], options);
-  ASSERT_TRUE(probe.ok());
-  const std::uint64_t one = probe.object->total_bytes();
-  ASSERT_GT(one, 0u);
-
-  ObjectCache cache(one + one / 2);
-  EXPECT_EQ(cache.max_bytes(), one + one / 2);
-  ASSERT_TRUE(cache.assemble(vfs, files[0], options).ok());  // a
-  ASSERT_TRUE(cache.assemble(vfs, files[1], options).ok());  // b evicts a
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_LE(stats.bytes, cache.max_bytes());
-
-  // b (still cached) hits; a (evicted) rebuilds.
-  EXPECT_TRUE(cache.assemble(vfs, files[1], options).hit);
-  EXPECT_FALSE(cache.assemble(vfs, files[0], options).hit);
-
-  // LRU order: b was touched after a's rebuild started… rebuild of a
-  // evicted b (the least recently used at that moment).
-  stats = cache.stats();
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_LE(stats.bytes, cache.max_bytes());
-}
-
 TEST(ObjectCache, UnboundedCacheNeverEvicts) {
   auto vfs = tiny_program();
   ObjectCache cache;
@@ -306,7 +272,7 @@ TEST(PersistentObjectCache, WarmStartAcrossTwoCacheLifetimes) {
 
   std::uint64_t cold_bytes = 0;
   {
-    ObjectCache first(0, scratch.path());
+    ObjectCache first(scratch.path());
     auto built = first.assemble(vfs, kMain, options);
     ASSERT_TRUE(built.ok());
     cold_bytes = built.object->total_bytes();
@@ -317,7 +283,7 @@ TEST(PersistentObjectCache, WarmStartAcrossTwoCacheLifetimes) {
 
   // Second lifetime, same directory: the in-memory miss is served from
   // disk — same object bytes, no rebuild.
-  ObjectCache second(0, scratch.path());
+  ObjectCache second(scratch.path());
   auto warmed = second.assemble(vfs, kMain, options);
   ASSERT_TRUE(warmed.ok());
   EXPECT_EQ(warmed.object->total_bytes(), cold_bytes);
@@ -335,14 +301,14 @@ TEST(PersistentObjectCache, ChangedIncludeInvalidatesDiskEntry) {
   auto vfs = tiny_program();
   AssemblerOptions options;
   {
-    ObjectCache first(0, scratch.path());
+    ObjectCache first(scratch.path());
     ASSERT_TRUE(first.assemble(vfs, kMain, options).ok());
   }
 
   // Same source text, different include content: the disk entry's deps
   // digest no longer matches — rebuild, then re-publish.
   vfs.write(kInc, "MAGIC .EQU 43\n");
-  ObjectCache second(0, scratch.path());
+  ObjectCache second(scratch.path());
   ASSERT_TRUE(second.assemble(vfs, kMain, options).ok());
   auto stats = second.stats();
   EXPECT_EQ(stats.persistent_hits, 0u);
@@ -364,12 +330,12 @@ TEST(PersistentObjectCache, NewShadowingFileInvalidatesDiskEntry) {
   AssemblerOptions options;
   options.include_dirs = {"/lib1", "/lib2"};
   {
-    ObjectCache first(0, scratch.path());
+    ObjectCache first(scratch.path());
     ASSERT_TRUE(first.assemble(vfs, "/cells/T1/test.asm", options).ok());
   }
 
   vfs.write("/lib1/defs.inc", "MAGIC .EQU 999999\n");
-  ObjectCache second(0, scratch.path());
+  ObjectCache second(scratch.path());
   auto rebuilt = second.assemble(vfs, "/cells/T1/test.asm", options);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ(second.stats().persistent_hits, 0u);
@@ -382,7 +348,7 @@ TEST(PersistentObjectCache, CorruptedOrTruncatedEntryFallsBackToMiss) {
   auto vfs = tiny_program();
   AssemblerOptions options;
   {
-    ObjectCache first(0, scratch.path());
+    ObjectCache first(scratch.path());
     ASSERT_TRUE(first.assemble(vfs, kMain, options).ok());
   }
 
@@ -417,7 +383,7 @@ TEST(PersistentObjectCache, CorruptedOrTruncatedEntryFallsBackToMiss) {
         }(),
         std::string("not an advm object"), std::string()}) {
     write_bytes(damaged);
-    ObjectCache cache(0, scratch.path());
+    ObjectCache cache(scratch.path());
     auto rebuilt = cache.assemble(vfs, kMain, options);
     ASSERT_TRUE(rebuilt.ok());
     auto stats = cache.stats();
@@ -426,7 +392,7 @@ TEST(PersistentObjectCache, CorruptedOrTruncatedEntryFallsBackToMiss) {
   }
 
   // The final repair left a valid entry behind.
-  ObjectCache cache(0, scratch.path());
+  ObjectCache cache(scratch.path());
   ASSERT_TRUE(cache.assemble(vfs, kMain, options).ok());
   EXPECT_EQ(cache.stats().persistent_hits, 1u);
 }
@@ -435,7 +401,7 @@ TEST(PersistentObjectCache, StoredObjectRoundTripsExactly) {
   auto vfs = tiny_program();
   AssemblerOptions options;
   ScratchDir scratch("roundtrip");
-  ObjectCache cache(0, scratch.path());
+  ObjectCache cache(scratch.path());
   auto built = cache.assemble(vfs, kMain, options);
   ASSERT_TRUE(built.ok());
 
@@ -483,7 +449,7 @@ TEST(PersistentObjectCache, ConcurrentWritersPublishWholeEntries) {
   constexpr int kWriters = 8;
   std::vector<std::unique_ptr<ObjectCache>> caches;
   for (int i = 0; i < kWriters; ++i) {
-    caches.push_back(std::make_unique<ObjectCache>(0, scratch.path()));
+    caches.push_back(std::make_unique<ObjectCache>(scratch.path()));
   }
   std::atomic<int> failures{0};
   parallel_for(kWriters, kWriters, [&](std::size_t i) {
@@ -493,45 +459,33 @@ TEST(PersistentObjectCache, ConcurrentWritersPublishWholeEntries) {
   });
   EXPECT_EQ(failures.load(), 0);
 
-  // No temp droppings; exactly one entry file; it decodes.
-  std::size_t entry_files = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(scratch.path())) {
-    EXPECT_EQ(entry.path().extension(), ".advmobj")
-        << "leftover temp file " << entry.path();
-    ++entry_files;
-  }
-  EXPECT_EQ(entry_files, 1u);
-  ObjectCache reader(0, scratch.path());
+  // No temp droppings; exactly one entry file.
+  const auto expect_one_entry_file = [&] {
+    std::size_t entry_files = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(scratch.path())) {
+      EXPECT_EQ(entry.path().extension(), ".advmobj")
+          << "leftover temp file " << entry.path();
+      ++entry_files;
+    }
+    EXPECT_EQ(entry_files, 1u);
+  };
+  expect_one_entry_file();
+
+  // An include edit keeps the key (path, source, options) but fails the
+  // disk entry's revalidation: the rebuild re-stores the same key, which
+  // replaces the entry in place.
+  vfs.write(kInc, "MAGIC .EQU 43\n");
+  ObjectCache restorer(scratch.path());
+  ASSERT_TRUE(restorer.assemble(vfs, kMain, options).ok());
+  EXPECT_EQ(restorer.stats().persistent_hits, 0u);
+  EXPECT_EQ(restorer.stats().persistent_stores, 1u);
+  expect_one_entry_file();
+
+  // The one entry decodes and is the re-stored build.
+  ObjectCache reader(scratch.path());
   ASSERT_TRUE(reader.assemble(vfs, kMain, options).ok());
   EXPECT_EQ(reader.stats().persistent_hits, 1u);
-}
-
-TEST(PersistentObjectCache, ByteBudgetSpansBothTiers) {
-  ScratchDir scratch("budget");
-  support::VirtualFileSystem vfs;
-  for (const char* path : {"/src/a.asm", "/src/b.asm", "/src/c.asm"}) {
-    vfs.write(path, std::string("_main:\n MOV d0, 1\n HALT\n"));
-  }
-  AssemblerOptions options;
-
-  std::uint64_t one_object = 0;
-  {
-    ObjectCache probe;
-    one_object = probe.assemble(vfs, "/src/a.asm", options)
-                     .object->total_bytes();
-  }
-
-  // Budget for two objects across memory + disk: after the third build
-  // something must have given — and the combined footprint must fit.
-  ObjectCache cache(2 * one_object, scratch.path());
-  for (const char* path : {"/src/a.asm", "/src/b.asm", "/src/c.asm"}) {
-    ASSERT_TRUE(cache.assemble(vfs, path, options).ok());
-  }
-  auto stats = cache.stats();
-  EXPECT_LE(stats.bytes + cache.disk_store()->disk_bytes(),
-            2 * one_object);
-  EXPECT_GT(stats.evictions + stats.persistent_evictions, 0u);
 }
 
 // ------------------------------------------------------------ include memo --

@@ -220,8 +220,7 @@ TEST(Session, BuildRunCheckPortReleaseEndToEnd) {
   ReleaseResult released = session.run(release_request);
   ASSERT_TRUE(released.status.ok()) << released.status.message;
   EXPECT_TRUE(released.verified);
-  ASSERT_TRUE(released.frozen.has_value());
-  EXPECT_TRUE(released.frozen->all_passed());
+  EXPECT_TRUE(released.frozen.all_passed());
   EXPECT_EQ(released.release.sub_labels.size(), 6u);  // 5 envs + globals
 }
 
@@ -267,6 +266,63 @@ TEST(Session, UnportedUartTestIsReportedStuckOutsideTheDigest) {
   RegressionReport cleared = result.report;
   for (TestRunRecord& r : cleared.records) r.stuck.clear();
   EXPECT_EQ(cleared.outcome_digest(), result.report.outcome_digest());
+}
+
+TEST(Session, GateSimXReadsReachTheRecordOutsideTheDigest) {
+  // One cell reads d2/d3 before anything writes them. hdl-gate checks for
+  // X propagation and counts the reads on that cell's record; golden-model
+  // does not check, so its documents carry no X key at all.
+  Session session;
+  ASSERT_TRUE(build_small_system(session).status.ok());
+  const std::string cell = "/SYS/PAGE_MODULE/TEST_REGISTER_000/test.asm";
+  ASSERT_TRUE(session.vfs().exists(cell));
+  session.vfs().write(cell,
+                      ".INCLUDE Globals.inc\n"
+                      "_main:\n"
+                      " ADD d1, d2, d3          ; d2/d3 never written\n"
+                      " CALL Base_Report_Pass\n");
+
+  RunRequest gate_request;
+  gate_request.platform = "hdl-gate";
+  const RunResult gate = session.run(gate_request);
+  ASSERT_TRUE(gate.status.ok()) << gate.status.message;
+  const RunResult golden = session.run(RunRequest{});
+  ASSERT_TRUE(golden.status.ok()) << golden.status.message;
+  ASSERT_EQ(gate.report.records.size(), golden.report.records.size());
+
+  const TestRunRecord* seeded = nullptr;
+  for (std::size_t i = 0; i < gate.report.records.size(); ++i) {
+    const TestRunRecord& r = gate.report.records[i];
+    EXPECT_EQ(r.verdict, golden.report.records[i].verdict) << r.test_id;
+    if (r.test_id == "TEST_REGISTER_000") seeded = &r;
+  }
+  ASSERT_NE(seeded, nullptr);
+  EXPECT_TRUE(seeded->passed()) << seeded->detail;
+  EXPECT_GE(seeded->x_register_reads, 2u);
+
+  const std::string json = to_json(gate);
+  EXPECT_NE(json.find("\"x_register_reads\":" +
+                      std::to_string(seeded->x_register_reads)),
+            std::string::npos)
+      << json;
+  EXPECT_NE(format_report(gate.report)
+                .find(std::to_string(seeded->x_register_reads) +
+                      " X register reads)"),
+            std::string::npos)
+      << format_report(gate.report);
+
+  const std::string golden_json = to_json(golden);
+  EXPECT_EQ(golden_json.find("\"x_register_reads\""), std::string::npos);
+  EXPECT_EQ(golden_json.find("\"x_ram_reads\""), std::string::npos);
+  EXPECT_EQ(format_report(golden.report).find(" X "), std::string::npos);
+
+  // The counts are diagnostics, not outcome: the digest ignores them.
+  RegressionReport cleared = gate.report;
+  for (TestRunRecord& r : cleared.records) {
+    r.x_register_reads = 0;
+    r.x_ram_reads = 0;
+  }
+  EXPECT_EQ(cleared.outcome_digest(), gate.report.outcome_digest());
 }
 
 TEST(Session, RandomRegeneratesEveryAdvmEnvironment) {
@@ -317,9 +373,7 @@ TEST(Session, EveryVerbAgreesOnTheTree) {
   const RunResult run = session.run(RunRequest{});
   const LintResult lint = session.run(LintRequest{});
   const CheckResult check = session.run(CheckRequest{});
-  ReleaseRequest release_request;
-  release_request.regress = false;
-  const ReleaseResult release = session.run(release_request);
+  const ReleaseResult release = session.run(ReleaseRequest{});
   ASSERT_TRUE(run.status.ok() && lint.status.ok() && check.status.ok() &&
               release.status.ok());
 
@@ -417,27 +471,7 @@ TEST(Session, BoardPoolReusesBoardsAcrossRunsWithIdenticalDigests) {
   }
 }
 
-// -------------------------------------------------------- board-pool trim --
-
-TEST(BoardPool, FreeListCapTrimsReleasedBoards) {
-  // Three concurrent leases on one key, released on one thread (one
-  // shard): with a cap of 1, the first release pools and the other two
-  // are destroyed instead of accumulating.
-  BoardPool pool(/*max_free_per_key=*/1);
-  const soc::DerivativeSpec& spec = soc::derivative_a();
-  {
-    auto lease_a = pool.acquire(spec, sim::PlatformKind::GoldenModel);
-    auto lease_b = pool.acquire(spec, sim::PlatformKind::GoldenModel);
-    auto lease_c = pool.acquire(spec, sim::PlatformKind::GoldenModel);
-  }
-  const BoardPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.constructed, 3u);
-  EXPECT_EQ(stats.trimmed, 2u);
-
-  // The one pooled board is still leasable.
-  { auto again = pool.acquire(spec, sim::PlatformKind::GoldenModel); }
-  EXPECT_EQ(pool.stats().reused, 1u);
-}
+// ------------------------------------------------------------- board pool --
 
 TEST(BoardPool, StaleKeysAreEvictedWhenTheSpecChangesUnderneath) {
   BoardPool pool;
@@ -545,11 +579,8 @@ TEST(Session, TwoSessionsShareThePersistentCacheAcrossLifetimes) {
   EXPECT_EQ(rollup_to_json(warm), rollup_to_json(cold));
 }
 
-TEST(Session, ConfigPlumbsTrimPolicyAndPersistentCache) {
-  SessionConfig config;
-  config.board_pool_max_free_per_key = 2;
-  Session session(std::move(config));
-  EXPECT_EQ(session.boards().max_free_per_key(), 2u);
+TEST(Session, DefaultConfigKeepsTheCacheInMemory) {
+  Session session;
   // No cache dir configured: the persistent tier stays off.
   EXPECT_EQ(session.cache().disk_store(), nullptr);
 }

@@ -349,13 +349,16 @@ if [[ "${ADVM_CI_SKIP_SAN:-0}" != "1" ]]; then
    UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
    ctest -L tier1 --output-on-failure -j)
 
-  echo "==> TSan lane (concurrency suites: serve daemon, parallel regression)"
+  echo "==> TSan lane (concurrency suites: serve daemon, parallel regression, object cache)"
   # Scoped to the suites that actually exercise threads — the daemon's
-  # session fanning each verb out over --jobs, parallel regression — a
-  # full TSan ctest lap would mostly re-run single-threaded code slower.
+  # session fanning each verb out over --jobs, parallel regression, the
+  # object cache's per-entry locking under same-key racers and concurrent
+  # disk writers — a full TSan ctest lap would mostly re-run
+  # single-threaded code slower.
   cmake --preset tsan
-  cmake --build build-tsan -j -t serve_test -t regression_parallel_test
-  for suite in serve_test regression_parallel_test; do
+  cmake --build build-tsan -j -t serve_test -t regression_parallel_test \
+    -t objcache_test
+  for suite in serve_test regression_parallel_test objcache_test; do
     "./build-tsan/tests/${suite}"
   done
 else
