@@ -7,11 +7,14 @@
 // the lease returns the board — reset to power-on state — when it goes out
 // of scope.
 //
-// Locality: free lists are sharded by the calling thread, so a board
-// released by a worker is re-leased by the *same* worker (its memory stays
-// in that core's cache) and the hot path never takes a shared lock. A
-// thread that has no pooled board for a key constructs one rather than
-// stealing from another shard — construction is the cold path by design.
+// Identity: a board is keyed by the *value* of the DerivativeSpec it was
+// built from (each Board owns a copy) and its platform — never by the
+// address of the caller's spec or the thread that returned it. One mutex
+// guards one free list per (spec value, platform), ordered field by field,
+// so no digest stands in for the spec. A board is constructed only when
+// every pooled board of that value is on lease. Outcome digests are
+// therefore identical to per-run construction — regression tests enforce
+// it.
 //
 // Memory: a board's ROM and RAM images come from std::calloc
 // (sim::ZeroedBytes), so constructing one maps zero pages without writing
@@ -19,22 +22,10 @@
 // clears only the RAM pages the test dirtied and the ROM range it
 // programmed, never the whole image.
 //
-// Reuse is only sound if the board really is the board the spec describes.
-// Keys are (DerivativeSpec address, platform), but a pooled board also
-// records a fingerprint over every spec field the Board constructor
-// consumed: if the address is reused by a *different* spec (a stack-local
-// ported derivative, say), the fingerprint mismatches and the stale board
-// is discarded instead of leased, and a returning board evicts every board
-// pooled under its key with a different fingerprint. Outcome digests are
-// therefore identical to per-run construction by construction — regression
-// tests enforce it.
-//
 // Free lists are unbounded: every returned board stays pooled until it is
-// leased again, evicted as stale or the pool is destroyed.
+// leased again or the pool is destroyed.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -51,16 +42,7 @@ namespace advm::core {
 struct BoardPoolStats {
   std::uint64_t constructed = 0;  ///< leases served by building a new board
   std::uint64_t reused = 0;       ///< leases served from a free list
-  std::uint64_t discarded = 0;    ///< stale boards dropped (spec changed)
-  /// Boards dropped because their (derivative × platform) key went stale
-  /// (the spec at that address changed) while they sat on a free list.
-  std::uint64_t stale_evicted = 0;
 };
-
-/// Fingerprint over every DerivativeSpec field a Board bakes in at
-/// construction time (memory map, peripheral windows, field geometry,
-/// versions, IRQ lines, core id).
-[[nodiscard]] std::uint64_t board_fingerprint(const soc::DerivativeSpec& spec);
 
 class BoardPool {
  public:
@@ -71,29 +53,26 @@ class BoardPool {
   /// RAII lease: the board returns to the pool (reset) on destruction.
   class Lease {
    public:
-    Lease(BoardPool* pool, std::uint64_t fingerprint,
-          std::unique_ptr<soc::Board> board)
-        : pool_(pool), fingerprint_(fingerprint), board_(std::move(board)) {}
+    Lease(BoardPool* pool, std::unique_ptr<soc::Board> board)
+        : pool_(pool), board_(std::move(board)) {}
     Lease(Lease&&) = default;
     Lease& operator=(Lease&&) = delete;
     Lease(const Lease&) = delete;
     Lease& operator=(const Lease&) = delete;
     ~Lease() {
-      if (board_) pool_->give_back(fingerprint_, std::move(board_));
+      if (board_) pool_->give_back(std::move(board_));
     }
 
     [[nodiscard]] soc::Board& board() { return *board_; }
 
    private:
     BoardPool* pool_;
-    std::uint64_t fingerprint_;
     std::unique_ptr<soc::Board> board_;
   };
 
-  /// Leases a reset board for (spec, platform), constructing one only when
-  /// the calling thread's shard has no compatible pooled board. `spec`
-  /// must stay alive for the lease's lifetime (boards hold it by
-  /// reference).
+  /// Leases a reset board whose spec equals `spec` on `platform`,
+  /// constructing one only when no such board is pooled. The board keeps
+  /// its own copy of `spec`.
   [[nodiscard]] Lease acquire(const soc::DerivativeSpec& spec,
                               sim::PlatformKind platform);
 
@@ -102,31 +81,17 @@ class BoardPool {
  private:
   friend class Lease;
 
-  struct Pooled {
-    std::uint64_t fingerprint = 0;
-    std::unique_ptr<soc::Board> board;
+  struct Key {
+    soc::DerivativeSpec spec;
+    sim::PlatformKind platform;
+    friend auto operator<=>(const Key&, const Key&) = default;
   };
-  using Key = std::pair<const soc::DerivativeSpec*, sim::PlatformKind>;
 
-  // One free-list shard per hash bucket of the calling thread's id. The
-  // per-shard mutex is effectively uncontended (only thread-id hash
-  // collisions share one); it keeps the pool safe for arbitrary callers
-  // without putting a shared lock on the worker-pool hot path.
-  struct Shard {
-    std::mutex mutex;
-    std::map<Key, std::vector<Pooled>> free;
-  };
-  static constexpr std::size_t kShards = 32;
+  void give_back(std::unique_ptr<soc::Board> board);
 
-  [[nodiscard]] Shard& shard_for_this_thread();
-
-  void give_back(std::uint64_t fingerprint, std::unique_ptr<soc::Board> board);
-
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::uint64_t> constructed_{0};
-  std::atomic<std::uint64_t> reused_{0};
-  std::atomic<std::uint64_t> discarded_{0};
-  std::atomic<std::uint64_t> stale_evicted_{0};
+  mutable std::mutex mutex_;
+  std::map<Key, std::vector<std::unique_ptr<soc::Board>>> free_;
+  BoardPoolStats stats_;
 };
 
 }  // namespace advm::core

@@ -15,7 +15,6 @@
 #include <string_view>
 #include <vector>
 
-#include "advm/context.h"
 #include "advm/objcache.h"
 #include "soc/derivative.h"
 #include "support/vfs.h"
@@ -56,10 +55,6 @@ class Linter {
   explicit Linter(const support::VirtualFileSystem& vfs, ObjectCache& cache,
                   std::size_t jobs = 1)
       : vfs_(vfs), cache_(&cache), jobs_(jobs) {}
-
-  /// Session wiring — VFS, cache and jobs policy from the shared context.
-  explicit Linter(const SessionContext& ctx)
-      : Linter(ctx.vfs, ctx.cache, ctx.jobs) {}
 
   /// Lints every test cell under a system root (discovery order).
   [[nodiscard]] LintReport lint_system(std::string_view system_root,

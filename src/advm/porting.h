@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "advm/context.h"
 #include "advm/environment.h"
 #include "soc/derivative.h"
 #include "support/diff.h"
@@ -81,9 +80,6 @@ struct RepairReport {
 class PortingEngine {
  public:
   explicit PortingEngine(support::VirtualFileSystem& vfs) : vfs_(vfs) {}
-
-  /// Session wiring: ports the tree the session's other verbs operate on.
-  explicit PortingEngine(const SessionContext& ctx) : vfs_(ctx.vfs) {}
 
   [[nodiscard]] RepairReport port(const SystemLayout& layout,
                                   const soc::DerivativeSpec& new_spec,

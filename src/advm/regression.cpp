@@ -416,12 +416,6 @@ void parallel_for(std::size_t count, std::size_t jobs,
     return;
   }
 
-  // Workers claim K tasks per fetch_add instead of one: at 10k+ matrix
-  // cells the single shared cursor otherwise becomes a contended cache
-  // line. K scales with count/jobs (≈8 claims per worker) and is capped so
-  // the tail of an uneven workload still balances.
-  const std::size_t chunk =
-      std::clamp<std::size_t>(count / (jobs * 8), 1, 64);
   std::atomic<std::size_t> cursor{0};
   std::exception_ptr failure;
   std::mutex failure_mutex;
@@ -429,15 +423,12 @@ void parallel_for(std::size_t count, std::size_t jobs,
   workers.reserve(jobs);
   for (std::size_t w = 0; w < jobs; ++w) {
     workers.emplace_back([&] {
-      for (std::size_t base; (base = cursor.fetch_add(chunk)) < count;) {
-        const std::size_t end = std::min(count, base + chunk);
-        for (std::size_t i = base; i < end; ++i) {
-          try {
-            task(i);
-          } catch (...) {
-            const std::lock_guard<std::mutex> lock(failure_mutex);
-            if (!failure) failure = std::current_exception();
-          }
+      for (std::size_t i; (i = cursor.fetch_add(1)) < count;) {
+        try {
+          task(i);
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(failure_mutex);
+          if (!failure) failure = std::current_exception();
         }
       }
     });
@@ -445,7 +436,6 @@ void parallel_for(std::size_t count, std::size_t jobs,
   for (std::thread& worker : workers) worker.join();
   if (failure) std::rethrow_exception(failure);
 }
-
 
 RegressionReport RegressionRunner::run_environment(
     std::string_view env_dir, std::string_view global_dir,
@@ -504,11 +494,7 @@ std::string format_report(const RegressionReport& report) {
   os << "\n";
   os << "  object cache: " << report.cache.hits << " hits, "
      << report.cache.misses << " misses, " << report.cache.bytes
-     << " object bytes";
-  if (report.cache.evictions != 0) {
-    os << ", " << report.cache.evictions << " evictions";
-  }
-  os << "\n";
+     << " object bytes\n";
   return os.str();
 }
 

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "advm/boardpool.h"
-#include "advm/context.h"
 #include "advm/objcache.h"
 #include "asm/linker.h"
 #include "sim/machine.h"
@@ -112,11 +111,6 @@ class RegressionRunner {
         jobs_(jobs),
         cache_(cache ? cache : &owned_cache_),
         boards_(boards ? boards : &owned_boards_) {}
-
-  /// Session wiring: every resource (VFS, cache, board pool, jobs policy)
-  /// comes from the shared context.
-  explicit RegressionRunner(const SessionContext& ctx)
-      : RegressionRunner(ctx.vfs, ctx.jobs, &ctx.cache, &ctx.boards) {}
 
   /// Runs every environment under `system_root`.
   [[nodiscard]] RegressionReport run_system(

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "advm/context.h"
+#include "advm/boardpool.h"
 #include "advm/environment.h"
 #include "advm/objcache.h"
 #include "advm/regression.h"
@@ -58,13 +58,6 @@ class ReleaseManager {
         jobs_(jobs),
         cache_(cache ? cache : &owned_cache_),
         boards_(boards ? boards : &owned_boards_) {}
-
-  /// Session wiring: shares the context's VFS, cache, board pool and jobs
-  /// policy.
-  explicit ReleaseManager(const SessionContext& ctx,
-                          std::string release_root = "/releases")
-      : ReleaseManager(ctx.vfs, std::move(release_root), ctx.jobs, &ctx.cache,
-                       &ctx.boards) {}
 
   /// Snapshots one directory under a label.
   ReleaseLabel create_label(const std::string& name,

@@ -114,9 +114,7 @@ struct Daemon::Impl {
        << ",\"cache\":" << cache_counters_to_json(session->cache().stats());
     const BoardPoolStats boards = session->boards().stats();
     os << ",\"boards\":{\"constructed\":" << boards.constructed
-       << ",\"reused\":" << boards.reused
-       << ",\"discarded\":" << boards.discarded
-       << ",\"stale_evicted\":" << boards.stale_evicted << "}}";
+       << ",\"reused\":" << boards.reused << "}}";
     return os.str();
   }
 

@@ -145,12 +145,7 @@ BuildResult Session::run(const BuildRequest& request) {
 
   SystemConfig config;
   config.root = request.root;
-  config.globals = request.globals;
-  config.base_functions = request.base_functions;
-  config.environments = request.environments;
-  if (config.environments.empty()) {
-    config.environments = canonical_environments(request.tests_per_module);
-  }
+  config.environments = canonical_environments(request.tests_per_module);
 
   result.layout = build_system(vfs_, config, spec, config_.jobs);
   result.files = vfs_.list_tree(result.layout.root).size();
@@ -168,7 +163,7 @@ RunResult Session::run(const RunRequest& request) {
   result.status = checked.status;
   if (!result.status.ok()) return result;
 
-  RegressionRunner runner(context());
+  RegressionRunner runner(vfs_, config_.jobs, &cache_, &boards_);
   result.report =
       runner.run_system(request.root, *checked.specs.front(),
                         checked.platforms.front(), request.max_instructions);
@@ -198,7 +193,7 @@ MatrixResult Session::run(const MatrixRequest& request) {
       cells.push_back({spec, platform});
     }
   }
-  RegressionRunner runner(context());
+  RegressionRunner runner(vfs_, config_.jobs, &cache_, &boards_);
   result.cells =
       runner.run_matrix(request.root, cells, request.max_instructions);
   return result;
@@ -214,9 +209,9 @@ PortResult Session::run(const PortRequest& request) {
   result.target = target.name;
 
   const SystemLayout layout = layout_from_tree(vfs_, request.root);
-  PortingEngine porter(context());
-  result.repair =
-      porter.port(layout, target, request.globals, request.base_functions);
+  PortingEngine porter(vfs_);
+  result.repair = porter.port(layout, target, GlobalsOptions{},
+                              BaseFunctionsOptions{});
   return result;
 }
 
@@ -227,7 +222,7 @@ CheckResult Session::run(const CheckRequest& request) {
   result.status = checked.status;
   if (!result.status.ok()) return result;
 
-  ViolationChecker checker(context());
+  ViolationChecker checker(vfs_, &cache_);
   result.report = checker.check_system(request.root, *checked.specs.front());
   return result;
 }
@@ -239,7 +234,7 @@ LintResult Session::run(const LintRequest& request) {
   result.status = checked.status;
   if (!result.status.ok()) return result;
 
-  Linter linter(context());
+  Linter linter(vfs_, cache_, config_.jobs);
   result.report = linter.lint_system(request.root, *checked.specs.front());
   return result;
 }
@@ -258,7 +253,8 @@ ReleaseResult Session::run(const ReleaseRequest& request) {
   if (!result.status.ok()) return result;
 
   const SystemLayout layout = layout_from_tree(vfs_, request.root);
-  ReleaseManager manager(context());
+  ReleaseManager manager(vfs_, "/releases", config_.jobs, &cache_,
+                         &boards_);
   result.release = manager.create_system_release(request.name, layout);
   result.verified = manager.verify(result.release);
   result.frozen =

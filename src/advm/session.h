@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "advm/boardpool.h"
-#include "advm/context.h"
 #include "advm/environment.h"
 #include "advm/lint/lint.h"
 #include "advm/objcache.h"
@@ -69,9 +68,8 @@ struct Status {
 
 // --------------------------------------------------------------- requests --
 
-/// `init`: generate a complete system verification environment in the
-/// session VFS. An empty `environments` list builds the canonical
-/// five-module system with `tests_per_module` tests each.
+/// `init`: generate the canonical five-module system verification
+/// environment in the session VFS, `tests_per_module` tests each.
 struct BuildRequest {
   /// Upper bound request validation enforces on tests_per_module (a
   /// typo'd --tests must fail typed, not exhaust memory generating it).
@@ -80,9 +78,6 @@ struct BuildRequest {
   std::string root = "/SYS";
   std::string derivative = "SC88-A";
   std::size_t tests_per_module = 5;
-  std::vector<EnvironmentConfig> environments;
-  GlobalsOptions globals;
-  BaseFunctionsOptions base_functions;
 };
 
 struct BuildResult {
@@ -128,8 +123,6 @@ struct MatrixResult {
 struct PortRequest {
   std::string root = "/SYS";
   std::string to;
-  GlobalsOptions globals;
-  BaseFunctionsOptions base_functions;
 };
 
 struct PortResult {
@@ -228,12 +221,6 @@ class Session {
   [[nodiscard]] const support::VirtualFileSystem& vfs() const { return vfs_; }
   [[nodiscard]] ObjectCache& cache() { return cache_; }
   [[nodiscard]] BoardPool& boards() { return boards_; }
-
-  /// Non-owning view of the shared resources, for constructing subsystems
-  /// directly when a flow outgrows the request verbs.
-  [[nodiscard]] SessionContext context() {
-    return SessionContext{vfs_, cache_, boards_, config_.jobs};
-  }
 
   [[nodiscard]] BuildResult run(const BuildRequest& request);
   [[nodiscard]] RunResult run(const RunRequest& request);

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "advm/context.h"
 #include "advm/objcache.h"
 #include "sim/platform.h"
 #include "soc/derivative.h"
@@ -61,11 +60,6 @@ class ViolationChecker {
   explicit ViolationChecker(const support::VirtualFileSystem& vfs,
                             ObjectCache* cache = nullptr)
       : vfs_(vfs), cache_(cache ? cache : &owned_cache_) {}
-
-  /// Session wiring: shares the context's VFS and object cache, so a check
-  /// after a regression on one session re-assembles nothing.
-  explicit ViolationChecker(const SessionContext& ctx)
-      : ViolationChecker(ctx.vfs, &ctx.cache) {}
 
   /// Checks every test cell of every environment under a system root
   /// (discover_environments / discover_tests order); assembly and linking

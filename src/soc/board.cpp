@@ -27,7 +27,7 @@ Board::Board(const DerivativeSpec& spec, sim::PlatformKind platform)
   uart_ = uart.get();
   bus_.map(spec.uart_base, std::move(uart));
 
-  auto nvm = std::make_unique<NvmController>(spec, irqs_);
+  auto nvm = std::make_unique<NvmController>(spec_, irqs_);
   nvm_ = nvm.get();
   bus_.map(spec.nvm_ctrl_base, std::move(nvm));
   bus_.map(spec.nvm_mem_base, std::make_unique<NvmArray>(*nvm_));

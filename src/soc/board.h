@@ -46,6 +46,8 @@ struct RunOutcome {
 
 class Board {
  public:
+  /// Copies `spec`: the board owns the description it was built from, so
+  /// it outlives the caller's object and its identity is the spec's value.
   Board(const DerivativeSpec& spec, sim::PlatformKind platform);
 
   Board(const Board&) = delete;
@@ -90,7 +92,7 @@ class Board {
   }
 
  private:
-  const DerivativeSpec& spec_;
+  DerivativeSpec spec_;
   sim::PlatformKind platform_;
   IrqLines irqs_;
   sim::Bus bus_;

@@ -20,7 +20,8 @@ struct FieldGeometry {
   std::uint8_t pos = 0;
   std::uint8_t width = 0;
 
-  friend bool operator==(const FieldGeometry&, const FieldGeometry&) = default;
+  friend auto operator<=>(const FieldGeometry&,
+                          const FieldGeometry&) = default;
 };
 
 /// How the global register-definition file spells register names.
@@ -97,6 +98,11 @@ struct DerivativeSpec {
   [[nodiscard]] std::uint32_t nvm_total_bytes() const {
     return nvm_pages * nvm_page_size;
   }
+
+  /// Field-wise comparison (also defaults ==): a spec's value is its
+  /// identity, e.g. for pooled boards.
+  friend auto operator<=>(const DerivativeSpec&,
+                          const DerivativeSpec&) = default;
 };
 
 /// The four shipped derivatives. A is the baseline; B moves the page field

@@ -41,6 +41,7 @@ class NvmController final : public sim::MmioDevice {
   static constexpr std::uint32_t kStatusCmdError = 1u << 2;
   static constexpr std::uint32_t kStatusLockError = 1u << 3;
 
+  /// `spec` must outlive the controller; a Board passes its own copy.
   NvmController(const DerivativeSpec& spec, IrqLines& irqs);
 
   [[nodiscard]] std::string_view name() const override { return "nvmctrl"; }

@@ -5,13 +5,17 @@
 // verdicts, same state digests — because records land in pre-allocated
 // slots indexed by discovery order, never by completion order. ADVM's
 // revision-controlled regression loop (paper §3) is only trustworthy if a
-// faster run can never change the answer.
+// faster run can never change the answer. The board pool the workers
+// lease from is covered here too, so the TSan lane runs it.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <sstream>
+#include <thread>
 #include <vector>
 
+#include "advm/boardpool.h"
 #include "advm/environment.h"
 #include "advm/regression.h"
 #include "soc/derivative.h"
@@ -56,6 +60,64 @@ TEST(ParallelFor, PropagatesTaskExceptions) {
                               if (i == 7) throw std::runtime_error("boom");
                             }),
                std::runtime_error);
+}
+
+// ------------------------------------------------------------- board pool --
+
+TEST(BoardPool, BoardReturnedOnOneThreadIsLeasedOnAnother) {
+  // Both threads stay alive until the second has leased, so their ids
+  // differ: the free list belongs to the board's spec value, not to the
+  // thread that returned it.
+  constexpr auto kPlatform = sim::PlatformKind::GoldenModel;
+  BoardPool pool;
+  std::latch returned(1);
+  std::latch leased(1);
+  std::thread first([&] {
+    { auto lease = pool.acquire(soc::derivative_a(), kPlatform); }
+    returned.count_down();
+    leased.wait();
+  });
+  std::thread second([&] {
+    returned.wait();
+    { auto lease = pool.acquire(soc::derivative_a(), kPlatform); }
+    leased.count_down();
+  });
+  first.join();
+  second.join();
+  const BoardPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.constructed, 1u);
+  EXPECT_EQ(stats.reused, 1u);
+}
+
+TEST(BoardPool, EqualSpecValuesShareBoardsAndEditedSpecsNeverDo) {
+  constexpr auto kPlatform = sim::PlatformKind::GoldenModel;
+  BoardPool pool;
+  soc::DerivativeSpec spec = soc::derivative_a();  // mutable local copy
+  { auto lease = pool.acquire(spec, kPlatform); }
+
+  // A distinct object with an equal value leases the pooled board.
+  const soc::DerivativeSpec twin = spec;
+  { auto lease = pool.acquire(twin, kPlatform); }
+  EXPECT_EQ(pool.stats().reused, 1u);
+
+  // The same object edited in place describes different hardware: it must
+  // never get the board built for the old value.
+  spec.page_count += 1;
+  {
+    auto lease = pool.acquire(spec, kPlatform);
+    EXPECT_EQ(lease.board().spec(), spec);
+  }
+  EXPECT_EQ(pool.stats().constructed, 2u);
+
+  // Restoring the old value gets its board back.
+  spec.page_count -= 1;
+  {
+    auto lease = pool.acquire(spec, kPlatform);
+    EXPECT_EQ(lease.board().spec(), soc::derivative_a());
+  }
+  const BoardPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.constructed, 2u);
+  EXPECT_EQ(stats.reused, 2u);
 }
 
 // ------------------------------------------------- serial/parallel parity --

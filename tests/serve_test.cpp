@@ -707,7 +707,7 @@ TEST_F(ServeE2E, StatsDocumentPinsItsContract) {
       "\"uptime_ms\":",       "\"clients_served\":",  "\"clients_lost\":",
       "\"requests_ok\":",     "\"requests_failed\":", "\"requests\":{",
       "\"trees\":",           "\"cache\":{\"hits\":", "\"persistent_hits\":",
-      "\"boards\":{\"constructed\":",                 "\"stale_evicted\":"};
+      "\"boards\":{\"constructed\":",                 "\"reused\":"};
   std::size_t at = 0;
   for (const std::string& key : keys) {
     const std::size_t found = stats.out.find(key, at);

@@ -471,48 +471,6 @@ TEST(Session, BoardPoolReusesBoardsAcrossRunsWithIdenticalDigests) {
   }
 }
 
-// ------------------------------------------------------------- board pool --
-
-TEST(BoardPool, StaleKeysAreEvictedWhenTheSpecChangesUnderneath) {
-  BoardPool pool;
-  soc::DerivativeSpec spec = soc::derivative_a();  // mutable local copy
-  { auto lease = pool.acquire(spec, sim::PlatformKind::GoldenModel); }
-
-  // The spec object at this address now describes different hardware: the
-  // pooled board must never be leased again; acquire discovers it lazily.
-  spec.page_count += 1;
-  { auto lease = pool.acquire(spec, sim::PlatformKind::GoldenModel); }
-  BoardPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.constructed, 2u);
-  EXPECT_EQ(stats.reused, 0u);
-  EXPECT_EQ(stats.discarded, 1u);
-}
-
-TEST(BoardPool, StaleFreeBoardsAreEvictedEagerlyOnRelease) {
-  // A board pooled under the old spec while a lease built under the new
-  // spec is still out: when the new-spec board returns, the free list
-  // holds a provably stale sibling — it is destroyed on the spot instead
-  // of waiting for the next acquire to stumble over it.
-  BoardPool pool;
-  soc::DerivativeSpec spec = soc::derivative_a();
-  std::optional<BoardPool::Lease> old_lease(
-      pool.acquire(spec, sim::PlatformKind::GoldenModel));
-  spec.page_count += 1;
-  std::optional<BoardPool::Lease> new_lease(
-      pool.acquire(spec, sim::PlatformKind::GoldenModel));
-
-  old_lease.reset();  // pools the old-fingerprint board
-  new_lease.reset();  // returning new board evicts the stale one
-
-  const BoardPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.constructed, 2u);
-  EXPECT_EQ(stats.stale_evicted, 1u);
-
-  // Only the current-spec board remains leasable.
-  { auto lease = pool.acquire(spec, sim::PlatformKind::GoldenModel); }
-  EXPECT_EQ(pool.stats().reused, 1u);
-}
-
 TEST(Session, MatrixCellsComeBackDerivativeMajor) {
   Session session;
   ASSERT_TRUE(build_small_system(session).status.ok());
@@ -537,7 +495,8 @@ TEST(Session, MatrixMatchesTheDirectRunner) {
 
   Session direct;
   ASSERT_TRUE(build_small_system(direct).status.ok());
-  RegressionRunner runner(direct.context());
+  RegressionRunner runner(direct.vfs(), direct.config().jobs, &direct.cache(),
+                          &direct.boards());
   const std::vector<RegressionReport> expected = runner.run_matrix(
       "/SYS", {{soc::find_derivative("SC88-A"), sim::PlatformKind::GoldenModel},
                {soc::find_derivative("SC88-A"), sim::PlatformKind::Accelerator},

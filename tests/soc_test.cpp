@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <memory>
+
 #include "asm/assembler.h"
 #include "asm/linker.h"
 #include "soc/board.h"
@@ -388,29 +390,34 @@ TEST(GlobalLayer, EmbeddedSoftwareVersionsDifferAsInFig7) {
 
 // -------------------------------------------------------- board end-to-end --
 
+/// Assembles `test_source` against `spec`'s global layer and links.
+std::optional<advm::assembler::Image> build_image(std::string_view test_source,
+                                                  const DerivativeSpec& spec,
+                                                  DiagnosticEngine& diags) {
+  VirtualFileSystem vfs;
+  vfs.write("/global/register_defs.inc", register_defs_source(spec));
+  vfs.write("/global/Embedded_Software.asm", embedded_software_source(spec));
+  advm::assembler::AssemblerOptions opts;
+  opts.include_dirs = {"/global"};
+  advm::assembler::Assembler assembler(vfs, diags, opts);
+  auto test = assembler.assemble_source("/test.asm", test_source);
+  auto es = assembler.assemble_file("/global/Embedded_Software.asm");
+  if (!test || !es) {
+    ADD_FAILURE() << diags.to_string();
+    return std::nullopt;
+  }
+  std::vector<advm::assembler::ObjectFile> objects{test->object, es->object};
+  advm::assembler::LinkOptions lo;
+  lo.code_base = spec.code_base();
+  lo.data_base = spec.data_base();
+  return advm::assembler::link(objects, lo, diags);
+}
+
 class BoardTest : public ::testing::Test {
  protected:
-  /// Assembles `test_source` against derivative A's global layer and links.
   std::optional<advm::assembler::Image> build(std::string_view test_source,
                                               const DerivativeSpec& spec) {
-    VirtualFileSystem vfs;
-    vfs.write("/global/register_defs.inc", register_defs_source(spec));
-    vfs.write("/global/Embedded_Software.asm",
-              embedded_software_source(spec));
-    advm::assembler::AssemblerOptions opts;
-    opts.include_dirs = {"/global"};
-    advm::assembler::Assembler assembler(vfs, diags_, opts);
-    auto test = assembler.assemble_source("/test.asm", test_source);
-    auto es = assembler.assemble_file("/global/Embedded_Software.asm");
-    if (!test || !es) {
-      ADD_FAILURE() << diags_.to_string();
-      return std::nullopt;
-    }
-    std::vector<advm::assembler::ObjectFile> objects{test->object, es->object};
-    advm::assembler::LinkOptions lo;
-    lo.code_base = spec.code_base();
-    lo.data_base = spec.data_base();
-    return advm::assembler::link(objects, lo, diags_);
+    return build_image(test_source, spec, diags_);
   }
 
   DiagnosticEngine diags_;
@@ -613,6 +620,50 @@ TEST(Board, ConstructionFaultsInAlmostNoMemory) {
   EXPECT_LT(faults, 64) << "building a board faulted in " << faults
                         << " pages";
 #endif
+}
+
+TEST(Board, OutlivesTheSpecItWasBuiltFrom) {
+  // Unlocking the NVM makes the controller compare against the spec's keys
+  // while the test runs, long after the caller's spec object is gone.
+  const char* source = R"(
+.INCLUDE register_defs.inc
+_main:
+ LOAD d0, 0xC0DE0001
+ STORE [NVMLOCK], d0
+ LOAD d0, 0xC0DE0002
+ STORE [NVMLOCK], d0
+ LOAD d1, [NVMSTAT]
+ CMP d1, 0
+ JNE .fail
+ LOAD d2, 0x600D600D
+ STORE [SIMRES], d2
+ HALT
+.fail:
+ LOAD d2, 0x0BAD0BAD
+ STORE [SIMRES], d2
+ HALT
+)";
+  DiagnosticEngine diags;
+  auto image = build_image(source, derivative_a(), diags);
+  ASSERT_TRUE(image.has_value()) << diags.to_string();
+
+  auto spec = std::make_unique<DerivativeSpec>(derivative_a());
+  Board orphan(*spec, PlatformKind::GoldenModel);
+  spec.reset();
+  Board registry(derivative_a(), PlatformKind::GoldenModel);
+
+  std::string error;
+  ASSERT_TRUE(orphan.load(*image, &error)) << error;
+  ASSERT_TRUE(registry.load(*image, &error)) << error;
+  const auto got = orphan.run();
+  const auto want = registry.run();
+  EXPECT_TRUE(want.passed());
+  EXPECT_EQ(got.verdict, want.verdict);
+  EXPECT_EQ(got.machine.reason, want.machine.reason);
+  EXPECT_EQ(got.machine.instructions, want.machine.instructions);
+  EXPECT_EQ(got.machine.cycles, want.machine.cycles);
+  EXPECT_EQ(got.console, want.console);
+  EXPECT_EQ(orphan.machine().state_digest(), registry.machine().state_digest());
 }
 
 TEST_F(BoardTest, ImageOutsideMemoryMapRejected) {

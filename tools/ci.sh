@@ -349,9 +349,10 @@ if [[ "${ADVM_CI_SKIP_SAN:-0}" != "1" ]]; then
    UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
    ctest -L tier1 --output-on-failure -j)
 
-  echo "==> TSan lane (concurrency suites: serve daemon, parallel regression, object cache)"
+  echo "==> TSan lane (concurrency suites: serve daemon, parallel regression, board pool, object cache)"
   # Scoped to the suites that actually exercise threads — the daemon's
-  # session fanning each verb out over --jobs, parallel regression, the
+  # session fanning each verb out over --jobs, parallel regression and the
+  # board pool its workers lease from (regression_parallel_test), the
   # object cache's per-entry locking under same-key racers and concurrent
   # disk writers — a full TSan ctest lap would mostly re-run
   # single-threaded code slower.
