@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <latch>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -118,6 +119,49 @@ TEST(BoardPool, EqualSpecValuesShareBoardsAndEditedSpecsNeverDo) {
   const BoardPoolStats stats = pool.stats();
   EXPECT_EQ(stats.constructed, 2u);
   EXPECT_EQ(stats.reused, 2u);
+}
+
+TEST(BoardPool, StaleKeysAreEvictedWhenTheSpecChangesUnderneath) {
+  // The spec object at one address now describes different hardware. The
+  // board pooled for the old value stays keyed by that value, so the edited
+  // spec is never leased it.
+  constexpr auto kPlatform = sim::PlatformKind::GoldenModel;
+  BoardPool pool;
+  soc::DerivativeSpec spec = soc::derivative_a();  // mutable local copy
+  { auto lease = pool.acquire(spec, kPlatform); }
+
+  spec.page_count += 1;
+  {
+    auto lease = pool.acquire(spec, kPlatform);
+    EXPECT_EQ(lease.board().spec(), spec);
+  }
+  const BoardPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.constructed, 2u);
+  EXPECT_EQ(stats.reused, 0u);
+}
+
+TEST(BoardPool, StaleFreeBoardsAreEvictedEagerlyOnRelease) {
+  // A board pooled under the old spec value while a lease built under the
+  // new value is still out: once both return, a lease for the new value
+  // gets the new board, never its old-value sibling.
+  constexpr auto kPlatform = sim::PlatformKind::GoldenModel;
+  BoardPool pool;
+  soc::DerivativeSpec spec = soc::derivative_a();
+  std::optional<BoardPool::Lease> old_lease(pool.acquire(spec, kPlatform));
+  spec.page_count += 1;
+  std::optional<BoardPool::Lease> new_lease(pool.acquire(spec, kPlatform));
+
+  old_lease.reset();
+  new_lease.reset();
+  EXPECT_EQ(pool.stats().constructed, 2u);
+
+  {
+    auto lease = pool.acquire(spec, kPlatform);
+    EXPECT_EQ(lease.board().spec(), spec);
+  }
+  const BoardPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.constructed, 2u);
+  EXPECT_EQ(stats.reused, 1u);
 }
 
 // ------------------------------------------------- serial/parallel parity --
