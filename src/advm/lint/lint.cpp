@@ -7,7 +7,6 @@
 #include "advm/lint/analyses.h"
 #include "advm/lint/cfg.h"
 #include "advm/regression.h"
-#include "support/diagnostics.h"
 #include "support/text.h"
 
 namespace advm::core {
@@ -38,33 +37,20 @@ LintFinding finding(const EnvBuildContext& env, std::size_t test,
 }
 
 /// Lints cell `test` of `env`. A cell that does not build yields its one
-/// kLintUnbuildable finding: its own test.asm first, then the
-/// environment's libraries, then the link.
+/// kLintUnbuildable finding, the failure build_cell reports.
 std::vector<LintFinding> lint_cell(const support::VirtualFileSystem& vfs,
                                    ObjectCache& cache,
                                    const EnvBuildContext& env,
                                    std::size_t test,
                                    const soc::DerivativeSpec& spec) {
-  const std::string test_path = env.test_source(test);
-  const CachedObject test_obj =
-      cache.assemble(vfs, test_path, env.asm_options);
-  if (!test_obj.ok()) {
-    return {finding(env, test, kLintUnbuildable, test_path,
-                    "cell does not assemble: " + test_obj.error)};
-  }
-  if (!env.ok()) {
-    return {finding(env, test, kLintUnbuildable, env.failed_library,
-                    "environment library does not assemble: " +
-                        env.failure.error)};
-  }
-  support::DiagnosticEngine diags;
-  const auto image = link_cell(env, *test_obj.object, spec, diags);
-  if (!image) {
-    return {finding(env, test, kLintUnbuildable, test_path,
-                    "cell does not link: " + diags.to_string())};
+  CellBuild built = build_cell(vfs, cache, env, test, spec);
+  if (!built.image) {
+    return {finding(env, test, kLintUnbuildable,
+                    std::move(built.failed_file), std::move(built.failure))};
   }
 
-  const lint::CodeModel model = lint::build_code_model(*image);
+  const std::string test_path = env.test_source(test);
+  const lint::CodeModel model = lint::build_code_model(*built.image);
   lint::AnalysisConfig config;
   config.rom_base = spec.rom_base;
   config.rom_size = spec.rom_size;

@@ -404,6 +404,31 @@ std::optional<assembler::Image> link_cell(
   return assembler::link(objects, link_options(spec), diags);
 }
 
+CellBuild build_cell(const support::VirtualFileSystem& vfs,
+                     ObjectCache& cache, const EnvBuildContext& env,
+                     std::size_t test, const soc::DerivativeSpec& spec) {
+  CellBuild built;
+  const std::string test_path = env.test_source(test);
+  const CachedObject test_obj =
+      cache.assemble(vfs, test_path, env.asm_options);
+  if (!test_obj.ok()) {
+    built.failed_file = test_path;
+    built.failure = "cell does not assemble: " + test_obj.error;
+  } else if (!env.ok()) {
+    built.failed_file = env.failed_library;
+    built.failure =
+        "environment library does not assemble: " + env.failure.error;
+  } else {
+    support::DiagnosticEngine diags;
+    built.image = link_cell(env, *test_obj.object, spec, diags);
+    if (!built.image) {
+      built.failed_file = test_path;
+      built.failure = "cell does not link: " + diags.to_string();
+    }
+  }
+  return built;
+}
+
 void parallel_for(std::size_t count, std::size_t jobs,
                   const std::function<void(std::size_t)>& task) {
   if (count == 0) return;

@@ -211,6 +211,25 @@ struct EnvBuildContext {
     const EnvBuildContext& env, const assembler::ObjectFile& test_object,
     const soc::DerivativeSpec& spec, support::DiagnosticEngine& diags);
 
+/// A cell built to be inspected rather than run: its image, or the first
+/// build failure as the file at fault and a one-line reason.
+struct CellBuild {
+  std::optional<assembler::Image> image;
+  std::string failed_file;  ///< empty when `image` is set
+  std::string failure;
+};
+
+/// Builds cell `test` of `env` for analysis (lint, check): assembles its
+/// test.asm through `cache`, then checks the environment's libraries, then
+/// link_cell. Each step's failure has one fixed text ("cell does not
+/// assemble", "environment library does not assemble", "cell does not
+/// link"). Runs report build problems in their own order and wording.
+[[nodiscard]] CellBuild build_cell(const support::VirtualFileSystem& vfs,
+                                   ObjectCache& cache,
+                                   const EnvBuildContext& env,
+                                   std::size_t test,
+                                   const soc::DerivativeSpec& spec);
+
 /// Runs `count` independent tasks on `jobs` worker threads (0 → one per
 /// hardware thread; ≤1 → inline on the caller). Tasks are claimed from an
 /// atomic cursor, so any task graph whose outputs are indexed by task id is

@@ -6,18 +6,6 @@ namespace advm::core {
 
 using support::join_path;
 
-ReleaseLabel ReleaseManager::create_label(const std::string& name,
-                                          std::string_view source_dir) {
-  ReleaseLabel label;
-  label.name = name;
-  label.source_dir = support::normalize_path(source_dir);
-  label.snapshot_dir = join_path(release_root_, name);
-  vfs_.remove_tree(label.snapshot_dir);  // re-labelling replaces
-  vfs_.copy_tree(label.source_dir, label.snapshot_dir);
-  label.content_hash = support::hash_tree(vfs_, label.snapshot_dir);
-  return label;
-}
-
 SystemRelease ReleaseManager::create_system_release(
     const std::string& name, const SystemLayout& layout) {
   SystemRelease release;
@@ -84,10 +72,6 @@ RegressionReport ReleaseManager::run_frozen(const SystemRelease& release,
                                             std::uint64_t max_instructions) {
   RegressionRunner runner(vfs_, jobs_, cache_, boards_);
   return runner.run_system(release.root, spec, platform, max_instructions);
-}
-
-std::uint64_t ReleaseManager::live_hash(const ReleaseLabel& label) const {
-  return support::hash_tree(vfs_, label.source_dir);
 }
 
 }  // namespace advm::core

@@ -59,10 +59,6 @@ class ReleaseManager {
         cache_(cache ? cache : &owned_cache_),
         boards_(boards ? boards : &owned_boards_) {}
 
-  /// Snapshots one directory under a label.
-  ReleaseLabel create_label(const std::string& name,
-                            std::string_view source_dir);
-
   /// Snapshots a whole system environment: one sub-label per module
   /// environment plus one for the global libraries; the composed hash
   /// covers them all.
@@ -73,10 +69,6 @@ class ReleaseManager {
   /// tampered with the frozen tree).
   [[nodiscard]] bool verify(const ReleaseLabel& label) const;
   [[nodiscard]] bool verify(const SystemRelease& release) const;
-
-  /// Hash of the *live* source directory — diverges from the label's hash
-  /// as trunk development continues.
-  [[nodiscard]] std::uint64_t live_hash(const ReleaseLabel& label) const;
 
   /// Runs the frozen snapshot's full regression on the worker pool. The
   /// manager keeps one object cache across calls, so repeated verifies of

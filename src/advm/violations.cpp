@@ -120,37 +120,22 @@ Violation file_violation(std::string code, std::string file,
   return v;
 }
 
-/// Link-level check: does the test reference symbols defined in the global
-/// layer? Requires a successful build of the full cell, built through the
-/// shared cell recipe — the environment's libraries were assembled once,
-/// and link by pointer.
+/// Link-level check: does test `test` of `env` reference symbols defined in
+/// the global layer? Requires a successful build of the full cell; a cell
+/// that does not build yields the one failure build_cell reports.
 void check_linkage(const support::VirtualFileSystem& vfs,
-                   const EnvBuildContext& env, const std::string& test_path,
+                   const EnvBuildContext& env, std::size_t test,
                    const soc::DerivativeSpec& spec, ObjectCache& cache,
                    ViolationReport& report) {
-  const CachedObject test_obj =
-      cache.assemble(vfs, test_path, env.asm_options);
-  if (!test_obj.ok()) {
-    report.violations.push_back(file_violation(
-        "advm.unbuildable", test_path,
-        "cell does not assemble: " + test_obj.error));
+  CellBuild built = build_cell(vfs, cache, env, test, spec);
+  if (!built.image) {
+    report.violations.push_back(file_violation("advm.unbuildable",
+                                               std::move(built.failed_file),
+                                               std::move(built.failure)));
     return;
   }
-  if (!env.ok()) {
-    report.violations.push_back(file_violation(
-        "advm.unbuildable", env.failed_library,
-        "environment library does not assemble: " + env.failure.error));
-    return;
-  }
-  support::DiagnosticEngine diags;
-  const auto image = link_cell(env, *test_obj.object, spec, diags);
-  if (!image) {
-    report.violations.push_back(file_violation(
-        "advm.unbuildable", test_path,
-        "cell does not link: " + diags.to_string()));
-    return;
-  }
-  for (const auto& [name, symbol] : image->symbols) {
+  const std::string test_path = env.test_source(test);
+  for (const auto& [name, symbol] : built.image->symbols) {
     if (!is_global_layer_file(symbol.defined_in)) continue;
     for (const std::string& referrer : symbol.referenced_by) {
       if (referrer == test_path) {
@@ -193,7 +178,7 @@ ViolationReport ViolationChecker::check_system(
     for (std::size_t t = 0; t < env.tests.size(); ++t) {
       const std::string test_path = env.test_source(t);
       scan_source(test_path, vfs_.read_required(test_path), report);
-      check_linkage(vfs_, env, test_path, spec, *cache_, report);
+      check_linkage(vfs_, env, t, spec, *cache_, report);
     }
   }
   return report;

@@ -131,9 +131,6 @@ class Machine {
   void set_decode_cache_enabled(bool enabled) {
     decode_cache_enabled_ = enabled;
   }
-  [[nodiscard]] bool decode_cache_enabled() const {
-    return decode_cache_enabled_;
-  }
 
   /// Decode-cache instrumentation (tests assert invalidation behaviour).
   [[nodiscard]] const DecodedCache& decode_cache() const { return dcache_; }

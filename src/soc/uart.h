@@ -56,7 +56,6 @@ class Uart final : public sim::MmioDevice {
   void inject_rx(std::string_view bytes);
 
   [[nodiscard]] int version() const { return version_; }
-  [[nodiscard]] std::size_t rx_depth() const { return rx_fifo_.size(); }
 
  protected:
   bool read_reg(std::uint32_t reg, std::uint32_t& value) override;

@@ -19,11 +19,6 @@ std::optional<std::string> Value::as_string() const {
   return string;
 }
 
-std::optional<double> Value::as_double() const {
-  if (kind != Kind::Number) return std::nullopt;
-  return number;
-}
-
 std::optional<std::uint64_t> Value::as_uint64() const {
   if (kind != Kind::Number || raw.empty() || raw[0] == '-') {
     return std::nullopt;
@@ -34,11 +29,6 @@ std::optional<std::uint64_t> Value::as_uint64() const {
   const unsigned long long parsed = std::strtoull(raw.c_str(), &end, 10);
   if (errno != 0 || end != raw.c_str() + raw.size()) return std::nullopt;
   return static_cast<std::uint64_t>(parsed);
-}
-
-std::optional<bool> Value::as_bool() const {
-  if (kind != Kind::Bool) return std::nullopt;
-  return boolean;
 }
 
 namespace {

@@ -35,10 +35,7 @@ class Value {
   std::vector<std::pair<std::string, Value>> members;  ///< object, in order
 
   [[nodiscard]] bool is_object() const { return kind == Kind::Object; }
-  [[nodiscard]] bool is_array() const { return kind == Kind::Array; }
   [[nodiscard]] bool is_string() const { return kind == Kind::String; }
-  [[nodiscard]] bool is_number() const { return kind == Kind::Number; }
-  [[nodiscard]] bool is_bool() const { return kind == Kind::Bool; }
 
   /// Object member lookup (first match); nullptr when absent or not an
   /// object.
@@ -47,9 +44,7 @@ class Value {
   // Checked accessors: nullopt when the value has the wrong kind (or, for
   // as_uint64, when the raw token is not a non-negative integer).
   [[nodiscard]] std::optional<std::string> as_string() const;
-  [[nodiscard]] std::optional<double> as_double() const;
   [[nodiscard]] std::optional<std::uint64_t> as_uint64() const;
-  [[nodiscard]] std::optional<bool> as_bool() const;
 };
 
 /// Parses one JSON document (surrounding whitespace allowed, trailing

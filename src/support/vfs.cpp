@@ -103,13 +103,6 @@ std::size_t VirtualFileSystem::remove_tree(std::string_view dir) {
   return removed;
 }
 
-std::vector<std::string> VirtualFileSystem::list_all() const {
-  std::vector<std::string> out;
-  out.reserve(files_.size());
-  for (const auto& [path, _] : files_) out.push_back(path);
-  return out;
-}
-
 std::vector<std::string> VirtualFileSystem::list_tree(
     std::string_view dir) const {
   std::string prefix = dir_prefix(dir);

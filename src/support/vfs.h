@@ -57,9 +57,6 @@ class VirtualFileSystem {
   /// Removes every file under `dir`; returns the number removed.
   std::size_t remove_tree(std::string_view dir);
 
-  /// All file paths, sorted (deterministic iteration for hashing/labels).
-  [[nodiscard]] std::vector<std::string> list_all() const;
-
   /// All file paths under `dir` (recursive), sorted.
   [[nodiscard]] std::vector<std::string> list_tree(std::string_view dir) const;
 
@@ -73,8 +70,6 @@ class VirtualFileSystem {
   /// Copies a subtree into another VFS (snapshot isolation).
   void export_tree(std::string_view dir, VirtualFileSystem& dest,
                    std::string_view dest_dir) const;
-
-  [[nodiscard]] std::size_t file_count() const { return files_.size(); }
 
   /// Sum of content sizes in bytes (metric for the substrate bench).
   [[nodiscard]] std::size_t total_bytes() const;

@@ -3,15 +3,17 @@
 #
 #   1. tier-1: the exact ROADMAP verify command (configure, build, ctest).
 #   2. hygiene: a -Werror configure preset must compile warning-clean.
-#   3. perf:   build the bench harnesses and record BENCH_*.json under
-#              bench/records/ — a *committed* directory, unlike build/ —
-#              so the perf trajectory of consecutive revisions actually
-#              survives in git history (skippable with ADVM_CI_SKIP_BENCH=1
-#              for quick gates).
+#   3. bench:  build the bench harnesses and run them, writing their
+#              BENCH_*.json under build/bench-records/ (skippable with
+#              ADVM_CI_SKIP_BENCH=1 for quick gates). Speed is not gated
+#              here: tools/bench_pairs.py compares a change with its parent
+#              under BENCHMARK.json's bounds.
 #
-# Run from anywhere: the script cds to the repo root first.
+# Run from anywhere: the script cds to the repo root first. It writes only
+# under ignored paths, and fails if a run leaves `git status` changed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+STATUS_AT_START=$(git status --porcelain 2> /dev/null || true)
 
 echo "==> tier-1 verify"
 cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-failure -j
@@ -155,10 +157,10 @@ echo "==> serve daemon gate (warm resident session vs cold CLI)"
 # laps actually run warm — a restarted daemon starts from the persistent
 # cache its predecessor wrote, and the laps after that are served from
 # the resident in-memory cache — and (c) the daemon drains cleanly on
-# --stop. Wall-clock for a cold CLI lap vs a warm attached lap is recorded
-# as a bench datapoint for the trend gate: the median of SERVE_PAIRS
-# alternating cold/warm pairs, so host drift hits both sides alike and one
-# lucky or unlucky lap cannot move the record. No timing is asserted.
+# --stop. Wall-clock for a cold CLI lap vs a warm attached lap is printed
+# as the median of SERVE_PAIRS alternating cold/warm pairs, so host drift
+# hits both sides alike and one lucky or unlucky lap cannot move it. No
+# timing is asserted.
 rm -rf build/serve-cache build/serve-cold-cache
 rm -f build/serve.sock
 start_daemon() {
@@ -234,20 +236,6 @@ assert stats["clients_served"] >= 4, stats["clients_served"]
 assert stats["requests"].get("matrix", 0) >= 4, stats["requests"]
 assert stats["trees"] >= 1, stats["trees"]
 assert stats["clients_lost"] == 0, stats["clients_lost"]
-tests = sum(c["total"] for c in lap2["cells"])
-record = {
-    "bench": "serve_daemon",
-    "table": "cold-cli vs warm-daemon (e10 cube)",
-    "headers": ["lap", "tests run", "wall ms", "tests/s"],
-    "rows": [
-        ["cold-cli", str(tests), "%.4g" % cold_ms,
-         "%.4g" % (tests / (cold_ms / 1e3))],
-        ["warm-daemon", str(tests), "%.4g" % warm_ms,
-         "%.4g" % (tests / (warm_ms / 1e3))],
-    ],
-}
-with open("bench/records/BENCH_serve_daemon.json", "w") as fh:
-    fh.write(json.dumps(record) + "\n")
 print("serve daemon ok: roll-ups byte-identical, restarted daemon %d "
       "persistent hits, warm lap 0 misses, median of %d pairs: cold %.1fms "
       "vs warm %.1fms" % (hits, len(sys.argv[7].split()), cold_ms, warm_ms))
@@ -303,19 +291,18 @@ echo "==> sim-core lap (decoded-cache speedup, stuck-loop count, e10 identity)"
 # bench_sim_core exits non-zero unless the decoded arm is bit-identical to
 # the plain interpreter on all five kernels, each stops the way it declares,
 # AND the decoded arm holds a >= 3x instr/s advantage on the compute kernel.
-# Its datapoint lands in bench/records/ so the >15% trend gate below covers
-# the sim core's floor too. The stuck-poll gate is a count, not a time: the
-# decoded arm must have proven the never-ready UART poll stuck and skipped
-# nearly all of its 2M budget. The roll-up re-check reuses the --jobs
-# gate's artifacts: a sim-core change must be invisible in the e10 cube at
-# every pool size.
+# The stuck-poll gate is a count, not a time: the decoded arm must have
+# proven the never-ready UART poll stuck and skipped nearly all of its 2M
+# budget. The roll-up re-check reuses the --jobs gate's artifacts: a
+# sim-core change must be invisible in the e10 cube at every pool size.
 cmake --build build -t bench_sim_core -j
-mkdir -p bench/records build/bench-logs
-ADVM_BENCH_JSON_DIR="$PWD/bench/records" ./build/bench/bench_sim_core \
+mkdir -p build/bench-records build/bench-logs
+rm -f build/bench-records/BENCH_sim_core.json
+ADVM_BENCH_JSON_DIR="$PWD/build/bench-records" ./build/bench/bench_sim_core \
   > build/bench-logs/bench_sim_core.log
 tail -2 build/bench-logs/bench_sim_core.log
 python3 - build/jobs-1.json build/jobs-0.json \
-  bench/records/BENCH_sim_core.json <<'PY'
+  build/bench-records/BENCH_sim_core.json <<'PY'
 import json, sys
 serial, auto = (json.load(open(p)) for p in sys.argv[1:3])
 assert json.dumps(serial["rollup"], sort_keys=True) == \
@@ -381,27 +368,23 @@ fi
 if [[ "${ADVM_CI_SKIP_BENCH:-0}" != "1" ]]; then
   echo "==> bench harnesses (BENCH_*.json)"
   cmake --build build -t benches -j
-  # Records land in bench/records/ — tracked by git, NOT under build/ and
-  # NOT matched by the root-level /BENCH_*.json ignore — so the trajectory
-  # the trend gate diffs against survives clean checkouts and build wipes.
-  # (The old build/bench-json destination was wiped with build/, which left
-  # the >N% drop gate comparing against an empty history: vacuously green.)
-  mkdir -p bench/records build/bench-logs
-  export ADVM_BENCH_JSON_DIR="$PWD/bench/records"
+  mkdir -p build/bench-records build/bench-logs
+  export ADVM_BENCH_JSON_DIR="$PWD/build/bench-records"
   # Table-based experiment harnesses; e9 (google-benchmark) reports its own
   # JSON natively when wanted and is too slow for a default CI lap.
   for bench in ablation e1_structure e2_spec_change e3_wrapper e4_platforms \
-               e5_devtime e6_porting e7_random e8_labels e10_matrix; do
+               e5_devtime e6_porting e7_random e8_labels; do
     "./build/bench/bench_${bench}" > "build/bench-logs/bench_${bench}.log"
   done
-  echo "bench records: $(ls "$ADVM_BENCH_JSON_DIR"/BENCH_*.json | wc -l) files in bench/records/"
+  echo "bench records: $(ls "$ADVM_BENCH_JSON_DIR"/BENCH_*.json | wc -l) files in build/bench-records/"
+fi
 
-  echo "==> perf trend gate (fails on >${ADVM_TREND_MAX_DROP:-15}% throughput drop)"
-  # The history file sits next to the records and is committed with them;
-  # consecutive CI laps (= consecutive revisions) diff against each other.
-  python3 tools/bench_trend.py bench/records \
-    --history bench/records/bench-trend-history.jsonl \
-    --max-drop "${ADVM_TREND_MAX_DROP:-15}"
+echo "==> clean tree (a CI run rewrites no tracked or unignored file)"
+STATUS_AT_END=$(git status --porcelain 2> /dev/null || true)
+if [[ "$STATUS_AT_END" != "$STATUS_AT_START" ]]; then
+  echo "git status changed during the run:" >&2
+  diff <(echo "$STATUS_AT_START") <(echo "$STATUS_AT_END") >&2 || true
+  exit 1
 fi
 
 echo "==> CI green"
