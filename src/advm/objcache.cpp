@@ -1,5 +1,6 @@
 #include "advm/objcache.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -25,7 +26,7 @@ std::uint64_t deps_digest_of(const support::VirtualFileSystem& vfs,
   if (includes == nullptr) return h.digest();
   for (const IncludeEdge& edge : *includes) {
     h.update(edge.to_file);
-    if (auto content = vfs.read(edge.to_file)) {
+    if (const std::string* content = vfs.find(edge.to_file)) {
       h.update(*content);
     } else {
       h.update(std::uint64_t{0xdeadULL});  // absent ≠ empty
@@ -48,14 +49,56 @@ bool probed_misses_still_missing(const support::VirtualFileSystem& vfs,
 
 }  // namespace
 
+std::uint64_t ObjectCache::deps_digest(
+    const support::VirtualFileSystem& vfs,
+    const std::vector<IncludeEdge>* includes) {
+  if (includes == nullptr || includes->empty()) {
+    return deps_digest_of(vfs, includes);
+  }
+  std::string key;
+  for (const IncludeEdge& edge : *includes) {
+    key += edge.to_file;
+    key += '\n';
+  }
+  std::shared_ptr<const DepsDigest> held;
+  {
+    const std::lock_guard<std::mutex> lock(deps_mutex_);
+    if (auto it = deps_memo_.find(key); it != deps_memo_.end()) {
+      held = it->second;
+    }
+  }
+  const auto unchanged = [&vfs](const auto& file) {
+    const std::string* now = vfs.find(file.first);
+    return file.second ? now != nullptr && *now == *file.second
+                       : now == nullptr;
+  };
+  if (held != nullptr &&
+      std::all_of(held->files.begin(), held->files.end(), unchanged)) {
+    return held->digest;
+  }
+  auto fresh = std::make_shared<DepsDigest>();
+  for (const IncludeEdge& edge : *includes) {
+    const std::string* content = vfs.find(edge.to_file);
+    fresh->files.emplace_back(edge.to_file,
+                              content != nullptr
+                                  ? std::optional<std::string>(*content)
+                                  : std::nullopt);
+  }
+  fresh->digest = deps_digest_of(vfs, includes);
+  const std::uint64_t digest = fresh->digest;
+  const std::lock_guard<std::mutex> lock(deps_mutex_);
+  deps_memo_[std::move(key)] = std::move(fresh);
+  return digest;
+}
+
 CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
                                    std::string_view path,
                                    const AssemblerOptions& options) {
   const std::string norm = support::normalize_path(path);
   CachedObject out;
 
-  const auto source = vfs.read(norm);
-  if (!source) {
+  const std::string* source = vfs.find(norm);
+  if (source == nullptr) {
     // Uncacheable (there is no content to key on); reproduce the
     // assembler's missing-file diagnostic verbatim.
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -67,12 +110,13 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
     return out;
   }
 
-  const std::uint64_t source_digest = support::hash_bytes(*source);
   const std::uint64_t options_digest = options_fingerprint(options);
+  support::Fnv1a source_hash;
   support::Fnv1a key;
   key.update(norm);
-  key.update(*source);
+  support::Fnv1a::update_both(source_hash, key, *source);
   key.update(options_digest);
+  const std::uint64_t source_digest = source_hash.digest();
 
   Entry* entry = nullptr;
   {
@@ -91,7 +135,7 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
                              entry->source_digest == source_digest &&
                              entry->options_digest == options_digest;
     if (same_inputs &&
-        deps_digest_of(vfs, entry->includes.get()) == entry->deps_digest &&
+        deps_digest(vfs, entry->includes.get()) == entry->deps_digest &&
         probed_misses_still_missing(vfs, entry->probed_misses.get())) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       out.object = entry->object;
@@ -118,7 +162,7 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
           stored->options_digest == options_digest) {
         auto includes = std::make_shared<const std::vector<IncludeEdge>>(
             std::move(stored->includes));
-        if (deps_digest_of(vfs, includes.get()) == stored->deps_digest &&
+        if (deps_digest(vfs, includes.get()) == stored->deps_digest &&
             probed_misses_still_missing(vfs, &stored->probed_misses)) {
           persistent_hits_.fetch_add(1, std::memory_order_relaxed);
           entry->object =
@@ -167,7 +211,7 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
       entry->path = norm;
       entry->source_digest = source_digest;
       entry->options_digest = options_digest;
-      entry->deps_digest = deps_digest_of(vfs, entry->includes.get());
+      entry->deps_digest = deps_digest(vfs, entry->includes.get());
       entry->valid = true;
       bytes_.fetch_add(entry->object_bytes, std::memory_order_relaxed);
     }

@@ -54,7 +54,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "advm/objstore.h"
@@ -141,8 +143,27 @@ class ObjectCache {
     std::uint64_t object_bytes = 0;
   };
 
+  /// One deps digest with what it covered: every included path in order,
+  /// and its content then (nullopt when absent).
+  struct DepsDigest {
+    std::vector<std::pair<std::string, std::optional<std::string>>> files;
+    std::uint64_t digest = 0;
+  };
+
+  /// The digest over the current content of every file `includes` names,
+  /// served from deps_memo_ while those contents are unchanged: the tests
+  /// of one module include the same files, and comparing their contents
+  /// costs far less than hashing them again.
+  [[nodiscard]] std::uint64_t deps_digest(
+      const support::VirtualFileSystem& vfs,
+      const std::vector<assembler::IncludeEdge>* includes);
+
   std::mutex mutex_;  ///< guards `entries_` (not entry payloads)
   std::map<std::uint64_t, Entry> entries_;
+  std::mutex deps_mutex_;  ///< guards `deps_memo_`
+  /// Keyed by the included paths, each followed by '\n'.
+  std::map<std::string, std::shared_ptr<const DepsDigest>, std::less<>>
+      deps_memo_;
   std::unique_ptr<PersistentObjectStore> store_;
   assembler::IncludeMemo include_memo_;
   std::atomic<std::uint64_t> hits_{0};

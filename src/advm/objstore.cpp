@@ -100,7 +100,7 @@ struct Reader {
 };
 
 void put_loc(std::string& out, const support::SourceLoc& loc) {
-  put_str(out, loc.file);
+  put_str(out, loc.file.str());
   put_u32(out, loc.line);
   put_u32(out, loc.column);
 }

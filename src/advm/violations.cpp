@@ -43,11 +43,12 @@ bool is_global_layer_file(std::string_view name) {
 void scan_source(const std::string& path, const std::string& source,
                  ViolationReport& report) {
   support::DiagnosticEngine scratch;  // lexer errors are not violations
+  const support::SourceName file(path);
+  std::vector<Token> tokens;
   std::uint32_t line_no = 0;
   for (std::string_view line : support::split_lines(source)) {
     ++line_no;
-    std::vector<Token> tokens =
-        assembler::lex_line(line, path, line_no, scratch);
+    assembler::lex_line(line, file, line_no, scratch, tokens);
     if (tokens.size() <= 1) continue;
 
     // Direct include of a global-layer file.

@@ -21,6 +21,7 @@ using advm::isa::OperandPattern;
 using advm::isa::RegSpec;
 using advm::support::DiagnosticEngine;
 using advm::support::SourceLoc;
+using advm::support::SourceName;
 
 namespace {
 
@@ -32,6 +33,112 @@ struct SrcOperand {
   AddrMode mode = AddrMode::None;
   std::optional<RegSpec> reg;  ///< Register mode value or indirect pointer
   ExprValue value;             ///< Immediate / Absolute / offset expression
+};
+
+enum class Directive : std::uint8_t {
+  None,
+  Align,
+  Ascii,
+  Asciiz,
+  Db,
+  Dd,
+  Define,
+  Dw,
+  Else,
+  Endif,
+  Endm,
+  Equ,
+  Error,
+  If,
+  Ifdef,
+  Ifndef,
+  Include,
+  Macro,
+  Org,
+  Section,
+  Space,
+  Warning,
+};
+
+/// Every directive by its upper-case spelling, sorted for find_nocase.
+constexpr std::pair<std::string_view, Directive> kDirectives[] = {
+    {".ALIGN", Directive::Align},     {".ASCII", Directive::Ascii},
+    {".ASCIIZ", Directive::Asciiz},   {".DB", Directive::Db},
+    {".DD", Directive::Dd},           {".DEFINE", Directive::Define},
+    {".DW", Directive::Dw},           {".ELSE", Directive::Else},
+    {".ENDIF", Directive::Endif},     {".ENDM", Directive::Endm},
+    {".EQU", Directive::Equ},         {".ERROR", Directive::Error},
+    {".IF", Directive::If},           {".IFDEF", Directive::Ifdef},
+    {".IFNDEF", Directive::Ifndef},   {".INCLUDE", Directive::Include},
+    {".MACRO", Directive::Macro},     {".ORG", Directive::Org},
+    {".SECTION", Directive::Section}, {".SPACE", Directive::Space},
+    {".WARNING", Directive::Warning},
+};
+static_assert(std::ranges::is_sorted(kDirectives, {},
+                                     &std::pair<std::string_view,
+                                                Directive>::first));
+
+/// The directive `name` spells in any letter case; None for any other name.
+Directive directive_of(std::string_view name) {
+  if (name.empty() || name[0] != '.') return Directive::None;
+  const Directive* directive = support::find_nocase(kDirectives, name);
+  return directive != nullptr ? *directive : Directive::None;
+}
+
+/// The names a unit has defined, in two layers: a map it shares (the
+/// predefines, or the state a served include memo entry left), read in
+/// place, under the unit's own definitions. Serving a memo hit swaps the
+/// shared map in instead of copying its nodes.
+template <class V>
+class Scope {
+ public:
+  using Map = std::map<std::string, V, std::less<>>;
+
+  /// Starts over with `shared` (which may be null) as the only layer.
+  void reset(const Map* shared) {
+    shared_ = shared;
+    own_.clear();
+  }
+
+  [[nodiscard]] const V* find(std::string_view name) const {
+    if (auto it = own_.find(name); it != own_.end()) return &it->second;
+    if (shared_ != nullptr) {
+      if (auto it = shared_->find(name); it != shared_->end()) {
+        return &it->second;
+      }
+    }
+    return nullptr;
+  }
+
+  /// Defines `name` unless it is defined; returns the value it now has.
+  const V& try_emplace(std::string_view name, V value) {
+    if (const V* held = find(name)) return *held;
+    return own_.emplace(std::string(name), std::move(value)).first->second;
+  }
+
+  /// Defines or redefines `name`.
+  void assign(std::string_view name, V value) {
+    own_.insert_or_assign(std::string(name), std::move(value));
+  }
+
+  [[nodiscard]] bool empty() const {
+    return own_.empty() && (shared_ == nullptr || shared_->empty());
+  }
+  /// Names in both layers; one that assign() redefined counts twice.
+  [[nodiscard]] std::size_t size() const {
+    return own_.size() + (shared_ != nullptr ? shared_->size() : 0);
+  }
+
+  /// Both layers as one map, the unit's own definitions winning.
+  [[nodiscard]] Map flattened() const {
+    Map out = own_;
+    if (shared_ != nullptr) out.insert(shared_->begin(), shared_->end());
+    return out;
+  }
+
+ private:
+  const Map* shared_ = nullptr;
+  Map own_;
 };
 
 }  // namespace
@@ -62,7 +169,8 @@ std::shared_ptr<const IncludeMemo::Effect> IncludeMemo::lookup(
     effect = it->second;
   }
   for (const auto& [file, content] : effect->files) {
-    if (!vfs.exists(file) || vfs.read_required(file) != content) {
+    const std::string* now = vfs.find(file);
+    if (now == nullptr || *now != content) {
       return nullptr;
     }
   }
@@ -93,12 +201,18 @@ class Assembler::Impl {
         diags_(diags),
         options_(std::move(options)),
         memo_(memo),
-        options_digest_(memo ? options_fingerprint(options_) : 0) {}
+        options_digest_(memo ? options_fingerprint(options_) : 0),
+        lookup_([this](std::string_view name) -> std::optional<ExprValue> {
+          if (const std::int64_t* value = equates_.find(name)) {
+            return ExprValue::absolute(*value);
+          }
+          return std::nullopt;
+        }) {}
 
   std::optional<AssembleResult> assemble_file(std::string_view path) {
     std::string norm = support::normalize_path(path);
-    auto content = vfs_.read(norm);
-    if (!content) {
+    const std::string* content = vfs_.find(norm);
+    if (content == nullptr) {
       diags_.error("asm.no-such-file", "cannot open '" + norm + "'");
       return std::nullopt;
     }
@@ -107,7 +221,7 @@ class Assembler::Impl {
 
   std::optional<AssembleResult> assemble_source(std::string_view name,
                                                 std::string_view source) {
-    return run(std::string(name), std::string(source));
+    return run(std::string(name), source);
   }
 
   [[nodiscard]] const std::vector<IncludeEdge>& last_includes() const {
@@ -121,7 +235,7 @@ class Assembler::Impl {
  private:
   // --------------------------------------------------------------- driver --
   std::optional<AssembleResult> run(const std::string& name,
-                                    const std::string& source) {
+                                    std::string_view source) {
     reset(name);
     const std::size_t errors_before = diags_.error_count();
 
@@ -153,29 +267,29 @@ class Assembler::Impl {
     includes_.clear();
     probed_misses_.clear();
     listing_.clear();
-    equates_.clear();
-    defines_.clear();
+    served_.reset();
+    equates_.reset(&options_.predefines);
+    defines_.reset(nullptr);
     macros_.clear();
     cond_stack_.clear();
     include_stack_.clear();
     macro_instance_ = 0;
     macro_depth_ = 0;
-    for (const auto& [key, value] : options_.predefines) {
-      equates_[key] = value;
-    }
   }
 
-  void process_buffer(const std::string& file, std::string_view content) {
+  void process_buffer(std::string_view file, std::string_view content) {
+    const SourceName name(file);
+    std::vector<Token> tokens;  // one buffer for every line of the file
     std::uint32_t line_no = 0;
     for (std::string_view line : support::split_lines(content)) {
       ++line_no;
-      process_line(file, line_no, line);
+      process_line(name, line_no, line, tokens);
     }
   }
 
   // ----------------------------------------------------------- line logic --
-  void process_line(const std::string& file, std::uint32_t line_no,
-                    std::string_view text) {
+  void process_line(SourceName file, std::uint32_t line_no,
+                    std::string_view text, std::vector<Token>& tokens) {
     // Macro body collection intercepts everything except .ENDM / nested defs.
     if (collecting_macro_) {
       std::string_view trimmed = support::trim(text);
@@ -194,36 +308,43 @@ class Assembler::Impl {
       return;
     }
 
-    std::vector<Token> tokens = lex_line(text, file, line_no, diags_);
+    lex_line(text, file, line_no, diags_, tokens);
     process_token_line(tokens, text);
   }
 
   // -------------------------------------------------------------- defines --
-  void expand_defines(std::vector<Token>& tokens) {
+  /// Replaces defined names by their bodies until none is left, and says
+  /// whether it replaced any. A line naming no define is not copied.
+  bool expand_defines(std::vector<Token>& tokens) {
+    if (defines_.empty()) return false;
+    const auto body_of = [this](const Token& tok) {
+      return tok.is_ident() ? defines_.find(tok.text) : nullptr;
+    };
     for (std::size_t depth = 0; depth < kMaxDefineExpansionDepth; ++depth) {
-      bool changed = false;
-      std::vector<Token> out;
-      out.reserve(tokens.size());
-      for (const Token& tok : tokens) {
-        if (tok.is_ident()) {
-          auto it = defines_.find(tok.text);
-          if (it != defines_.end()) {
-            for (Token replacement : it->second) {
-              replacement.loc = tok.loc;  // report at use site
-              out.push_back(std::move(replacement));
-            }
-            changed = true;
-            continue;
-          }
-        }
-        out.push_back(tok);
+      if (std::none_of(tokens.begin(), tokens.end(), [&](const Token& tok) {
+            return body_of(tok) != nullptr;
+          })) {
+        return depth != 0;
       }
-      tokens = std::move(out);
-      if (!changed) return;
+      std::vector<Token>& out = expansion_;
+      out.clear();
+      for (Token& tok : tokens) {
+        const std::vector<Token>* body = body_of(tok);
+        if (body == nullptr) {
+          out.push_back(std::move(tok));
+          continue;
+        }
+        for (Token replacement : *body) {
+          replacement.loc = tok.loc;  // report at use site
+          out.push_back(std::move(replacement));
+        }
+      }
+      tokens.swap(out);
     }
     diags_.error("asm.define-recursion",
                  "recursive .DEFINE expansion exceeds depth limit",
                  tokens.empty() ? SourceLoc{} : tokens.front().loc);
+    return true;
   }
 
   void handle_define(const std::vector<Token>& tokens) {
@@ -237,7 +358,7 @@ class Assembler::Impl {
       diags_.error("asm.bad-define", ".DEFINE body is empty", tokens[1].loc);
       return;
     }
-    defines_[tokens[1].text] = std::move(body);
+    defines_.assign(tokens[1].text, std::move(body));
   }
 
   // --------------------------------------------------------------- equates --
@@ -246,7 +367,7 @@ class Assembler::Impl {
     std::span<const Token> rest(tokens.data() + cursor,
                                 tokens.size() - cursor);
     std::size_t consumed = 0;
-    auto value = evaluate_absolute(rest, consumed, lookup_fn(), diags_);
+    auto value = evaluate_absolute(rest, consumed, lookup_, diags_);
     if (!value) return;
     if (!rest[consumed].is_eol()) {
       diags_.error("asm.trailing-tokens", "unexpected tokens after .EQU value",
@@ -256,8 +377,7 @@ class Assembler::Impl {
     // Redefinition with the *same* value is tolerated (a file included twice
     // via two paths); changing a value mid-assembly is an error that the
     // paper's single-point-of-change discipline relies on catching.
-    auto [it, inserted] = equates_.try_emplace(name, *value);
-    if (!inserted && it->second != *value) {
+    if (equates_.try_emplace(name, *value) != *value) {
       diags_.error("asm.equ-redefined",
                    "'" + name + "' .EQU redefined with a different value",
                    tokens[0].loc);
@@ -282,7 +402,7 @@ class Assembler::Impl {
     expand_defines(tokens);
     std::span<const Token> rest(tokens.data() + 1, tokens.size() - 1);
     std::size_t consumed = 0;
-    auto value = evaluate_absolute(rest, consumed, lookup_fn(), diags_);
+    auto value = evaluate_absolute(rest, consumed, lookup_, diags_);
     frame.active = value.value_or(0) != 0;
     frame.taken = frame.active;
     cond_stack_.push_back(frame);
@@ -303,8 +423,8 @@ class Assembler::Impl {
       return;
     }
     const std::string& name = tokens[1].text;
-    bool defined = equates_.count(name) != 0 || defines_.count(name) != 0 ||
-                   macros_.count(name) != 0;
+    bool defined = equates_.find(name) != nullptr ||
+                   defines_.find(name) != nullptr || macros_.count(name) != 0;
     frame.active = negate ? !defined : defined;
     frame.taken = frame.active;
     cond_stack_.push_back(frame);
@@ -400,9 +520,10 @@ class Assembler::Impl {
 
     const std::size_t instance = ++macro_instance_;
     ++macro_depth_;
+    std::vector<Token> line_tokens;
     for (const MacroLine& body_line : macro.lines) {
-      std::vector<Token> line_tokens =
-          lex_line(body_line.text, body_line.file, body_line.line, diags_);
+      lex_line(body_line.text, body_line.file, body_line.line, diags_,
+               line_tokens);
       substitute_macro_tokens(line_tokens, macro.params, args, instance);
       process_token_line(line_tokens, body_line.text);
     }
@@ -418,29 +539,29 @@ class Assembler::Impl {
 
     // Conditional-assembly directives act even inside inactive regions
     // (nesting must still be tracked).
-    if (tokens[0].is_ident()) {
-      const std::string& head = tokens[0].text;
-      if (support::equals_nocase(head, ".IF")) return handle_if(tokens);
-      if (support::equals_nocase(head, ".IFDEF"))
+    const Directive first =
+        tokens[0].is_ident() ? directive_of(tokens[0].text) : Directive::None;
+    switch (first) {
+      case Directive::If:
+        return handle_if(tokens);
+      case Directive::Ifdef:
         return handle_ifdef(tokens, /*negate=*/false);
-      if (support::equals_nocase(head, ".IFNDEF"))
+      case Directive::Ifndef:
         return handle_ifdef(tokens, /*negate=*/true);
-      if (support::equals_nocase(head, ".ELSE")) return handle_else(tokens);
-      if (support::equals_nocase(head, ".ENDIF")) return handle_endif(tokens);
+      case Directive::Else:
+        return handle_else(tokens);
+      case Directive::Endif:
+        return handle_endif(tokens);
+      default:
+        break;
     }
     if (!conditions_active()) return;
 
     // Lazy directives keep their operand tokens unexpanded.
-    if (tokens[0].is_ident()) {
-      if (support::equals_nocase(tokens[0].text, ".DEFINE")) {
-        return handle_define(tokens);
-      }
-      if (support::equals_nocase(tokens[0].text, ".MACRO")) {
-        return handle_macro_start(tokens);
-      }
-    }
+    if (first == Directive::Define) return handle_define(tokens);
+    if (first == Directive::Macro) return handle_macro_start(tokens);
 
-    expand_defines(tokens);
+    const bool expanded = expand_defines(tokens);
 
     std::size_t cursor = 0;
     while (cursor + 1 < tokens.size() && tokens[cursor].is_ident() &&
@@ -456,13 +577,15 @@ class Assembler::Impl {
       return;
     }
     if (cursor + 1 < tokens.size() && tokens[cursor + 1].is_ident() &&
-        support::equals_nocase(tokens[cursor + 1].text, ".EQU")) {
+        directive_of(tokens[cursor + 1].text) == Directive::Equ) {
       handle_equ(tokens[cursor].text, tokens, cursor + 2);
       return;
     }
     const Token& head = tokens[cursor];
     if (head.text[0] == '.') {
-      handle_directive(tokens, cursor, text);
+      handle_directive(cursor == 0 && !expanded ? first
+                                                : directive_of(head.text),
+                       tokens, cursor, text);
       return;
     }
     if (auto mm = isa::lookup_mnemonic(head.text)) {
@@ -513,7 +636,7 @@ class Assembler::Impl {
   // ---------------------------------------------------------------- labels --
   /// Object-local labels ('.'-prefixed) are mangled with the object name so
   /// that different test cells can reuse '.loop' etc. without link clashes.
-  std::string mangle(const std::string& name) const {
+  std::string mangle(std::string name) const {
     if (!name.empty() && name.front() == '.') {
       return "$local$" + object_.name + "$" + name;
     }
@@ -538,50 +661,65 @@ class Assembler::Impl {
   }
 
   // ------------------------------------------------------------- directives --
-  void handle_directive(std::vector<Token>& tokens, std::size_t cursor,
-                        std::string_view source_text) {
+  /// Runs the directive `head`, which spells `directive`. Conditionals,
+  /// .DEFINE and .MACRO act only as a line's first token (see
+  /// process_token_line); anywhere else they are unknown here.
+  void handle_directive(Directive directive, std::vector<Token>& tokens,
+                        std::size_t cursor, std::string_view source_text) {
     const Token& head = tokens[cursor];
-    const std::string upper = support::to_upper(head.text);
-
-    if (upper == ".INCLUDE") return handle_include(tokens, cursor);
-    if (upper == ".EQU") {
-      // Directive-first form: .EQU NAME, expr
-      if (cursor + 1 >= tokens.size() || !tokens[cursor + 1].is_ident()) {
-        diags_.error("asm.bad-equ", ".EQU requires a name", head.loc);
+    switch (directive) {
+      case Directive::Include:
+        return handle_include(tokens, cursor);
+      case Directive::Equ: {
+        // Directive-first form: .EQU NAME, expr
+        if (cursor + 1 >= tokens.size() || !tokens[cursor + 1].is_ident()) {
+          diags_.error("asm.bad-equ", ".EQU requires a name", head.loc);
+          return;
+        }
+        std::size_t value_at = cursor + 2;
+        if (value_at < tokens.size() && tokens[value_at].is_punct(",")) {
+          ++value_at;
+        }
+        handle_equ(tokens[cursor + 1].text, tokens, value_at);
         return;
       }
-      std::size_t value_at = cursor + 2;
-      if (value_at < tokens.size() && tokens[value_at].is_punct(",")) {
-        ++value_at;
+      case Directive::Org:
+        return handle_org(tokens, cursor);
+      case Directive::Section:
+        return handle_section(tokens, cursor);
+      case Directive::Align:
+        return handle_align(tokens, cursor);
+      case Directive::Space:
+        return handle_space(tokens, cursor);
+      case Directive::Db:
+        return handle_data(tokens, cursor, 1, source_text);
+      case Directive::Dw:
+        return handle_data(tokens, cursor, 2, source_text);
+      case Directive::Dd:
+        return handle_data(tokens, cursor, 4, source_text);
+      case Directive::Ascii:
+        return handle_ascii(tokens, cursor, false);
+      case Directive::Asciiz:
+        return handle_ascii(tokens, cursor, true);
+      case Directive::Error:
+      case Directive::Warning: {
+        std::string msg = "(no message)";
+        if (cursor + 1 < tokens.size() &&
+            tokens[cursor + 1].kind == TokenKind::String) {
+          msg = tokens[cursor + 1].text;
+        }
+        if (directive == Directive::Error) {
+          diags_.error("asm.user-error", msg, head.loc);
+        } else {
+          diags_.warning("asm.user-warning", msg, head.loc);
+        }
+        return;
       }
-      handle_equ(tokens[cursor + 1].text, tokens, value_at);
-      return;
-    }
-    if (upper == ".ORG") return handle_org(tokens, cursor);
-    if (upper == ".SECTION") return handle_section(tokens, cursor);
-    if (upper == ".ALIGN") return handle_align(tokens, cursor);
-    if (upper == ".SPACE") return handle_space(tokens, cursor);
-    if (upper == ".DB") return handle_data(tokens, cursor, 1, source_text);
-    if (upper == ".DW") return handle_data(tokens, cursor, 2, source_text);
-    if (upper == ".DD") return handle_data(tokens, cursor, 4, source_text);
-    if (upper == ".ASCII") return handle_ascii(tokens, cursor, false);
-    if (upper == ".ASCIIZ") return handle_ascii(tokens, cursor, true);
-    if (upper == ".ERROR" || upper == ".WARNING") {
-      std::string msg = "(no message)";
-      if (cursor + 1 < tokens.size() &&
-          tokens[cursor + 1].kind == TokenKind::String) {
-        msg = tokens[cursor + 1].text;
-      }
-      if (upper == ".ERROR") {
-        diags_.error("asm.user-error", msg, head.loc);
-      } else {
-        diags_.warning("asm.user-warning", msg, head.loc);
-      }
-      return;
-    }
-    if (upper == ".ENDM") {
-      diags_.error("asm.unmatched-endm", ".ENDM without .MACRO", head.loc);
-      return;
+      case Directive::Endm:
+        diags_.error("asm.unmatched-endm", ".ENDM without .MACRO", head.loc);
+        return;
+      default:
+        break;
     }
     diags_.error("asm.unknown-directive",
                  "unknown directive '" + head.text + "'", head.loc);
@@ -625,13 +763,16 @@ class Assembler::Impl {
     const bool memoizable = memo_ != nullptr && at_entry_state();
     if (memoizable) {
       if (auto effect = memo_->lookup(vfs_, *resolved, options_digest_)) {
-        equates_ = effect->equates;
-        defines_ = effect->defines;
+        // At the entry state the unit holds only the predefines, which the
+        // entry's equates include: its maps replace this unit's in place.
+        equates_.reset(&effect->equates);
+        defines_.reset(&effect->defines);
         includes_.insert(includes_.end(), effect->includes.begin(),
                          effect->includes.end());
         probed_misses_.insert(probed_misses_.end(),
                               effect->probed_misses.begin(),
                               effect->probed_misses.end());
+        served_ = std::move(effect);
         return;
       }
     }
@@ -639,7 +780,7 @@ class Assembler::Impl {
     const std::size_t misses_before = probed_misses_.size();
     const std::size_t diags_before = diags_.all().size();
 
-    std::string content = vfs_.read_required(*resolved);
+    const std::string& content = vfs_.read_required(*resolved);
     include_stack_.push_back(*resolved);
     process_buffer(*resolved, content);
     include_stack_.pop_back();
@@ -651,12 +792,12 @@ class Assembler::Impl {
       return;
     }
     IncludeMemo::Effect effect;
-    effect.equates = equates_;
-    effect.defines = defines_;
+    effect.equates = equates_.flattened();
+    effect.defines = defines_.flattened();
     effect.includes.assign(includes_.begin() + edges_before, includes_.end());
     effect.probed_misses.assign(probed_misses_.begin() + misses_before,
                                 probed_misses_.end());
-    effect.files.emplace_back(*resolved, std::move(content));
+    effect.files.emplace_back(*resolved, content);
     for (const IncludeEdge& edge : effect.includes) {
       effect.files.emplace_back(edge.to_file,
                                 vfs_.read_required(edge.to_file));
@@ -712,7 +853,7 @@ class Assembler::Impl {
     std::span<const Token> rest(tokens.data() + cursor + 1,
                                 tokens.size() - cursor - 1);
     std::size_t consumed = 0;
-    auto value = evaluate_absolute(rest, consumed, lookup_fn(), diags_);
+    auto value = evaluate_absolute(rest, consumed, lookup_, diags_);
     if (!value) return;
     ObjSection& sec = current();
     if (!sec.bytes.empty()) {
@@ -745,7 +886,7 @@ class Assembler::Impl {
     std::span<const Token> rest(tokens.data() + cursor + 1,
                                 tokens.size() - cursor - 1);
     std::size_t consumed = 0;
-    auto value = evaluate_absolute(rest, consumed, lookup_fn(), diags_);
+    auto value = evaluate_absolute(rest, consumed, lookup_, diags_);
     if (!value) return;
     if (*value <= 0 || *value > 4096) {
       diags_.error("asm.bad-align", "alignment must be in 1..4096",
@@ -762,7 +903,7 @@ class Assembler::Impl {
     std::span<const Token> rest(tokens.data() + cursor + 1,
                                 tokens.size() - cursor - 1);
     std::size_t consumed = 0;
-    auto value = evaluate_absolute(rest, consumed, lookup_fn(), diags_);
+    auto value = evaluate_absolute(rest, consumed, lookup_, diags_);
     if (!value) return;
     if (*value < 0 || *value > (1 << 24)) {
       diags_.error("asm.bad-space", ".SPACE size out of range",
@@ -788,7 +929,7 @@ class Assembler::Impl {
         std::size_t consumed = 0;
         EvalOptions opts;
         opts.allow_forward_refs = (size == 4);
-        auto value = evaluate_expr(rest, consumed, lookup_fn(), opts, diags_);
+        auto value = evaluate_expr(rest, consumed, lookup_, opts, diags_);
         if (!value) return;
         i += consumed;
         emit_value(*value, size, tokens[cursor].loc);
@@ -839,14 +980,6 @@ class Assembler::Impl {
   }
 
   // ------------------------------------------------------------ instructions --
-  SymbolLookup lookup_fn() {
-    return [this](std::string_view name) -> std::optional<ExprValue> {
-      auto it = equates_.find(std::string(name));
-      if (it != equates_.end()) return ExprValue::absolute(it->second);
-      return std::nullopt;
-    };
-  }
-
   /// Parses the flexible source operand: register / immediate-expression /
   /// [abs] / [aN] / [aN + off].
   std::optional<SrcOperand> parse_src(const std::vector<Token>& tokens,
@@ -873,7 +1006,7 @@ class Assembler::Impl {
             std::size_t consumed = 0;
             EvalOptions opts;  // offsets must be absolute
             auto value =
-                evaluate_expr(rest, consumed, lookup_fn(), opts, diags_);
+                evaluate_expr(rest, consumed, lookup_, opts, diags_);
             if (!value) return std::nullopt;
             cursor += consumed;
             if (!tokens[cursor].is_punct("]")) {
@@ -905,7 +1038,7 @@ class Assembler::Impl {
       std::size_t consumed = 0;
       EvalOptions opts;
       opts.allow_forward_refs = true;
-      auto value = evaluate_expr(rest, consumed, lookup_fn(), opts, diags_);
+      auto value = evaluate_expr(rest, consumed, lookup_, opts, diags_);
       if (!value) return std::nullopt;
       cursor += consumed;
       if (!tokens[cursor].is_punct("]")) {
@@ -933,7 +1066,7 @@ class Assembler::Impl {
     std::size_t consumed = 0;
     EvalOptions opts;
     opts.allow_forward_refs = true;
-    auto value = evaluate_expr(rest, consumed, lookup_fn(), opts, diags_);
+    auto value = evaluate_expr(rest, consumed, lookup_, opts, diags_);
     if (!value) return std::nullopt;
     cursor += consumed;
     src.mode = AddrMode::Immediate;
@@ -969,7 +1102,7 @@ class Assembler::Impl {
     std::span<const Token> rest(tokens.data() + cursor,
                                 tokens.size() - cursor);
     std::size_t consumed = 0;
-    auto value = evaluate_absolute(rest, consumed, lookup_fn(), diags_);
+    auto value = evaluate_absolute(rest, consumed, lookup_, diags_);
     if (!value) return std::nullopt;
     cursor += consumed;
     return value;
@@ -987,11 +1120,11 @@ class Assembler::Impl {
     // Relocation request against the imm32 field, if any.
     std::optional<ExprValue> reloc_value;
 
-    auto use_value = [&](const ExprValue& v) {
+    auto use_value = [&](ExprValue&& v) {
       if (v.is_absolute()) {
         instr.imm = static_cast<std::uint32_t>(v.constant);
       } else {
-        reloc_value = v;
+        reloc_value = std::move(v);
         instr.imm = 0;  // patched by the linker
       }
     };
@@ -1028,7 +1161,7 @@ class Assembler::Impl {
         instr.rc = *rc;
         instr.mode = src->mode;
         instr.rb = src->reg;
-        use_value(src->value);
+        use_value(std::move(src->value));
         break;
       }
 
@@ -1048,7 +1181,7 @@ class Assembler::Impl {
         instr.ra = *ra;
         instr.mode = dst->mode;
         instr.rb = dst->reg;
-        use_value(dst->value);
+        use_value(std::move(dst->value));
         break;
       }
 
@@ -1083,7 +1216,7 @@ class Assembler::Impl {
         instr.ra = *ra;
         instr.mode = src->mode;
         instr.rb = src->reg;
-        use_value(src->value);
+        use_value(std::move(src->value));
         break;
       }
 
@@ -1101,7 +1234,7 @@ class Assembler::Impl {
         instr.ra = *ra;
         instr.mode = src->mode;
         instr.rb = src->reg;
-        use_value(src->value);
+        use_value(std::move(src->value));
         break;
       }
 
@@ -1137,7 +1270,7 @@ class Assembler::Impl {
         instr.ra = *ra;
         instr.mode = src->mode;
         instr.rb = src->reg;
-        use_value(src->value);
+        use_value(std::move(src->value));
         instr.pos = static_cast<std::uint8_t>(*pos);
         instr.width = static_cast<std::uint8_t>(*width);
         break;
@@ -1182,10 +1315,10 @@ class Assembler::Impl {
         std::size_t consumed = 0;
         EvalOptions opts;
         opts.allow_forward_refs = true;
-        auto value = evaluate_expr(rest, consumed, lookup_fn(), opts, diags_);
+        auto value = evaluate_expr(rest, consumed, lookup_, opts, diags_);
         if (!value) return;
         cursor += consumed;
-        use_value(*value);
+        use_value(std::move(*value));
         break;
       }
 
@@ -1251,11 +1384,11 @@ class Assembler::Impl {
       return;
     }
 
-    emit_instruction(instr, reloc_value, loc, source_text);
+    emit_instruction(instr, std::move(reloc_value), loc, source_text);
   }
 
   void emit_instruction(const Instruction& instr,
-                        const std::optional<ExprValue>& reloc_value,
+                        std::optional<ExprValue> reloc_value,
                         const SourceLoc& loc, std::string_view source_text) {
     isa::EncodeError err;
     auto encoded = isa::encode(instr, &err);
@@ -1271,7 +1404,7 @@ class Assembler::Impl {
       Relocation rel;
       rel.section = sec.name;
       rel.offset = static_cast<std::uint32_t>(offset + 8);  // imm32 field
-      rel.symbol = mangle(reloc_value->symbol);
+      rel.symbol = mangle(std::move(reloc_value->symbol));
       rel.addend = reloc_value->constant;
       rel.size = 4;
       rel.loc = loc;
@@ -1299,7 +1432,7 @@ class Assembler::Impl {
   // ------------------------------------------------------------------ state --
   struct MacroLine {
     std::string text;
-    std::string file;
+    SourceName file;
     std::uint32_t line = 0;
   };
   struct MacroDef {
@@ -1322,8 +1455,11 @@ class Assembler::Impl {
   std::vector<IncludeEdge> includes_;
   std::vector<std::string> probed_misses_;
   std::string listing_;
-  std::map<std::string, std::int64_t, std::less<>> equates_;
-  std::map<std::string, std::vector<Token>, std::less<>> defines_;
+  /// The memo entry whose maps equates_ and defines_ share, if one served.
+  std::shared_ptr<const IncludeMemo::Effect> served_;
+  Scope<std::int64_t> equates_;
+  Scope<std::vector<Token>> defines_;
+  std::vector<Token> expansion_;  ///< expand_defines' output buffer
   std::map<std::string, MacroDef, std::less<>> macros_;
   std::vector<CondFrame> cond_stack_;
   std::vector<std::string> include_stack_;
@@ -1333,6 +1469,8 @@ class Assembler::Impl {
   bool collecting_macro_ = false;
   std::string collecting_name_;
   MacroDef collecting_body_;
+  /// Resolves identifiers to equates for every expression of the unit.
+  const SymbolLookup lookup_;
 };
 
 Assembler::Assembler(const support::VirtualFileSystem& vfs,

@@ -66,7 +66,7 @@ struct AssemblerOptions {
   std::vector<std::string> include_dirs;
   /// Pre-defined equates, the CLI `-D NAME=value` equivalent. This is the
   /// hook the ADVM uses to select derivative/platform without editing code.
-  std::map<std::string, std::int64_t> predefines;
+  std::map<std::string, std::int64_t, std::less<>> predefines;
   bool emit_listing = false;
   std::size_t max_include_depth = 32;
   std::size_t max_macro_depth = 64;

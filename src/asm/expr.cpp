@@ -1,12 +1,57 @@
 #include "asm/expr.h"
 
+#include <functional>
+
 #include "support/text.h"
 
 namespace advm::assembler {
 
 namespace {
 
-/// Recursive-descent evaluator with precedence climbing.
+/// `a op b` in two's complement, wrapping where int64 arithmetic would
+/// overflow (which is undefined behaviour).
+template <class Op>
+std::int64_t wrapping(std::int64_t a, std::int64_t b, Op op) {
+  return static_cast<std::int64_t>(
+      op(static_cast<std::uint64_t>(a), static_cast<std::uint64_t>(b)));
+}
+
+enum class BinaryOp : std::uint8_t {
+  Or, And, Eq, Ne, Le, Ge, Lt, Gt, BitOr, BitXor, BitAnd, Shl, Shr,
+  Add, Sub, Mul, Div, Mod,
+};
+
+struct BinaryOperator {
+  std::string_view spelling;
+  int precedence;  ///< higher binds tighter
+  BinaryOp op;
+};
+
+/// The binary operators, loosest first. Every level is left-associative.
+constexpr BinaryOperator kBinaryOperators[] = {
+    {"||", 1, BinaryOp::Or},     {"&&", 2, BinaryOp::And},
+    {"==", 3, BinaryOp::Eq},     {"!=", 3, BinaryOp::Ne},
+    {"<=", 3, BinaryOp::Le},     {">=", 3, BinaryOp::Ge},
+    {"<", 3, BinaryOp::Lt},      {">", 3, BinaryOp::Gt},
+    {"|", 4, BinaryOp::BitOr},   {"^", 5, BinaryOp::BitXor},
+    {"&", 6, BinaryOp::BitAnd},  {"<<", 7, BinaryOp::Shl},
+    {">>", 7, BinaryOp::Shr},    {"+", 8, BinaryOp::Add},
+    {"-", 8, BinaryOp::Sub},     {"*", 9, BinaryOp::Mul},
+    {"/", 9, BinaryOp::Div},     {"%", 9, BinaryOp::Mod},
+};
+constexpr int kLoosest = 1;
+
+/// The binary operator `tok` spells, or nullptr.
+const BinaryOperator* binary_operator(const Token& tok) {
+  if (tok.kind != TokenKind::Punct) return nullptr;
+  for (const BinaryOperator& op : kBinaryOperators) {
+    if (op.spelling == tok.text) return &op;
+  }
+  return nullptr;
+}
+
+/// Precedence-climbing evaluator: binary operators by the table above,
+/// unary operators and primaries by recursive descent.
 class Evaluator {
  public:
   Evaluator(std::span<const Token> tokens, const SymbolLookup& lookup,
@@ -14,7 +59,7 @@ class Evaluator {
       : tokens_(tokens), lookup_(lookup), options_(options), diags_(diags) {}
 
   std::optional<ExprValue> run(std::size_t& consumed) {
-    auto v = parse_or();
+    auto v = parse_binary(kLoosest);
     consumed = pos_;
     return v;
   }
@@ -44,186 +89,117 @@ class Evaluator {
     }
   }
 
-  /// Requires both operands absolute; reports otherwise.
-  bool require_absolute(const ExprValue& a, const ExprValue& b,
-                        std::string_view op) {
-    if (a.is_absolute() && b.is_absolute()) return true;
-    error("operator '" + std::string(op) +
-          "' requires absolute operands (relocatable label involved)");
-    return false;
-  }
-
-  std::optional<ExprValue> parse_or() {
-    auto lhs = parse_and();
-    if (!lhs) return std::nullopt;
-    while (peek().is_punct("||")) {
-      advance();
-      auto rhs = parse_and();
-      if (!rhs) return std::nullopt;
-      if (!require_absolute(*lhs, *rhs, "||")) return std::nullopt;
-      lhs = ExprValue::absolute((lhs->constant != 0 || rhs->constant != 0));
-    }
-    return lhs;
-  }
-
-  std::optional<ExprValue> parse_and() {
-    auto lhs = parse_cmp();
-    if (!lhs) return std::nullopt;
-    while (peek().is_punct("&&")) {
-      advance();
-      auto rhs = parse_cmp();
-      if (!rhs) return std::nullopt;
-      if (!require_absolute(*lhs, *rhs, "&&")) return std::nullopt;
-      lhs = ExprValue::absolute((lhs->constant != 0 && rhs->constant != 0));
-    }
-    return lhs;
-  }
-
-  std::optional<ExprValue> parse_cmp() {
-    auto lhs = parse_bitor();
-    if (!lhs) return std::nullopt;
-    for (;;) {
-      std::string_view op;
-      for (std::string_view candidate :
-           {"==", "!=", "<=", ">=", "<", ">"}) {
-        if (peek().is_punct(candidate)) {
-          op = candidate;
-          break;
-        }
-      }
-      if (op.empty()) return lhs;
-      advance();
-      auto rhs = parse_bitor();
-      if (!rhs) return std::nullopt;
-      if (!require_absolute(*lhs, *rhs, op)) return std::nullopt;
-      const std::int64_t a = lhs->constant;
-      const std::int64_t b = rhs->constant;
-      std::int64_t r = 0;
-      if (op == "==") r = a == b;
-      else if (op == "!=") r = a != b;
-      else if (op == "<=") r = a <= b;
-      else if (op == ">=") r = a >= b;
-      else if (op == "<") r = a < b;
-      else r = a > b;
-      lhs = ExprValue::absolute(r);
-    }
-  }
-
-  std::optional<ExprValue> parse_bitor() {
-    auto lhs = parse_bitxor();
-    if (!lhs) return std::nullopt;
-    while (peek().is_punct("|")) {
-      advance();
-      auto rhs = parse_bitxor();
-      if (!rhs) return std::nullopt;
-      if (!require_absolute(*lhs, *rhs, "|")) return std::nullopt;
-      lhs = ExprValue::absolute(lhs->constant | rhs->constant);
-    }
-    return lhs;
-  }
-
-  std::optional<ExprValue> parse_bitxor() {
-    auto lhs = parse_bitand();
-    if (!lhs) return std::nullopt;
-    while (peek().is_punct("^")) {
-      advance();
-      auto rhs = parse_bitand();
-      if (!rhs) return std::nullopt;
-      if (!require_absolute(*lhs, *rhs, "^")) return std::nullopt;
-      lhs = ExprValue::absolute(lhs->constant ^ rhs->constant);
-    }
-    return lhs;
-  }
-
-  std::optional<ExprValue> parse_bitand() {
-    auto lhs = parse_shift();
-    if (!lhs) return std::nullopt;
-    while (peek().is_punct("&")) {
-      advance();
-      auto rhs = parse_shift();
-      if (!rhs) return std::nullopt;
-      if (!require_absolute(*lhs, *rhs, "&")) return std::nullopt;
-      lhs = ExprValue::absolute(lhs->constant & rhs->constant);
-    }
-    return lhs;
-  }
-
-  std::optional<ExprValue> parse_shift() {
-    auto lhs = parse_additive();
-    if (!lhs) return std::nullopt;
-    for (;;) {
-      bool left = peek().is_punct("<<");
-      bool right = peek().is_punct(">>");
-      if (!left && !right) return lhs;
-      advance();
-      auto rhs = parse_additive();
-      if (!rhs) return std::nullopt;
-      if (!require_absolute(*lhs, *rhs, left ? "<<" : ">>"))
-        return std::nullopt;
-      if (rhs->constant < 0 || rhs->constant > 63) {
-        error("shift amount out of range");
-        return std::nullopt;
-      }
-      const auto sh = static_cast<unsigned>(rhs->constant);
-      const auto lu = static_cast<std::uint64_t>(lhs->constant);
-      lhs = ExprValue::absolute(
-          static_cast<std::int64_t>(left ? (lu << sh) : (lu >> sh)));
-    }
-  }
-
-  std::optional<ExprValue> parse_additive() {
-    auto lhs = parse_multiplicative();
-    if (!lhs) return std::nullopt;
-    for (;;) {
-      bool add = peek().is_punct("+");
-      bool sub = peek().is_punct("-");
-      if (!add && !sub) return lhs;
-      advance();
-      auto rhs = parse_multiplicative();
-      if (!rhs) return std::nullopt;
-      if (add) {
-        if (!lhs->is_absolute() && !rhs->is_absolute()) {
-          error("cannot add two relocatable values");
-          return std::nullopt;
-        }
-        std::string sym = lhs->is_absolute() ? rhs->symbol : lhs->symbol;
-        lhs = ExprValue{lhs->constant + rhs->constant, std::move(sym)};
-      } else {
-        if (!rhs->is_absolute()) {
-          error("cannot subtract a relocatable value");
-          return std::nullopt;
-        }
-        lhs = ExprValue{lhs->constant - rhs->constant, lhs->symbol};
-      }
-    }
-  }
-
-  std::optional<ExprValue> parse_multiplicative() {
+  /// Parses operands joined by binary operators that bind at least as
+  /// tightly as `min_precedence`, left to right: `a - b - c` is
+  /// `(a - b) - c`, and an operator's right operand takes every operator
+  /// that binds tighter than it.
+  std::optional<ExprValue> parse_binary(int min_precedence) {
     auto lhs = parse_unary();
     if (!lhs) return std::nullopt;
     for (;;) {
-      std::string_view op;
-      for (std::string_view candidate : {"*", "/", "%"}) {
-        if (peek().is_punct(candidate)) {
-          op = candidate;
+      const BinaryOperator* op = binary_operator(peek());
+      if (op == nullptr || op->precedence < min_precedence) return lhs;
+      advance();
+      auto rhs = parse_binary(op->precedence + 1);
+      if (!rhs || !apply(*op, *lhs, *rhs)) return std::nullopt;
+    }
+  }
+
+  /// `lhs = lhs op rhs`; false (with the error reported) when the operands
+  /// do not allow it.
+  bool apply(const BinaryOperator& op, ExprValue& lhs, ExprValue& rhs) {
+    if (op.op == BinaryOp::Add) {
+      if (!lhs.is_absolute() && !rhs.is_absolute()) {
+        error("cannot add two relocatable values");
+        return false;
+      }
+      if (lhs.is_absolute()) lhs.symbol = std::move(rhs.symbol);
+      lhs.constant = wrapping(lhs.constant, rhs.constant, std::plus<>{});
+      return true;
+    }
+    if (op.op == BinaryOp::Sub) {
+      if (!rhs.is_absolute()) {
+        error("cannot subtract a relocatable value");
+        return false;
+      }
+      lhs.constant = wrapping(lhs.constant, rhs.constant, std::minus<>{});
+      return true;
+    }
+    if (!lhs.is_absolute() || !rhs.is_absolute()) {
+      error("operator '" + std::string(op.spelling) +
+            "' requires absolute operands (relocatable label involved)");
+      return false;
+    }
+    const std::int64_t a = lhs.constant;
+    const std::int64_t b = rhs.constant;
+    switch (op.op) {
+      case BinaryOp::Or:
+        lhs.constant = a != 0 || b != 0;
+        break;
+      case BinaryOp::And:
+        lhs.constant = a != 0 && b != 0;
+        break;
+      case BinaryOp::Eq:
+        lhs.constant = a == b;
+        break;
+      case BinaryOp::Ne:
+        lhs.constant = a != b;
+        break;
+      case BinaryOp::Le:
+        lhs.constant = a <= b;
+        break;
+      case BinaryOp::Ge:
+        lhs.constant = a >= b;
+        break;
+      case BinaryOp::Lt:
+        lhs.constant = a < b;
+        break;
+      case BinaryOp::Gt:
+        lhs.constant = a > b;
+        break;
+      case BinaryOp::BitOr:
+        lhs.constant = a | b;
+        break;
+      case BinaryOp::BitXor:
+        lhs.constant = a ^ b;
+        break;
+      case BinaryOp::BitAnd:
+        lhs.constant = a & b;
+        break;
+      case BinaryOp::Shl:
+      case BinaryOp::Shr: {
+        if (b < 0 || b > 63) {
+          error("shift amount out of range");
+          return false;
+        }
+        const auto sh = static_cast<unsigned>(b);
+        const auto lu = static_cast<std::uint64_t>(a);
+        lhs.constant = static_cast<std::int64_t>(
+            op.op == BinaryOp::Shl ? (lu << sh) : (lu >> sh));
+        break;
+      }
+      case BinaryOp::Mul:
+        lhs.constant = wrapping(a, b, std::multiplies<>{});
+        break;
+      case BinaryOp::Div:
+      case BinaryOp::Mod:
+        if (b == 0) {
+          error("division by zero in constant expression");
+          return false;
+        }
+        if (b == -1) {  // INT64_MIN / -1 overflows (and traps on x86)
+          lhs.constant = op.op == BinaryOp::Div
+                             ? wrapping(0, a, std::minus<>{})
+                             : 0;
           break;
         }
-      }
-      if (op.empty()) return lhs;
-      advance();
-      auto rhs = parse_unary();
-      if (!rhs) return std::nullopt;
-      if (!require_absolute(*lhs, *rhs, op)) return std::nullopt;
-      if ((op == "/" || op == "%") && rhs->constant == 0) {
-        error("division by zero in constant expression");
-        return std::nullopt;
-      }
-      std::int64_t r = 0;
-      if (op == "*") r = lhs->constant * rhs->constant;
-      else if (op == "/") r = lhs->constant / rhs->constant;
-      else r = lhs->constant % rhs->constant;
-      lhs = ExprValue::absolute(r);
+        lhs.constant = op.op == BinaryOp::Div ? a / b : a % b;
+        break;
+      case BinaryOp::Add:
+      case BinaryOp::Sub:
+        break;  // handled above: they allow relocatable operands
     }
+    return true;
   }
 
   std::optional<ExprValue> parse_unary() {
@@ -234,7 +210,7 @@ class Evaluator {
         error("cannot negate a relocatable value");
         return std::nullopt;
       }
-      return ExprValue::absolute(-v->constant);
+      return ExprValue::absolute(wrapping(0, v->constant, std::minus<>{}));
     }
     if (match("+")) return parse_unary();
     if (match("~")) {
@@ -266,7 +242,7 @@ class Evaluator {
     }
     if (t.is_punct("(")) {
       advance();
-      auto v = parse_or();
+      auto v = parse_binary(kLoosest);
       if (!v) return std::nullopt;
       if (!match(")")) {
         error("expected ')'");

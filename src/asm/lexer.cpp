@@ -1,6 +1,5 @@
 #include "asm/lexer.h"
 
-#include <cctype>
 #include <cstdint>
 
 #include "support/text.h"
@@ -13,28 +12,42 @@ namespace {
 constexpr std::string_view kPuncts2[] = {"<<", ">>", "==", "!=",
                                          "<=", ">=", "&&", "||"};
 
+/// [0-9a-zA-Z_]: the charset of decimal/hex/binary literals.
+constexpr bool is_number_char(char c) {
+  return support::is_ascii_alpha(c) || support::is_ascii_digit(c) || c == '_';
+}
+
+constexpr bool is_hex_digit(char c) {
+  return support::is_ascii_digit(c) || (c >= 'a' && c <= 'f') ||
+         (c >= 'A' && c <= 'F');
+}
+
 bool lex_number(std::string_view text, std::size_t& i, Token& tok) {
   std::size_t start = i;
-  // Consume [0-9a-zA-Z_x]: the charset of decimal/hex/binary literals.
-  while (i < text.size() &&
-         (std::isalnum(static_cast<unsigned char>(text[i])) ||
-          text[i] == '_')) {
-    ++i;
-  }
+  while (i < text.size() && is_number_char(text[i])) ++i;
   auto parsed = support::parse_integer(text.substr(start, i - start));
   if (!parsed) return false;
   tok.kind = TokenKind::Number;
-  tok.text = std::string(text.substr(start, i - start));
+  tok.text.assign(text.substr(start, i - start));
   tok.value = *parsed;
   return true;
 }
 
 }  // namespace
 
-std::vector<Token> lex_line(std::string_view text, const std::string& file,
-                            std::uint32_t line,
-                            support::DiagnosticEngine& diags) {
-  std::vector<Token> out;
+void lex_line(std::string_view text, support::SourceName file,
+              std::uint32_t line, support::DiagnosticEngine& diags,
+              std::vector<Token>& out) {
+  // Tokens overwrite the slots the previous line left in `out`, so a
+  // reused buffer keeps its strings' capacity. The first `count` are this
+  // line's.
+  std::size_t count = 0;
+  auto next_slot = [&]() -> Token& {
+    if (count == out.size()) out.emplace_back();
+    Token& tok = out[count];
+    tok.value = 0;
+    return tok;
+  };
   std::size_t i = 0;
 
   auto loc_at = [&](std::size_t col) {
@@ -51,21 +64,17 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
     if (c == ';') break;  // comment to end of line
     if (c == '/' && i + 1 < text.size() && text[i + 1] == '/') break;
 
-    Token tok;
+    Token& tok = next_slot();
     tok.loc = loc_at(i);
 
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    if (support::is_ascii_digit(c)) {
       if (!lex_number(text, i, tok)) {
         diags.error("asm.bad-number", "malformed numeric literal", tok.loc);
         // Skip the bad blob and continue lexing the line.
-        while (i < text.size() &&
-               (std::isalnum(static_cast<unsigned char>(text[i])) ||
-                text[i] == '_')) {
-          ++i;
-        }
+        while (i < text.size() && is_number_char(text[i])) ++i;
         continue;
       }
-      out.push_back(std::move(tok));
+      ++count;
       continue;
     }
 
@@ -73,9 +82,9 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
       if (i + 2 < text.size() && text[i + 2] == '\'') {
         tok.kind = TokenKind::Number;
         tok.value = static_cast<unsigned char>(text[i + 1]);
-        tok.text = std::string(text.substr(i, 3));
+        tok.text.assign(text.substr(i, 3));
         i += 3;
-        out.push_back(std::move(tok));
+        ++count;
         continue;
       }
       diags.error("asm.bad-char-literal", "malformed character literal",
@@ -89,8 +98,8 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
       ++i;
       while (i < text.size() && support::is_symbol_char(text[i])) ++i;
       tok.kind = TokenKind::Identifier;
-      tok.text = std::string(text.substr(start, i - start));
-      out.push_back(std::move(tok));
+      tok.text.assign(text.substr(start, i - start));
+      ++count;
       continue;
     }
 
@@ -103,9 +112,9 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
         break;
       }
       tok.kind = TokenKind::String;
-      tok.text = std::string(text.substr(start, i - start));
+      tok.text.assign(text.substr(start, i - start));
       ++i;  // closing quote
-      out.push_back(std::move(tok));
+      ++count;
       continue;
     }
 
@@ -115,7 +124,7 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
       std::size_t j = i + 1;
       bool all_hex = true;
       while (j < text.size() && support::is_symbol_char(text[j])) {
-        all_hex = all_hex && std::isxdigit(static_cast<unsigned char>(text[j]));
+        all_hex = all_hex && is_hex_digit(text[j]);
         ++j;
       }
       if (all_hex && j > i + 1) {
@@ -128,10 +137,10 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
           continue;
         }
         tok.kind = TokenKind::Number;
-        tok.text = std::string(text.substr(i, j - i));
+        tok.text.assign(text.substr(i, j - i));
         tok.value = *parsed;
         i = j;
-        out.push_back(std::move(tok));
+        ++count;
         continue;
       }
     }
@@ -140,10 +149,11 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
       // '%' is binary literal (%1010) in operand position, modulo after a
       // value. "After a value" = the previous token is a number, symbol, or
       // a closing bracket — the classic two-role disambiguation.
+      const Token* prev = count > 0 ? &out[count - 1] : nullptr;
       const bool after_value =
-          !out.empty() && (out.back().kind == TokenKind::Number ||
-                           out.back().kind == TokenKind::Identifier ||
-                           out.back().is_punct(")") || out.back().is_punct("]"));
+          prev != nullptr && (prev->kind == TokenKind::Number ||
+                              prev->kind == TokenKind::Identifier ||
+                              prev->is_punct(")") || prev->is_punct("]"));
       std::size_t j = i + 1;
       bool all_binary = true;
       while (j < text.size() && support::is_symbol_char(text[j])) {
@@ -162,10 +172,10 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
           value = (value << 1) | static_cast<std::uint64_t>(text[k] - '0');
         }
         tok.kind = TokenKind::Number;
-        tok.text = std::string(text.substr(i, j - i));
+        tok.text.assign(text.substr(i, j - i));
         tok.value = static_cast<std::int64_t>(value);
         i = j;
-        out.push_back(std::move(tok));
+        ++count;
         continue;
       }
     }
@@ -177,9 +187,9 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
       for (std::string_view p : kPuncts2) {
         if (two == p) {
           tok.kind = TokenKind::Punct;
-          tok.text = std::string(p);
+          tok.text.assign(p);
           i += 2;
-          out.push_back(std::move(tok));
+          ++count;
           matched = true;
           break;
         }
@@ -190,9 +200,9 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
     constexpr std::string_view kSingles = ",:[]()+-*/%&|^~!<>=@#\\";
     if (kSingles.find(c) != std::string_view::npos) {
       tok.kind = TokenKind::Punct;
-      tok.text = std::string(1, c);
+      tok.text.assign(1, c);
       ++i;
-      out.push_back(std::move(tok));
+      ++count;
       continue;
     }
 
@@ -202,11 +212,11 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
     ++i;
   }
 
-  Token eol;
+  Token& eol = next_slot();
   eol.kind = TokenKind::EndOfLine;
+  eol.text.clear();
   eol.loc = loc_at(text.size());
-  out.push_back(std::move(eol));
-  return out;
+  out.resize(count + 1);
 }
 
 }  // namespace advm::assembler

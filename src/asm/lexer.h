@@ -15,13 +15,14 @@
 
 namespace advm::assembler {
 
-/// Tokenises a single logical line. `file`/`line` seed the SourceLocs.
-/// Malformed input (bad numbers, unterminated strings, stray characters)
-/// produces diagnostics and is skipped, so callers always receive a
-/// well-formed (possibly empty) token vector terminated by EndOfLine.
-[[nodiscard]] std::vector<Token> lex_line(std::string_view text,
-                                          const std::string& file,
-                                          std::uint32_t line,
-                                          support::DiagnosticEngine& diags);
+/// Tokenises a single logical line into `out`, replacing what it held, so
+/// a caller lexing many lines reuses one buffer. `file`/`line` seed the
+/// SourceLocs. Malformed input (bad numbers, unterminated strings, stray
+/// characters) produces diagnostics and is skipped, so callers always
+/// receive a well-formed (possibly empty) token list terminated by
+/// EndOfLine.
+void lex_line(std::string_view text, support::SourceName file,
+              std::uint32_t line, support::DiagnosticEngine& diags,
+              std::vector<Token>& out);
 
 }  // namespace advm::assembler

@@ -1,6 +1,8 @@
 #include "isa/opcodes.h"
 
+#include <algorithm>
 #include <array>
+#include <utility>
 
 #include "support/text.h"
 
@@ -108,19 +110,25 @@ std::optional<Opcode> decode_opcode(std::uint8_t byte) {
 }
 
 std::optional<MnemonicMatch> lookup_mnemonic(std::string_view mnemonic) {
-  using support::equals_nocase;
-  for (const auto& info : opcode_table()) {
-    if (equals_nocase(mnemonic, info.mnemonic)) {
-      return MnemonicMatch{info.op, Cond::Always};
+  // Every spelling (the opcodes, the conditional jumps and the RET alias),
+  // sorted once for support::find_nocase.
+  using Entry = std::pair<std::string_view, MnemonicMatch>;
+  static const auto kSpellings = [] {
+    std::array<Entry, kTable.size() + kBranchMnemonics.size() + 1> out{};
+    std::size_t n = 0;
+    for (const auto& info : kTable) {
+      out[n++] = {info.mnemonic, MnemonicMatch{info.op, Cond::Always}};
     }
-  }
-  for (const auto& [name, cond] : kBranchMnemonics) {
-    if (equals_nocase(mnemonic, name)) return MnemonicMatch{Opcode::Jmp, cond};
-  }
-  if (equals_nocase(mnemonic, "RET")) {
-    return MnemonicMatch{Opcode::Return, Cond::Always};
-  }
-  return std::nullopt;
+    for (const auto& [name, cond] : kBranchMnemonics) {
+      out[n++] = {name, MnemonicMatch{Opcode::Jmp, cond}};
+    }
+    out[n++] = {"RET", MnemonicMatch{Opcode::Return, Cond::Always}};
+    std::ranges::sort(out, {}, &Entry::first);
+    return out;
+  }();
+  const MnemonicMatch* match = support::find_nocase(kSpellings, mnemonic);
+  if (match == nullptr) return std::nullopt;
+  return *match;
 }
 
 const char* to_string(Opcode op) { return opcode_info(op).mnemonic; }

@@ -14,6 +14,17 @@ Fnv1a& Fnv1a::update(std::string_view bytes) {
   return *this;
 }
 
+void Fnv1a::update_both(Fnv1a& a, Fnv1a& b, std::string_view bytes) {
+  std::uint64_t sa = a.state_;
+  std::uint64_t sb = b.state_;
+  for (unsigned char c : bytes) {
+    sa = (sa ^ c) * kPrime;
+    sb = (sb ^ c) * kPrime;
+  }
+  a.state_ = sa;
+  b.state_ = sb;
+}
+
 Fnv1a& Fnv1a::update(std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     state_ ^= (v >> (8 * i)) & 0xFF;

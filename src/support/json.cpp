@@ -98,14 +98,7 @@ class Parser {
   std::optional<Value> parse_bool() {
     Value v;
     v.kind = Value::Kind::Bool;
-    if (consume_literal("true")) {
-      v.boolean = true;
-      return v;
-    }
-    if (consume_literal("false")) {
-      v.boolean = false;
-      return v;
-    }
+    if (consume_literal("true") || consume_literal("false")) return v;
     return fail("bad literal");
   }
 
@@ -134,9 +127,10 @@ class Parser {
     Value v;
     v.kind = Value::Kind::Number;
     v.raw = std::string(text_.substr(start, pos_ - start));
-    errno = 0;
+    // The scan above admits tokens such as "1e" and "."; a number is a
+    // token strtod consumes whole.
     char* end = nullptr;
-    v.number = std::strtod(v.raw.c_str(), &end);
+    (void)std::strtod(v.raw.c_str(), &end);
     if (end != v.raw.c_str() + v.raw.size()) return fail("bad number");
     return v;
   }

@@ -7,10 +7,9 @@
 // (RFC 8259 subset: no comments, no trailing commas) into a tagged tree
 // the callers walk by hand.
 //
-// Numbers keep their raw source text alongside the converted double so that
-// 64-bit counters round-trip exactly (a double only holds 53 bits; an
-// instruction counter does not fit) and re-printed doubles reproduce the
-// writer's digits.
+// Numbers keep their raw source text, so that 64-bit counters round-trip
+// exactly (a double only holds 53 bits; an instruction counter does not
+// fit). Callers read them through as_uint64.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +26,6 @@ class Value {
   enum class Kind { Null, Bool, Number, String, Array, Object };
 
   Kind kind = Kind::Null;
-  bool boolean = false;
-  double number = 0.0;
   std::string raw;     ///< number only: verbatim source token
   std::string string;  ///< string only: unescaped content
   std::vector<Value> items;                             ///< array elements

@@ -36,13 +36,13 @@ std::vector<std::string_view> split(std::string_view s, char sep) {
 std::vector<std::string_view> split_lines(std::string_view s) {
   std::vector<std::string_view> out;
   std::size_t start = 0;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\n') {
-      std::size_t end = i;
-      if (end > start && s[end - 1] == '\r') --end;
-      out.push_back(s.substr(start, end - start));
-      start = i + 1;
-    }
+  // find() is memchr, which scans many bytes per step.
+  for (std::size_t i = s.find('\n'); i != std::string_view::npos;
+       i = s.find('\n', start)) {
+    std::size_t end = i;
+    if (end > start && s[end - 1] == '\r') --end;
+    out.push_back(s.substr(start, end - start));
+    start = i + 1;
   }
   if (start < s.size()) {
     std::string_view last = s.substr(start);
@@ -158,19 +158,6 @@ std::optional<std::int64_t> parse_integer(std::string_view s) {
   // INT64_MIN without signed-negation UB.
   return static_cast<std::int64_t>(negative ? std::uint64_t{0} - value
                                             : value);
-}
-
-bool is_symbol_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '.' ||
-         c == '$';
-}
-
-bool is_symbol_char(char c) {
-  // '@' continues a symbol so macro bodies can write `loop@:` — the expander
-  // rewrites '@' to a per-instance suffix, giving each expansion unique
-  // local labels.
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.' ||
-         c == '$' || c == '@';
 }
 
 std::string replace_all(std::string_view s, std::string_view from,

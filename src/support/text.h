@@ -4,7 +4,9 @@
 // the environment generators need repeatedly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -34,10 +36,46 @@ namespace advm::support {
 /// Returns nullopt on malformed input.
 [[nodiscard]] std::optional<std::int64_t> parse_integer(std::string_view s);
 
+/// ASCII letter test, inline for the lexer's per-character loops.
+[[nodiscard]] constexpr bool is_ascii_alpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+[[nodiscard]] constexpr bool is_ascii_digit(char c) {
+  return c >= '0' && c <= '9';
+}
+
 /// True for [A-Za-z_.$], the characters that may start an assembler symbol.
-[[nodiscard]] bool is_symbol_start(char c);
-/// True for characters that may continue an assembler symbol.
-[[nodiscard]] bool is_symbol_char(char c);
+[[nodiscard]] constexpr bool is_symbol_start(char c) {
+  return is_ascii_alpha(c) || c == '_' || c == '.' || c == '$';
+}
+/// True for characters that may continue an assembler symbol. '@'
+/// continues a symbol so macro bodies can write `loop@:` — the expander
+/// rewrites '@' to a per-instance suffix, giving each expansion unique
+/// local labels.
+[[nodiscard]] constexpr bool is_symbol_char(char c) {
+  return is_ascii_alpha(c) || is_ascii_digit(c) || c == '_' || c == '.' ||
+         c == '$' || c == '@';
+}
+
+/// Looks `name` up, ignoring ASCII letter case, in `table`: pairs of an
+/// upper-case spelling (at most 15 characters) and a value, sorted by
+/// spelling. Returns the value, or nullptr when no spelling matches.
+template <class Table>
+[[nodiscard]] auto find_nocase(const Table& table, std::string_view name)
+    -> decltype(&std::begin(table)->second) {
+  constexpr std::size_t kLongest = 15;
+  if (name.size() > kLongest) return nullptr;
+  char upper[kLongest];
+  for (std::size_t i = 0; i < name.size(); ++i) {
+    const char c = name[i];
+    upper[i] = c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+  }
+  const std::string_view key(upper, name.size());
+  const auto it = std::lower_bound(
+      std::begin(table), std::end(table), key,
+      [](const auto& entry, std::string_view k) { return entry.first < k; });
+  return it != std::end(table) && it->first == key ? &it->second : nullptr;
+}
 
 /// Replaces every occurrence of `from` with `to`.
 [[nodiscard]] std::string replace_all(std::string_view s,

@@ -5,7 +5,32 @@
 
 namespace advm::support {
 
+namespace {
+
+/// True when normalize_path would return `path` unchanged: it starts with
+/// '/' and has no empty, "." or ".." component (so no "//" and no
+/// trailing '/'), or it is "/".
+bool is_normal(std::string_view path) {
+  if (path.empty() || path[0] != '/') return false;
+  if (path.size() == 1) return true;
+  // Check the component after each '/'.
+  for (std::size_t slash = 0; slash != std::string_view::npos;
+       slash = path.find('/', slash + 1)) {
+    const std::string_view part = path.substr(slash + 1, 3);
+    if (part.empty() || part[0] == '/') return false;  // "//" or trailing
+    if (part[0] == '.' &&
+        (part.size() == 1 || part[1] == '/' ||
+         (part[1] == '.' && (part.size() == 2 || part[2] == '/')))) {
+      return false;  // "." or ".."
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 std::string normalize_path(std::string_view path) {
+  if (is_normal(path)) return std::string(path);
   std::vector<std::string_view> parts;
   std::size_t start = 0;
   for (std::size_t i = 0; i <= path.size(); ++i) {
@@ -63,22 +88,25 @@ void VirtualFileSystem::write(std::string_view path, std::string content) {
 
 std::optional<std::string> VirtualFileSystem::read(
     std::string_view path) const {
-  auto it = files_.find(normalize_path(path));
-  if (it == files_.end()) return std::nullopt;
-  return it->second;
+  if (const std::string* content = find(path)) return *content;
+  return std::nullopt;
 }
 
 const std::string& VirtualFileSystem::read_required(
     std::string_view path) const {
-  auto it = files_.find(normalize_path(path));
-  if (it == files_.end()) {
-    throw std::out_of_range("vfs: no such file: " + normalize_path(path));
-  }
-  return it->second;
+  if (const std::string* content = find(path)) return *content;
+  throw std::out_of_range("vfs: no such file: " + normalize_path(path));
+}
+
+const std::string* VirtualFileSystem::find(std::string_view path) const {
+  // Assemblies probe and read paths already in normal form, per include.
+  auto it = is_normal(path) ? files_.find(path)
+                            : files_.find(normalize_path(path));
+  return it != files_.end() ? &it->second : nullptr;
 }
 
 bool VirtualFileSystem::exists(std::string_view path) const {
-  return files_.count(normalize_path(path)) != 0;
+  return find(path) != nullptr;
 }
 
 bool VirtualFileSystem::dir_exists(std::string_view dir) const {

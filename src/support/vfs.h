@@ -46,6 +46,11 @@ class VirtualFileSystem {
   /// Reads a file that must exist; throws std::out_of_range otherwise.
   [[nodiscard]] const std::string& read_required(std::string_view path) const;
 
+  /// The content of a file, or nullptr if it is absent: one lookup where
+  /// exists() and read_required() take two. Valid until the file is
+  /// written or removed.
+  [[nodiscard]] const std::string* find(std::string_view path) const;
+
   [[nodiscard]] bool exists(std::string_view path) const;
 
   /// True if at least one file lies strictly under `dir`.

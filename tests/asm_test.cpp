@@ -3,6 +3,8 @@
 // code examples verbatim.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "asm/assembler.h"
 #include "asm/expr.h"
 #include "asm/lexer.h"
@@ -21,6 +23,33 @@ using advm::support::DiagnosticEngine;
 using advm::support::VirtualFileSystem;
 
 // ---------------------------------------------------------------- lexer ----
+
+/// Lexes one line into a token list of its own.
+std::vector<Token> lex_line(std::string_view text, std::string_view file,
+                            std::uint32_t line, DiagnosticEngine& diags) {
+  std::vector<Token> tokens;
+  advm::assembler::lex_line(text, file, line, diags, tokens);
+  return tokens;
+}
+
+TEST(Lexer, RefillingOneBufferMatchesFreshBuffers) {
+  DiagnosticEngine diags;
+  std::vector<Token> buffer;
+  for (std::string_view text :
+       {"  INSERT d14, d14, TEST_PAGE, POS, SIZE ; comment", "", "NOP",
+        "LONG_IDENTIFIER_NUMBER_ONE .EQU 0x10 + %101", "label: .DB \"s\", 3"}) {
+    lex_line(text, "buf.asm", 7, diags, buffer);
+    const std::vector<Token> fresh = lex_line(text, "buf.asm", 7, diags);
+    ASSERT_EQ(buffer.size(), fresh.size()) << text;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(buffer[i].kind, fresh[i].kind) << text;
+      EXPECT_EQ(buffer[i].text, fresh[i].text) << text;
+      EXPECT_EQ(buffer[i].value, fresh[i].value) << text;
+      EXPECT_EQ(buffer[i].loc, fresh[i].loc) << text;
+    }
+  }
+  EXPECT_FALSE(diags.has_errors());
+}
 
 TEST(Lexer, TokenizesInstructionLine) {
   DiagnosticEngine diags;
@@ -269,6 +298,21 @@ TEST_F(ExprTest, DivisionByZeroConstant) {
 
 TEST_F(ExprTest, ModuloByZeroConstant) {
   EXPECT_FALSE(eval("4 % 0").has_value());
+}
+
+TEST_F(ExprTest, ArithmeticWrapsInsteadOfOverflowing) {
+  // int64 overflow is undefined behaviour and INT64_MIN / -1 traps on
+  // x86; constant expressions wrap in two's complement instead.
+  constexpr std::int64_t kMin = INT64_MIN;
+  EXPECT_EQ(eval("0x7FFFFFFFFFFFFFFF + 1"), ExprValue::absolute(kMin));
+  EXPECT_EQ(eval("(0 - 0x7FFFFFFFFFFFFFFF) - 2"),
+            ExprValue::absolute(INT64_MAX));
+  EXPECT_EQ(eval("0x4000000000000000 * 4"), ExprValue::absolute(0));
+  EXPECT_EQ(eval("-(0x7FFFFFFFFFFFFFFF + 1)"), ExprValue::absolute(kMin));
+  EXPECT_EQ(eval("(0x7FFFFFFFFFFFFFFF + 1) / -1"), ExprValue::absolute(kMin));
+  EXPECT_EQ(eval("(0x7FFFFFFFFFFFFFFF + 1) % -1"), ExprValue::absolute(0));
+  EXPECT_EQ(eval("-7 / -1"), ExprValue::absolute(7));
+  EXPECT_FALSE(diags_.has_errors()) << diags_.to_string();
 }
 
 TEST_F(ExprTest, AllHexFormsEvaluateEqually) {

@@ -100,6 +100,31 @@ TEST(ObjectCache, IncludedFileEditMisses) {
   EXPECT_EQ(stats.bytes, rebuilt.object->total_bytes());
 }
 
+TEST(ObjectCache, UnitsSharingAnIncludeRevalidateAgainstItsContent) {
+  // Units with the same include list share one remembered deps digest;
+  // each must still see exactly the include text it was built against.
+  auto vfs = tiny_program();
+  constexpr const char* kOther = "/src/other.asm";
+  vfs.write(kOther, " .INCLUDE defs.inc\n_main:\n MOV d1, MAGIC\n HALT\n");
+  ObjectCache cache;
+  AssemblerOptions options;
+  EXPECT_FALSE(cache.assemble(vfs, kMain, options).hit);
+  EXPECT_FALSE(cache.assemble(vfs, kOther, options).hit);
+
+  vfs.write(kInc, "MAGIC .EQU 43\n");  // same length, new text
+  EXPECT_FALSE(cache.assemble(vfs, kMain, options).hit);
+  vfs.write(kInc, "MAGIC .EQU 42\n");  // back to what kOther was built on
+  EXPECT_TRUE(cache.assemble(vfs, kOther, options).hit);
+  EXPECT_FALSE(cache.assemble(vfs, kMain, options).hit);
+  vfs.remove(kInc);
+  const auto gone = cache.assemble(vfs, kOther, options);
+  EXPECT_FALSE(gone.hit);
+  EXPECT_FALSE(gone.ok());
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 5u);
+}
+
 TEST(ObjectCache, PredefineChangeMisses) {
   auto vfs = tiny_program();
   ObjectCache cache;

@@ -124,6 +124,20 @@ TEST(Vfs, NormalizePath) {
   EXPECT_EQ(normalize_path("/a/x/../b"), "/a/b");
   EXPECT_EQ(normalize_path("/"), "/");
   EXPECT_EQ(normalize_path("../.."), "/");
+  // Paths already in normal form come back unchanged; the rest normalise
+  // to a fixed point, and lookups see no difference between the two.
+  VirtualFileSystem vfs;
+  vfs.write("/a/.../b.c", "x");
+  for (const char* path :
+       {"/", "/a", "/a/b", "/a/.../b.c", "/.a/..b/b..", "a", "/a/", "//a",
+        "/a//b", "/./a", "/a/.", "/a/..", "/a/../a/.../b.c", "/a/.../b.c/",
+        "/a/./.../b.c", "/..", "/a/.../b.c/."}) {
+    const std::string norm = normalize_path(path);
+    EXPECT_EQ(normalize_path(norm), norm) << path;
+    EXPECT_EQ(vfs.exists(path), vfs.exists(norm)) << path;
+  }
+  EXPECT_TRUE(vfs.exists("/a/./.../b.c"));
+  EXPECT_FALSE(vfs.exists("/a/.../b.c/x"));
 }
 
 TEST(Vfs, PathHelpers) {
@@ -218,6 +232,19 @@ TEST(Hash, TreeHashIsPrefixRelative) {
   vfs.write("/a/x", "same");
   vfs.write("/b/x", "same");
   EXPECT_EQ(hash_tree(vfs, "/a"), hash_tree(vfs, "/b"));
+}
+
+TEST(Hash, UpdateBothMatchesTwoUpdates) {
+  // The FNV-1a 64 test vector for "a", then a longer buffer fed to two
+  // digests at once after each has seen a different prefix.
+  EXPECT_EQ(hash_bytes("a"), 0xaf63dc4c8601ec8cULL);
+  const std::string bytes = "LABEL: .DD 0xFFFFFFFF ; \xff\x80 trailing";
+  Fnv1a a;
+  Fnv1a b;
+  b.update("/path/prefix");
+  Fnv1a::update_both(a, b, bytes);
+  EXPECT_EQ(a.digest(), hash_bytes(bytes));
+  EXPECT_EQ(b.digest(), Fnv1a().update("/path/prefix").update(bytes).digest());
 }
 
 TEST(Hash, ToStringIs16HexDigits) {
@@ -521,6 +548,24 @@ TEST(Json, SurrogatePairRoundTripsWithTheRawUtf8Form) {
   ASSERT_TRUE(escaped.has_value());
   ASSERT_TRUE(raw.has_value());
   EXPECT_EQ(escaped->as_string(), raw->as_string());
+}
+
+TEST(Json, MalformedNumericTokensFailToParse) {
+  // Tokens the number scan admits but that are no number.
+  for (const char* text : {"1e", "1e+", "-1E-", ".", "-.", "[1, 2e]",
+                           R"({"n": .e5})"}) {
+    std::string error;
+    EXPECT_FALSE(json::parse(text, &error).has_value()) << text;
+    EXPECT_NE(error.find("bad number"), std::string::npos) << text;
+  }
+  for (const char* text : {"0", "-0", "1.5", "2e10", "-3.25E-2", "1."}) {
+    const auto doc = json::parse(text);
+    ASSERT_TRUE(doc.has_value()) << text;
+    EXPECT_EQ(doc->raw, text);
+  }
+  const auto big = json::parse("18446744073709551615");
+  ASSERT_TRUE(big.has_value());
+  EXPECT_EQ(big->as_uint64(), 18446744073709551615ull);
 }
 
 TEST(Json, UnpairedSurrogateHalvesAreATypedParseError) {

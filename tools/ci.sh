@@ -336,17 +336,19 @@ if [[ "${ADVM_CI_SKIP_SAN:-0}" != "1" ]]; then
    UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
    ctest -L tier1 --output-on-failure -j)
 
-  echo "==> TSan lane (concurrency suites: serve daemon, parallel regression, board pool, object cache)"
+  echo "==> TSan lane (concurrency suites: serve daemon, parallel regression, board pool, object cache, assembler)"
   # Scoped to the suites that actually exercise threads — the daemon's
   # session fanning each verb out over --jobs, parallel regression and the
   # board pool its workers lease from (regression_parallel_test), the
   # object cache's per-entry locking under same-key racers and concurrent
-  # disk writers — a full TSan ctest lap would mostly re-run
-  # single-threaded code slower.
+  # disk writers, four assemblers sharing one include memo and the
+  # process-wide source-name table (asm_identity_test) — a full TSan ctest
+  # lap would mostly re-run single-threaded code slower.
   cmake --preset tsan
   cmake --build build-tsan -j -t serve_test -t regression_parallel_test \
-    -t objcache_test
-  for suite in serve_test regression_parallel_test objcache_test; do
+    -t objcache_test -t asm_identity_test
+  for suite in serve_test regression_parallel_test objcache_test \
+      asm_identity_test; do
     "./build-tsan/tests/${suite}"
   done
 else
