@@ -207,7 +207,6 @@ int main() {
     table.add_row(to_string(arm), cell(r1), cell(r2));
   }
   table.print();
-  bench::emit_json("ablation", "absorption-arms", table);
 
   std::cout
       << "\nreading: the globals file absorbs *defines* churn (renames); "

@@ -79,14 +79,12 @@ int main() {
   table.add_row("TOTAL", advm_arm.violations.violations.size(),
                 direct_arm.violations.violations.size());
   table.print();
-  bench::emit_json("e1_structure", "violations", table);
 
   std::cout << "\nregression on home derivative:\n";
   bench::Table reg({"arm", "tests", "passed"});
   reg.add_row(advm_arm.name, advm_arm.tests, advm_arm.passed);
   reg.add_row(direct_arm.name, direct_arm.tests, direct_arm.passed);
   reg.print();
-  bench::emit_json("e1_structure", "regression", reg);
 
   std::cout << "\npaper claim: the structure separates layers; bypassing it "
                "is visible.\nmeasured: ADVM arm has "

@@ -74,7 +74,6 @@ void run_scenario(const char* title, const ChangeEvent& event) {
                       std::to_string(direct_arm.total));
   }
   table.print();
-  bench::emit_json("e2_spec_change", "edit-cost", table);
 }
 
 }  // namespace

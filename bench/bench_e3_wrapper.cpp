@@ -82,7 +82,6 @@ void run_scenario(const char* title, const ChangeEvent& event,
                       std::to_string(direct_arm.total));
   }
   table.print();
-  bench::emit_json("e3_wrapper", "edit-cost", table);
 }
 
 }  // namespace

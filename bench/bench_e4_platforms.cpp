@@ -7,10 +7,9 @@
 //
 // The harness runs the identical binaries on all six platform models and
 // reports: verdicts, retired instructions, cycles (functional vs pipeline
-// timing), modeled wall-clock on the real platform, host wall-clock of the
-// model, and whether the architectural outcome digest matches the golden
-// model. The visibility columns reproduce the platforms' differing debug
-// capabilities.
+// timing), modeled wall-clock on the real platform, and whether the
+// architectural outcome digest matches the golden model. The visibility
+// columns reproduce the platforms' differing debug capabilities.
 #include <iostream>
 
 #include "advm/environment.h"
@@ -42,13 +41,10 @@ int main() {
 
   std::uint64_t golden_digest = 0;
   bench::Table table({"platform", "pass", "instr", "cycles",
-                      "modeled time", "host ms", "outcome=golden", "trace",
-                      "x-check"});
+                      "modeled time", "outcome=golden", "trace", "x-check"});
 
   for (sim::PlatformKind kind : sim::kAllPlatforms) {
-    bench::Stopwatch watch;
     auto report = runner.run_system(layout.root, soc::derivative_a(), kind);
-    const double host_ms = watch.millis();
 
     std::uint64_t cycles = 0;
     for (const auto& r : report.records) cycles += r.cycles;
@@ -75,13 +71,12 @@ int main() {
     table.add_row(std::string(sim::to_string(kind)),
                   std::to_string(report.passed()) + "/" +
                       std::to_string(report.records.size()),
-                  report.total_instructions(), cycles, modeled, host_ms,
+                  report.total_instructions(), cycles, modeled,
                   report.outcome_digest() == golden_digest ? "yes" : "NO",
                   caps.instruction_trace ? "full" : "none",
                   caps.x_checking ? "on" : "off");
   }
   table.print();
-  bench::emit_json("e4_platforms", "platforms", table);
 
   std::cout << "\nmodeled platform rates (paper-era orders of magnitude):\n";
   bench::Table rates({"platform", "modeled instr/s"});
@@ -91,7 +86,6 @@ int main() {
     rates.add_row(std::string(sim::to_string(kind)), os.str());
   }
   rates.print();
-  bench::emit_json("e4_platforms", "modeled-rates", rates);
 
   std::cout << "\npaper claim: the same test code crosses every simulation/"
                "emulation domain.\nmeasured: identical verdicts and "

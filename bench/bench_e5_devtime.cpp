@@ -59,7 +59,6 @@ int main() {
     }
   }
   per_class.print();
-  bench::emit_json("e5_devtime", "per-class", per_class);
   advm_mean /= static_cast<double>(class_count);
   direct_mean /= static_cast<double>(class_count);
 
@@ -86,7 +85,6 @@ int main() {
                        advm_wins ? "ADVM" : "direct");
   }
   cumulative.print();
-  bench::emit_json("e5_devtime", "cumulative", cumulative);
 
   std::cout << "\nper-test means: ADVM " << advm_mean << " lines, direct "
             << direct_mean << " lines ("

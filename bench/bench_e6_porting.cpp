@@ -45,7 +45,7 @@ int main() {
       &soc::derivative_d()};
 
   bench::Table table({"port", "methodology", "files touched", "lines changed",
-                      "regression", "port ms"});
+                      "regression"});
 
   for (bool advm_style : {true, false}) {
     support::VirtualFileSystem vfs;
@@ -56,10 +56,8 @@ int main() {
 
     for (std::size_t hop = 1; hop < chain.size(); ++hop) {
       const soc::DerivativeSpec& target = *chain[hop];
-      bench::Stopwatch watch;
       auto repair =
           porter.port(layout, target, c.globals, c.base_functions);
-      const double ms = watch.millis();
 
       const EditSummary& edits =
           advm_style ? repair.abstraction_layer : repair.test_layer;
@@ -69,12 +67,10 @@ int main() {
                     advm_style ? "ADVM" : "direct", edits.files_touched(),
                     edits.lines().total(),
                     std::to_string(report.passed()) + "/" +
-                        std::to_string(report.records.size()),
-                    ms);
+                        std::to_string(report.records.size()));
     }
   }
   table.print();
-  bench::emit_json("e6_porting", "ports", table);
 
   // The stale-arm control: what happens to an unrepaired direct suite when
   // the world moves underneath it.
@@ -93,7 +89,6 @@ int main() {
                   report.build_failures());
   }
   stale.print();
-  bench::emit_json("e6_porting", "stale-control", stale);
 
   std::cout << "\npaper claim: porting = regenerating the abstraction layer; "
                "every test\ninherits it. measured: ADVM touches the two "

@@ -46,7 +46,6 @@ int main() {
                   100.0 * coverage.ratio());
   }
   table.print();
-  bench::emit_json("e7_random", "seeds", table);
 
   // Coverage closure point.
   {
@@ -78,7 +77,6 @@ int main() {
                     std::to_string(report.records.size()));
   }
   reg.print();
-  bench::emit_json("e7_random", "regression", reg);
 
   std::cout << "\npaper claim: the globals file is a constrained-random "
                "injection point.\nmeasured: 100% of seeded instances are "

@@ -90,7 +90,6 @@ int main() {
   check("hand edit of a trunk test");
 
   table.print();
-  bench::emit_json("e8_labels", "churn", table);
 
   // Tamper detection on the snapshot itself.
   vfs.write(r1.root + "/PAGE_MODULE/TESTPLAN.TXT", "tampered");

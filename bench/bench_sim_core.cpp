@@ -16,8 +16,10 @@
 // retired instructions) and stop the way the kernel declares — the exit
 // code gates it — and the decoded arm must hold a >= 3x instr/s advantage
 // on the compute kernel. The stuck-poll kernel never halts: it spins to its
-// budget, and its "fast-forwarded" column is the count tools/ci.sh gates.
-// Its decoded instr/s would count skipped instructions, so it prints n/a.
+// 2M budget, and the decoded arm must prove it stuck and fast-forward more
+// than 1.9M of those instructions, while every other kernel fast-forwards
+// none. That gate is a count, not a time. The stuck kernel's decoded
+// instr/s would count skipped instructions, so it prints n/a.
 // Code lives in ROM and data in RAM, as on the derivative boards, so data
 // stores do not shoot down decoded code pages.
 #include <cstdint>
@@ -249,6 +251,8 @@ int main() {
                 "interpreter; both arms must agree bit-for-bit");
 
   constexpr std::uint64_t kHaltBudget = 200'000'000;
+  constexpr std::uint64_t kStuckBudget = 2'000'000;
+  constexpr std::uint64_t kStuckMinSkipped = 1'900'000;
   const Kernel kernels[] = {
       {"compute", kComputeKernel, Devices::kNone, sim::StopReason::Halted,
        kHaltBudget},
@@ -259,13 +263,14 @@ int main() {
       {"irq", kIrqKernel, Devices::kIrqFabric, sim::StopReason::Halted,
        kHaltBudget},
       {"stuck-poll", kStuckPollKernel, Devices::kUartV2,
-       sim::StopReason::CycleLimit, 2'000'000},
+       sim::StopReason::CycleLimit, kStuckBudget},
   };
 
   Table table({"kernel", "stop", "instructions", "interp s", "decoded s",
                "interp instr/s", "decoded instr/s", "speedup",
                "fast-forwarded"});
   double compute_speedup = 0;
+  std::uint64_t stuck_skipped = 0;
   bool ok = true;
 
   for (const Kernel& k : kernels) {
@@ -292,6 +297,15 @@ int main() {
                 << decoded->instructions << "\n";
       ok = false;
     }
+    const bool stuck = std::string_view(k.name) == "stuck-poll";
+    if (stuck ? (interp->instructions != kStuckBudget ||
+                 decoded->fast_forwarded <= kStuckMinSkipped)
+              : decoded->fast_forwarded != 0) {
+      std::cerr << k.name << " fast-forwarded " << decoded->fast_forwarded
+                << " of " << interp->instructions << " instructions\n";
+      ok = false;
+    }
+    if (stuck) stuck_skipped = decoded->fast_forwarded;
     const double interp_rate =
         static_cast<double>(interp->instructions) / interp->seconds;
     const double decoded_rate =
@@ -311,10 +325,10 @@ int main() {
   }
 
   table.print();
-  bench::emit_json("sim_core", "decoded vs interp", table);
 
   if (!ok) {
-    std::cerr << "\nFAIL: an arm diverged or stopped unexpectedly\n";
+    std::cerr << "\nFAIL: an arm diverged, stopped unexpectedly or "
+                 "fast-forwarded the wrong count\n";
     return 1;
   }
   if (compute_speedup < 3.0) {
@@ -323,6 +337,8 @@ int main() {
     return 1;
   }
   std::cout << "\ncompute-kernel speedup " << compute_speedup
-            << "x (gate: >= 3x)\n";
+            << "x (gate: >= 3x); stuck poll fast-forwarded " << stuck_skipped
+            << " of " << kStuckBudget << " instructions (gate: > "
+            << kStuckMinSkipped << ")\n";
   return 0;
 }

@@ -1,11 +1,11 @@
-// Shared helpers for the experiment harnesses: aligned table printing and
-// a wall-clock stopwatch. Each bench binary regenerates one experiment's
-// table (DESIGN.md §4) on stdout.
+// Shared helpers for the bench programs: aligned table printing and a
+// wall-clock stopwatch. Each experiment program prints one experiment's
+// tables on stdout, and only deterministic columns: the tier-1 tests
+// paper_<name> compare that output with tests/golden/paper_<name>.txt. The
+// stopwatch is for bench_sim_core, whose timings no golden checks.
 #pragma once
 
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -67,14 +67,6 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::size_t> widths_;
   std::vector<std::vector<std::string>> rows_;
-
- public:
-  [[nodiscard]] const std::vector<std::string>& headers() const {
-    return headers_;
-  }
-  [[nodiscard]] const std::vector<std::vector<std::string>>& rows() const {
-    return rows_;
-  }
 };
 
 class Stopwatch {
@@ -85,7 +77,6 @@ class Stopwatch {
                                          start_)
         .count();
   }
-  [[nodiscard]] double millis() const { return seconds() * 1e3; }
 
  private:
   std::chrono::steady_clock::time_point start_;
@@ -93,56 +84,6 @@ class Stopwatch {
 
 inline void banner(const std::string& title, const std::string& subtitle) {
   std::cout << "\n=== " << title << " ===\n" << subtitle << "\n\n";
-}
-
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-/// Appends one table to BENCH_<bench>.json so every run leaves a
-/// machine-readable perf record next to the human tables. The output
-/// directory defaults to the working directory and can be redirected with
-/// ADVM_BENCH_JSON_DIR; tools/ci.sh collects the files from there.
-inline void emit_json(const std::string& bench, const std::string& table_name,
-                      const Table& table) {
-  const char* dir = std::getenv("ADVM_BENCH_JSON_DIR");
-  const std::string path =
-      (dir != nullptr ? std::string(dir) + "/" : std::string()) + "BENCH_" +
-      bench + ".json";
-
-  // First table truncates the file; subsequent tables append records, one
-  // JSON object per line (JSONL keeps the writer trivial and diff-friendly).
-  static std::string current_file;  // one bench binary writes one file
-  const bool truncate = current_file != path;
-  current_file = path;
-  std::ofstream os(path, truncate ? std::ios::trunc : std::ios::app);
-  if (!os) return;  // perf recording must never fail a bench run
-
-  os << "{\"bench\":\"" << json_escape(bench) << "\",\"table\":\""
-     << json_escape(table_name) << "\",\"headers\":[";
-  for (std::size_t i = 0; i < table.headers().size(); ++i) {
-    os << (i ? "," : "") << "\"" << json_escape(table.headers()[i]) << "\"";
-  }
-  os << "],\"rows\":[";
-  for (std::size_t r = 0; r < table.rows().size(); ++r) {
-    os << (r ? "," : "") << "[";
-    for (std::size_t c = 0; c < table.rows()[r].size(); ++c) {
-      os << (c ? "," : "") << "\"" << json_escape(table.rows()[r][c]) << "\"";
-    }
-    os << "]";
-  }
-  os << "]}\n";
 }
 
 }  // namespace advm::bench

@@ -1,7 +1,7 @@
 #include "asm/assembler.h"
 
 #include <algorithm>
-#include <sstream>
+#include <string_view>
 
 #include "asm/expr.h"
 #include "asm/lexer.h"
@@ -26,6 +26,8 @@ using advm::support::SourceName;
 namespace {
 
 constexpr std::size_t kMaxDefineExpansionDepth = 16;
+constexpr std::size_t kMaxIncludeDepth = 32;
+constexpr std::size_t kMaxMacroDepth = 64;
 
 /// Flexible source operand after parsing: a register, an immediate
 /// expression, or one of the memory forms.
@@ -152,9 +154,6 @@ std::uint64_t options_fingerprint(const AssemblerOptions& options) {
     h.update(name);
     h.update(static_cast<std::uint64_t>(value));
   }
-  h.update(std::uint64_t{options.emit_listing ? 1u : 0u});
-  h.update(std::uint64_t{options.max_include_depth});
-  h.update(std::uint64_t{options.max_macro_depth});
   return h.digest();
 }
 
@@ -255,7 +254,6 @@ class Assembler::Impl {
     result.object = std::move(object_);
     result.includes = std::move(includes_);
     result.probed_misses = std::move(probed_misses_);
-    result.listing = std::move(listing_);
     return result;
   }
 
@@ -266,7 +264,7 @@ class Assembler::Impl {
     current_section_ = 0;
     includes_.clear();
     probed_misses_.clear();
-    listing_.clear();
+    label_slots_.clear();
     served_.reset();
     equates_.reset(&options_.predefines);
     defines_.reset(nullptr);
@@ -309,7 +307,7 @@ class Assembler::Impl {
     }
 
     lex_line(text, file, line_no, diags_, tokens);
-    process_token_line(tokens, text);
+    process_token_line(tokens);
   }
 
   // -------------------------------------------------------------- defines --
@@ -485,7 +483,7 @@ class Assembler::Impl {
 
   void expand_macro(const std::string& name, const std::vector<Token>& tokens,
                     std::size_t cursor, const SourceLoc& loc) {
-    if (macro_depth_ >= options_.max_macro_depth) {
+    if (macro_depth_ >= kMaxMacroDepth) {
       diags_.error("asm.macro-depth", "macro expansion too deep", loc);
       return;
     }
@@ -525,16 +523,15 @@ class Assembler::Impl {
       lex_line(body_line.text, body_line.file, body_line.line, diags_,
                line_tokens);
       substitute_macro_tokens(line_tokens, macro.params, args, instance);
-      process_token_line(line_tokens, body_line.text);
+      process_token_line(line_tokens);
     }
     --macro_depth_;
   }
 
   /// Processes one tokenised statement line: conditionals, defines, labels,
   /// directives, instructions, macro invocations. Shared by direct source
-  /// lines and macro-expanded body lines; `text` is the raw line for
-  /// listings.
-  void process_token_line(std::vector<Token>& tokens, std::string_view text) {
+  /// lines and macro-expanded body lines.
+  void process_token_line(std::vector<Token>& tokens) {
     if (tokens.size() <= 1) return;  // blank / comment-only line
 
     // Conditional-assembly directives act even inside inactive regions
@@ -585,11 +582,11 @@ class Assembler::Impl {
     if (head.text[0] == '.') {
       handle_directive(cursor == 0 && !expanded ? first
                                                 : directive_of(head.text),
-                       tokens, cursor, text);
+                       tokens, cursor);
       return;
     }
     if (auto mm = isa::lookup_mnemonic(head.text)) {
-      parse_instruction(*mm, tokens, cursor + 1, text);
+      parse_instruction(*mm, tokens, cursor + 1);
       return;
     }
     if (macros_.count(head.text) != 0) {
@@ -645,13 +642,16 @@ class Assembler::Impl {
 
   void define_label(const Token& tok) {
     std::string name = mangle(tok.text);
-    for (const auto& sym : object_.symbols) {
-      if (sym.name == name) {
-        diags_.error("asm.duplicate-label",
-                     "label '" + tok.text + "' already defined", tok.loc);
-        return;
-      }
+    if (2 * (object_.symbols.size() + 1) > label_slots_.size()) {
+      grow_label_slots();
     }
+    std::uint32_t& slot = label_slot(name);
+    if (slot != 0) {
+      diags_.error("asm.duplicate-label",
+                   "label '" + tok.text + "' already defined", tok.loc);
+      return;
+    }
+    slot = static_cast<std::uint32_t>(object_.symbols.size() + 1);
     ObjSymbol sym;
     sym.name = std::move(name);
     sym.section = current().name;
@@ -660,12 +660,33 @@ class Assembler::Impl {
     object_.symbols.push_back(std::move(sym));
   }
 
+  /// The slot of label_slots_ that holds `name`, or the empty slot where
+  /// it would go (linear probing).
+  std::uint32_t& label_slot(std::string_view name) {
+    const std::size_t mask = label_slots_.size() - 1;
+    for (std::size_t i = std::hash<std::string_view>{}(name) & mask;;
+         i = (i + 1) & mask) {
+      std::uint32_t& slot = label_slots_[i];
+      if (slot == 0 || object_.symbols[slot - 1].name == name) return slot;
+    }
+  }
+
+  /// Doubles the label index (at least 64 slots) and re-inserts every
+  /// label defined so far.
+  void grow_label_slots() {
+    label_slots_.assign(std::max<std::size_t>(64, 2 * label_slots_.size()),
+                        0);
+    for (std::size_t i = 0; i < object_.symbols.size(); ++i) {
+      label_slot(object_.symbols[i].name) = static_cast<std::uint32_t>(i + 1);
+    }
+  }
+
   // ------------------------------------------------------------- directives --
   /// Runs the directive `head`, which spells `directive`. Conditionals,
   /// .DEFINE and .MACRO act only as a line's first token (see
   /// process_token_line); anywhere else they are unknown here.
   void handle_directive(Directive directive, std::vector<Token>& tokens,
-                        std::size_t cursor, std::string_view source_text) {
+                        std::size_t cursor) {
     const Token& head = tokens[cursor];
     switch (directive) {
       case Directive::Include:
@@ -692,11 +713,11 @@ class Assembler::Impl {
       case Directive::Space:
         return handle_space(tokens, cursor);
       case Directive::Db:
-        return handle_data(tokens, cursor, 1, source_text);
+        return handle_data(tokens, cursor, 1);
       case Directive::Dw:
-        return handle_data(tokens, cursor, 2, source_text);
+        return handle_data(tokens, cursor, 2);
       case Directive::Dd:
-        return handle_data(tokens, cursor, 4, source_text);
+        return handle_data(tokens, cursor, 4);
       case Directive::Ascii:
         return handle_ascii(tokens, cursor, false);
       case Directive::Asciiz:
@@ -734,7 +755,7 @@ class Assembler::Impl {
       return;
     }
     const Token& name_tok = tokens[cursor + 1];
-    if (include_stack_.size() >= options_.max_include_depth) {
+    if (include_stack_.size() >= kMaxIncludeDepth) {
       diags_.error("asm.include-depth", "includes nested too deeply",
                    name_tok.loc);
       return;
@@ -815,7 +836,6 @@ class Assembler::Impl {
            macros_.empty() && !collecting_macro_ &&
            object_.sections.size() == 1 && !code.org && code.bytes.empty() &&
            object_.symbols.empty() && object_.relocations.empty() &&
-           listing_.empty() &&
            (allow_definitions ||
             (defines_.empty() &&
              equates_.size() == options_.predefines.size()));
@@ -915,8 +935,7 @@ class Assembler::Impl {
   }
 
   void handle_data(const std::vector<Token>& tokens, std::size_t cursor,
-                   std::uint8_t size, std::string_view source_text) {
-    const std::size_t start_offset = current().bytes.size();
+                   std::uint8_t size) {
     std::size_t i = cursor + 1;
     while (i < tokens.size() && !tokens[i].is_eol()) {
       if (tokens[i].kind == TokenKind::String && size == 1) {
@@ -936,7 +955,6 @@ class Assembler::Impl {
       }
       if (i < tokens.size() && tokens[i].is_punct(",")) ++i;
     }
-    add_listing_line(start_offset, source_text);
   }
 
   void handle_ascii(const std::vector<Token>& tokens, std::size_t cursor,
@@ -1109,8 +1127,8 @@ class Assembler::Impl {
   }
 
   void parse_instruction(const isa::MnemonicMatch& mm,
-                         const std::vector<Token>& tokens, std::size_t cursor,
-                         std::string_view source_text) {
+                         const std::vector<Token>& tokens,
+                         std::size_t cursor) {
     const isa::OpcodeInfo& info = isa::opcode_info(mm.op);
     const SourceLoc loc = tokens.empty() ? SourceLoc{} : tokens[0].loc;
 
@@ -1384,12 +1402,12 @@ class Assembler::Impl {
       return;
     }
 
-    emit_instruction(instr, std::move(reloc_value), loc, source_text);
+    emit_instruction(instr, std::move(reloc_value), loc);
   }
 
   void emit_instruction(const Instruction& instr,
                         std::optional<ExprValue> reloc_value,
-                        const SourceLoc& loc, std::string_view source_text) {
+                        const SourceLoc& loc) {
     isa::EncodeError err;
     auto encoded = isa::encode(instr, &err);
     if (!encoded) {
@@ -1411,20 +1429,6 @@ class Assembler::Impl {
       object_.relocations.push_back(std::move(rel));
     }
     sec.bytes.insert(sec.bytes.end(), encoded->begin(), encoded->end());
-    add_listing_line(offset, source_text);
-  }
-
-  void add_listing_line(std::size_t offset, std::string_view source_text) {
-    if (!options_.emit_listing) return;
-    std::ostringstream os;
-    os << current().name << "+0x" << std::hex << offset << std::dec << "\t";
-    const auto& bytes = current().bytes;
-    for (std::size_t i = offset; i < bytes.size() && i < offset + 12; ++i) {
-      static constexpr char kHex[] = "0123456789abcdef";
-      os << kHex[bytes[i] >> 4] << kHex[bytes[i] & 0xF];
-    }
-    os << "\t" << source_text << "\n";
-    listing_ += os.str();
   }
 
   ObjSection& current() { return object_.sections[current_section_]; }
@@ -1454,7 +1458,11 @@ class Assembler::Impl {
   ObjectFile object_;
   std::vector<IncludeEdge> includes_;
   std::vector<std::string> probed_misses_;
-  std::string listing_;
+  /// Index of object_.symbols by name, so a duplicate label is a lookup,
+  /// not a scan of every label so far: open addressing over a power-of-two
+  /// table kept at most half full, each slot a symbol index + 1 (0 =
+  /// empty). reset() empties it and keeps its capacity.
+  std::vector<std::uint32_t> label_slots_;
   /// The memo entry whose maps equates_ and defines_ share, if one served.
   std::shared_ptr<const IncludeMemo::Effect> served_;
   Scope<std::int64_t> equates_;

@@ -67,9 +67,6 @@ struct AssemblerOptions {
   /// Pre-defined equates, the CLI `-D NAME=value` equivalent. This is the
   /// hook the ADVM uses to select derivative/platform without editing code.
   std::map<std::string, std::int64_t, std::less<>> predefines;
-  bool emit_listing = false;
-  std::size_t max_include_depth = 32;
-  std::size_t max_macro_depth = 64;
 };
 
 /// One `.INCLUDE` occurrence — the include graph feeds the ADVM
@@ -89,11 +86,10 @@ struct AssembleResult {
   /// one of these files is created later it shadows the recorded
   /// resolution — the object cache revalidates entries against this set.
   std::vector<std::string> probed_misses;
-  std::string listing;  ///< populated when options.emit_listing
 };
 
 /// FNV-1a fingerprint of everything in AssemblerOptions that can change an
-/// assembly's output (include path order, predefines, limits).
+/// assembly's output (include path order, predefines).
 [[nodiscard]] std::uint64_t options_fingerprint(
     const AssemblerOptions& options);
 

@@ -1,13 +1,19 @@
 #!/usr/bin/env bash
 # CI gate for the ADVM tree.
 #
-#   1. tier-1: the exact ROADMAP verify command (configure, build, ctest).
-#   2. hygiene: a -Werror configure preset must compile warning-clean.
-#   3. bench:  build the bench harnesses and run them, writing their
-#              BENCH_*.json under build/bench-records/ (skippable with
-#              ADVM_CI_SKIP_BENCH=1 for quick gates). Speed is not gated
-#              here: tools/bench_pairs.py compares a change with its parent
-#              under BENCHMARK.json's bounds.
+#   1. tier-1: the exact ROADMAP verify command (configure, build, ctest),
+#      which also checks the paper's experiment tables against their
+#      goldens and runs the examples.
+#   2. CLI gates: the JSON report contract, lint, --jobs determinism and
+#      the serve daemon's parity with local runs.
+#   3. sim-core lap: bench_sim_core's own exit code, and e10 roll-up
+#      identity across pool sizes.
+#   4. hygiene: a -Werror configure preset must compile warning-clean.
+#   5. sanitizers (ASan+UBSan over tier-1, TSan over the threaded suites)
+#      and clang-tidy, each skippable for quick gates.
+#
+# Speed is not gated here: tools/bench_pairs.py compares a change with its
+# parent under BENCHMARK.json's bounds.
 #
 # Run from anywhere: the script cds to the repo root first. It writes only
 # under ignored paths, and fails if a run leaves `git status` changed.
@@ -290,36 +296,21 @@ trap - EXIT
 echo "==> sim-core lap (decoded-cache speedup, stuck-loop count, e10 identity)"
 # bench_sim_core exits non-zero unless the decoded arm is bit-identical to
 # the plain interpreter on all five kernels, each stops the way it declares,
-# AND the decoded arm holds a >= 3x instr/s advantage on the compute kernel.
-# The stuck-poll gate is a count, not a time: the decoded arm must have
-# proven the never-ready UART poll stuck and skipped nearly all of its 2M
-# budget. The roll-up re-check reuses the --jobs gate's artifacts: a
-# sim-core change must be invisible in the e10 cube at every pool size.
+# the stuck UART poll is fast-forwarded through more than 1.9M of its 2M
+# instructions (and no other kernel at all), AND the decoded arm holds a
+# >= 3x instr/s advantage on the compute kernel. The roll-up re-check
+# reuses the --jobs gate's artifacts: a sim-core change must be invisible
+# in the e10 cube at every pool size.
 cmake --build build -t bench_sim_core -j
-mkdir -p build/bench-records build/bench-logs
-rm -f build/bench-records/BENCH_sim_core.json
-ADVM_BENCH_JSON_DIR="$PWD/build/bench-records" ./build/bench/bench_sim_core \
-  > build/bench-logs/bench_sim_core.log
-tail -2 build/bench-logs/bench_sim_core.log
-python3 - build/jobs-1.json build/jobs-0.json \
-  build/bench-records/BENCH_sim_core.json <<'PY'
+./build/bench/bench_sim_core > build/bench_sim_core.log
+tail -2 build/bench_sim_core.log
+python3 - build/jobs-1.json build/jobs-0.json <<'PY'
 import json, sys
 serial, auto = (json.load(open(p)) for p in sys.argv[1:3])
 assert json.dumps(serial["rollup"], sort_keys=True) == \
        json.dumps(auto["rollup"], sort_keys=True), \
     "e10 roll-up diverged between --jobs 1 and --jobs 0"
-bench = json.loads(open(sys.argv[3]).read().splitlines()[-1])
-rows = {row[0]: dict(zip(bench["headers"], row)) for row in bench["rows"]}
-stuck = rows["stuck-poll"]
-assert stuck["stop"] == "cycle-limit", stuck
-assert int(stuck["instructions"]) == 2000000, stuck
-skipped = int(stuck["fast-forwarded"])
-assert skipped > 1900000, "stuck-poll fast-forwarded only %d" % skipped
-for name, row in rows.items():
-    if name != "stuck-poll":
-        assert int(row["fast-forwarded"]) == 0, (name, row)
-print("sim-core lap ok: e10 roll-up byte-identical across pool sizes, "
-      "stuck poll fast-forwarded %d of 2000000 instructions" % skipped)
+print("sim-core lap ok: e10 roll-up byte-identical across pool sizes")
 PY
 
 echo "==> -Werror hygiene build"
@@ -365,20 +356,6 @@ then
     clang-tidy -p build --quiet
 else
   echo "==> clang-tidy gate skipped (binary missing or ADVM_CI_SKIP_TIDY=1)"
-fi
-
-if [[ "${ADVM_CI_SKIP_BENCH:-0}" != "1" ]]; then
-  echo "==> bench harnesses (BENCH_*.json)"
-  cmake --build build -t benches -j
-  mkdir -p build/bench-records build/bench-logs
-  export ADVM_BENCH_JSON_DIR="$PWD/build/bench-records"
-  # Table-based experiment harnesses; e9 (google-benchmark) reports its own
-  # JSON natively when wanted and is too slow for a default CI lap.
-  for bench in ablation e1_structure e2_spec_change e3_wrapper e4_platforms \
-               e5_devtime e6_porting e7_random e8_labels; do
-    "./build/bench/bench_${bench}" > "build/bench-logs/bench_${bench}.log"
-  done
-  echo "bench records: $(ls "$ADVM_BENCH_JSON_DIR"/BENCH_*.json | wc -l) files in build/bench-records/"
 fi
 
 echo "==> clean tree (a CI run rewrites no tracked or unignored file)"
