@@ -43,6 +43,21 @@ std::string slurp(const fs::path& path) {
   return os.str();
 }
 
+/// The `rollup` array of a matrix `--format json` document, one row per
+/// line: the form of the tests/golden/matrix_*_rollup.json goldens.
+std::string rollup_rows(const std::string& document) {
+  const std::string key = "\"rollup\":";
+  const std::size_t at = document.find(key);
+  const std::size_t end = document.rfind(']');
+  if (at == std::string::npos || end == std::string::npos || end < at) {
+    return document;
+  }
+  const std::size_t begin = at + key.size();
+  return advm::support::replace_all(document.substr(begin, end + 1 - begin),
+                                    "},{", "},\n{") +
+         "\n";
+}
+
 class CliE2E : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -207,6 +222,55 @@ TEST_F(CliE2E, MatrixRollupIsGreenAndDigestStableAcrossPlatforms) {
   auto bad = run_cli("matrix \"" + env_dir_ + "\" --platforms warp-drive");
   EXPECT_EQ(bad.exit_code, 2);
   EXPECT_NE(bad.err.find("unknown platform"), std::string::npos);
+}
+
+TEST_F(CliE2E, MatrixDocumentsAreJobsInvariantAndRollupsMatchGoldens) {
+  // Paper §1: the same suite on all six platforms. The e10 tree is built
+  // for SC88-A, so the un-ported SC88-C and SC88-D cells fail (exit 1);
+  // the contract is that every pool size fails them identically, down to
+  // the byte, and that the roll-up's digests are the golden ones. Pooled
+  // boards run a different sequence of tests at each pool size, so a
+  // reset that left state behind would show here.
+  auto init = run_cli("init \"" + env_dir_ + "\" --tests 2");
+  ASSERT_EQ(init.exit_code, 0) << init.err;
+  const std::string e10 =
+      "matrix \"" + env_dir_ +
+      "\" --derivatives SC88-A,SC88-B,SC88-C,SC88-D"
+      " --platforms golden-model,hdl-rtl,hdl-gate,accelerator,bondout,product"
+      " --format json --jobs ";
+  const auto serial = run_cli(e10 + "1");
+  EXPECT_EQ(serial.exit_code, 1) << serial.err;
+  EXPECT_EQ(rollup_rows(serial.out), golden("matrix_e10_rollup.json"));
+  for (const char* jobs : {"4", "0"}) {
+    const auto pooled = run_cli(e10 + jobs);
+    EXPECT_EQ(pooled.exit_code, serial.exit_code) << "--jobs " << jobs;
+    EXPECT_EQ(pooled.out, serial.out) << "--jobs " << jobs;
+  }
+
+  // The 200-test tree: 800 executions whose workers contend for the
+  // include memo and share one linked image per memory map. The whole
+  // document, cache counters included, is byte-identical at --jobs 1 and
+  // 4, and under a second spelling of the tree's path: the import derives
+  // VFS paths lexically, so ./wide_env/ must not show.
+  const fs::path wide = scratch_ / "wide_env";
+  init = run_cli("init \"" + wide.string() + "\" --tests 40");
+  ASSERT_EQ(init.exit_code, 0) << init.err;
+  const std::string axes =
+      " --derivatives SC88-A,SC88-B --platforms golden-model,hdl-rtl"
+      " --format json --jobs ";
+  const auto wide_serial = run_cli("matrix \"" + wide.string() + "\"" + axes +
+                                   "1");
+  EXPECT_EQ(wide_serial.exit_code, 1) << wide_serial.err;
+  EXPECT_EQ(rollup_rows(wide_serial.out), golden("matrix_wide_rollup.json"));
+  const auto wide_pooled =
+      run_cli("matrix \"" + wide.string() + "\"" + axes + "4");
+  EXPECT_EQ(wide_pooled.out, wide_serial.out);
+  const fs::path cwd = fs::current_path();
+  fs::current_path(scratch_);
+  const auto spelled = run_cli("matrix ./wide_env/" + axes + "4");
+  fs::current_path(cwd);
+  EXPECT_EQ(spelled.exit_code, wide_serial.exit_code) << spelled.err;
+  EXPECT_EQ(spelled.out, wide_serial.out);
 }
 
 TEST_F(CliE2E, LintVerbAndGateMatchGoldens) {

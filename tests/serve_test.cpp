@@ -159,18 +159,19 @@ class ServeE2E : public ::testing::Test {
            << slurp(scratch_ / "daemon.log");
   }
 
-  /// Stops the daemon via --stop and insists on a cooperative exit —
-  /// kill_and_reap must never need its SIGKILL escalation here.
-  void stop_daemon(bool expect_clean = true) {
+  /// Stops the daemon via --stop and insists on a cooperative exit that
+  /// unlinks the socket — kill_and_reap must never need its SIGKILL
+  /// escalation here.
+  void stop_daemon() {
     if (daemon_pid_ <= 0) return;
     (void)run_cli("serve --socket \"" + socket_path_ + "\" --stop");
     const ReapOutcome outcome = kill_and_reap(daemon_pid_, 10'000);
     daemon_pid_ = -1;
-    if (expect_clean) {
-      EXPECT_TRUE(outcome.reaped);
-      EXPECT_FALSE(outcome.escalated)
-          << "daemon had to be SIGKILLed: " << slurp(scratch_ / "daemon.log");
-    }
+    EXPECT_TRUE(outcome.reaped);
+    EXPECT_FALSE(outcome.escalated)
+        << "daemon had to be SIGKILLed: " << slurp(scratch_ / "daemon.log");
+    EXPECT_FALSE(fs::exists(socket_path_))
+        << "daemon exited without unlinking its socket";
   }
 
   /// True once the daemon process has exited on its own (idle timeout).
@@ -364,26 +365,30 @@ TEST_F(ServeE2E, AttachedBuildFailuresAreByteIdenticalToLocal) {
   make_tree();
   // A broken shared library: every verb's diagnostics name the file by
   // its VFS path, so the daemon must import the tree under the local
-  // CLI's root for the documents to match.
+  // CLI's root for the documents and the human text to match.
   std::ofstream(fs::path(env_dir_) / "UART_MODULE" / "Abstraction_Layer" /
                     "base_functions.asm",
                 std::ios::app)
       << " BOGUS d0, d0\n";
-  for (const std::string verb : {"run", "matrix", "lint", "check"}) {
-    // run and matrix documents carry cache counters: each verb gets a
-    // fresh daemon, as cold as the fresh local process.
-    spawn_daemon();
-    const std::string command = verb + " \"" + env_dir_ + "\" --format json";
-    const auto local = run_cli(command);
-    const auto attached = run_cli(command + attach_flag());
-    EXPECT_EQ(local.exit_code, 1) << verb << ": " << local.err;
-    EXPECT_EQ(attached.exit_code, local.exit_code) << verb;
-    EXPECT_NE(local.out.find(
-                  "/SYS/UART_MODULE/Abstraction_Layer/base_functions.asm"),
-              std::string::npos)
-        << verb << ": " << local.out;
-    EXPECT_EQ(attached.out, local.out) << verb;
-    stop_daemon();
+  for (const std::string format : {" --format json", ""}) {
+    for (const std::string verb : {"run", "matrix", "lint", "check"}) {
+      // run and matrix output carries cache counters: each verb gets a
+      // fresh daemon, as cold as the fresh local process.
+      spawn_daemon();
+      const std::string command = verb + " \"" + env_dir_ + "\"" + format;
+      const auto local = run_cli(command);
+      const auto attached = run_cli(command + attach_flag());
+      EXPECT_EQ(local.exit_code, 1) << command << ": " << local.err;
+      EXPECT_EQ(attached.exit_code, local.exit_code) << command;
+      if (!format.empty()) {
+        EXPECT_NE(local.out.find(
+                      "/SYS/UART_MODULE/Abstraction_Layer/base_functions.asm"),
+                  std::string::npos)
+            << command << ": " << local.out;
+      }
+      EXPECT_EQ(attached.out, local.out) << command;
+      stop_daemon();
+    }
   }
 }
 
@@ -718,6 +723,7 @@ TEST_F(ServeE2E, StatsDocumentPinsItsContract) {
   const auto doc = support::json::parse(stats.out);
   ASSERT_TRUE(doc);
   EXPECT_GE(*doc->find("clients_served")->as_uint64(), 1u);
+  EXPECT_EQ(*doc->find("clients_lost")->as_uint64(), 0u);
   EXPECT_GE(*doc->find("requests_ok")->as_uint64(), 1u);
   EXPECT_EQ(*doc->find("trees")->as_uint64(), 1u);
   EXPECT_EQ(*doc->find("requests")->find("run")->as_uint64(), 1u);
