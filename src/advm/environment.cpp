@@ -63,15 +63,6 @@ void regenerate_abstraction_layer(VirtualFileSystem& vfs,
             generate_base_functions(base_functions));
 }
 
-void regenerate_baseline_tests(VirtualFileSystem& vfs,
-                               const EnvironmentLayout& env,
-                               const soc::DerivativeSpec& spec) {
-  for (const TestSpec& t : env.tests) {
-    vfs.write(join_path(join_path(env.dir, t.id), kTestSourceFile),
-              baseline_test_source(t, spec));
-  }
-}
-
 std::vector<GeneratedFile> generate_environment(
     std::string_view system_root, const EnvironmentConfig& env_config,
     const soc::DerivativeSpec& spec, const GlobalsOptions& globals,

@@ -117,12 +117,6 @@ void regenerate_abstraction_layer(support::VirtualFileSystem& vfs,
                                   const GlobalsOptions& globals,
                                   const BaseFunctionsOptions& base_functions);
 
-/// Regenerates every baseline test in an environment against a (new)
-/// derivative — the pre-ADVM repair path: touch all test files.
-void regenerate_baseline_tests(support::VirtualFileSystem& vfs,
-                               const EnvironmentLayout& env,
-                               const soc::DerivativeSpec& spec);
-
 /// Renders the TESTPLAN.TXT for an environment.
 [[nodiscard]] std::string testplan_text(const EnvironmentConfig& config,
                                         const std::vector<TestSpec>& tests);

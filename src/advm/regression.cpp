@@ -118,37 +118,6 @@ std::string describe_stuck_loop(const sim::RunResult& run,
   return text;
 }
 
-/// Runs one linked image on a board leased for (spec, platform). `record`
-/// arrives carrying the cell's identity.
-TestRunRecord run_image(TestRunRecord record, const assembler::Image& image,
-                        const soc::DerivativeSpec& spec,
-                        sim::PlatformKind platform,
-                        std::uint64_t max_instructions, BoardPool& boards) {
-  BoardPool::Lease lease = boards.acquire(spec, platform);
-  soc::Board& board = lease.board();
-  std::string load_error;
-  if (!board.load(image, &load_error)) {
-    record.detail = load_error;
-    return record;
-  }
-  record.build_ok = true;
-
-  soc::RunOutcome outcome = board.run(max_instructions);
-  record.verdict = outcome.verdict;
-  record.stop = outcome.machine.reason;
-  record.detail = outcome.console;
-  record.instructions = outcome.machine.instructions;
-  record.cycles = outcome.machine.cycles;
-  record.state_digest = board.machine().state_digest();
-  record.modeled_seconds = outcome.modeled_seconds;
-  record.x_register_reads = outcome.x_register_reads;
-  record.x_ram_reads = outcome.x_ram_reads;
-  if (outcome.machine.fast_forwarded != 0) {
-    record.stuck = describe_stuck_loop(outcome.machine, image);
-  }
-  return record;
-}
-
 /// Link half of the link+run phase for one (memory map, test): fills in
 /// `record`'s identity and links the cached test object against the
 /// environment's shared objects. The image depends on the derivative only
@@ -219,7 +188,7 @@ std::vector<RegressionReport> run_planned_matrix(
     const std::vector<EnvBuildContext>& envs,
     const std::vector<std::vector<CachedObject>>& objects,
     const std::vector<MatrixCell>& cells, std::size_t jobs,
-    std::uint64_t max_instructions, BoardPool& boards) {
+    BoardPool& boards) {
   /// The cells of one memory map, in `cells` order.
   struct MemoryMap {
     assembler::LinkOptions options;
@@ -273,10 +242,14 @@ std::vector<RegressionReport> run_planned_matrix(
                                  objects[task.env][task.test], *map.spec,
                                  record);
     for (std::size_t c : map.cells) {
-      reports[c].records[task.slot] =
-          image ? run_image(record, *image, *cells[c].spec, cells[c].platform,
-                            max_instructions, boards)
-                : record;
+      TestRunRecord& slot = reports[c].records[task.slot];
+      if (!image) {
+        slot = record;
+        continue;
+      }
+      slot = run_cell(*image, *cells[c].spec, cells[c].platform, boards);
+      slot.environment = record.environment;
+      slot.test_id = record.test_id;
     }
   });
   return reports;
@@ -290,10 +263,9 @@ std::vector<RegressionReport> run_two_phase(
     const support::VirtualFileSystem& vfs,
     const std::vector<EnvBuildContext>& envs, const ObjectCacheStats& before,
     const std::vector<MatrixCell>& cells, std::size_t jobs, ObjectCache& cache,
-    std::uint64_t max_instructions, BoardPool& boards) {
+    BoardPool& boards) {
   const auto objects = assemble_tests(vfs, envs, jobs, cache);
-  auto reports = run_planned_matrix(envs, objects, cells, jobs,
-                                    max_instructions, boards);
+  auto reports = run_planned_matrix(envs, objects, cells, jobs, boards);
   const ObjectCacheStats after = cache.stats();
   for (RegressionReport& report : reports) {
     report.cache.hits = after.hits - before.hits;
@@ -308,6 +280,31 @@ std::vector<RegressionReport> run_two_phase(
 }
 
 }  // namespace
+
+TestRunRecord run_cell(const assembler::Image& image,
+                       const soc::DerivativeSpec& spec,
+                       sim::PlatformKind platform, BoardPool& boards) {
+  TestRunRecord record;
+  BoardPool::Lease lease = boards.acquire(spec, platform);
+  soc::Board& board = lease.board();
+  if (!board.load(image, &record.detail)) return record;
+  record.build_ok = true;
+
+  soc::RunOutcome outcome = board.run();
+  record.verdict = outcome.verdict;
+  record.stop = outcome.machine.reason;
+  record.detail = std::move(outcome.console);
+  record.instructions = outcome.machine.instructions;
+  record.cycles = outcome.machine.cycles;
+  record.state_digest = board.machine().state_digest();
+  record.modeled_seconds = outcome.modeled_seconds;
+  record.x_register_reads = outcome.x_register_reads;
+  record.x_ram_reads = outcome.x_ram_reads;
+  if (outcome.machine.fast_forwarded != 0) {
+    record.stuck = describe_stuck_loop(outcome.machine, image);
+  }
+  return record;
+}
 
 std::vector<std::string> discover_tests(const support::VirtualFileSystem& vfs,
                                         std::string_view env_dir) {
@@ -462,33 +459,19 @@ void parallel_for(std::size_t count, std::size_t jobs,
   if (failure) std::rethrow_exception(failure);
 }
 
-RegressionReport RegressionRunner::run_environment(
-    std::string_view env_dir, std::string_view global_dir,
-    const soc::DerivativeSpec& spec, sim::PlatformKind platform,
-    std::uint64_t max_instructions) {
-  const ObjectCacheStats before = cache_->stats();
-  auto reports = run_two_phase(
-      vfs_, {prepare_environment(vfs_, env_dir, global_dir, *cache_)}, before,
-      {{&spec, platform}}, jobs_, *cache_, max_instructions, *boards_);
-  return std::move(reports.front());
-}
-
-RegressionReport RegressionRunner::run_system(
-    std::string_view system_root, const soc::DerivativeSpec& spec,
-    sim::PlatformKind platform, std::uint64_t max_instructions) {
-  auto reports =
-      run_matrix(system_root, {{&spec, platform}}, max_instructions);
+RegressionReport RegressionRunner::run_system(std::string_view system_root,
+                                              const soc::DerivativeSpec& spec,
+                                              sim::PlatformKind platform) {
+  auto reports = run_matrix(system_root, {{&spec, platform}});
   return std::move(reports.front());
 }
 
 std::vector<RegressionReport> RegressionRunner::run_matrix(
-    std::string_view system_root, const std::vector<MatrixCell>& cells,
-    std::uint64_t max_instructions) {
+    std::string_view system_root, const std::vector<MatrixCell>& cells) {
   const ObjectCacheStats before = cache_->stats();
   return run_two_phase(vfs_,
                        prepare_system(vfs_, system_root, jobs_, *cache_),
-                       before, cells, jobs_, *cache_, max_instructions,
-                       *boards_);
+                       before, cells, jobs_, *cache_, *boards_);
 }
 
 std::string format_report(const RegressionReport& report) {

@@ -8,10 +8,11 @@
 // frozen release snapshot (paper §3) regresses exactly like the live tree.
 //
 // This header is the one place that knows the tree and how a test cell is
-// built: every verb (run, matrix, release, lint, check, port, random)
-// finds environments and cells through discover_environments and
-// discover_tests, and every verb that builds a cell does it through
-// prepare_environment and link_cell.
+// built and run: every verb (run, matrix, release, lint, check, port,
+// random) finds environments and cells through discover_environments and
+// discover_tests, every verb that builds a cell does it through
+// prepare_environment and link_cell, and every verb that runs one does it
+// through run_cell, within the one soc::kInstructionBudget.
 #pragma once
 
 #include <cstdint>
@@ -113,16 +114,9 @@ class RegressionRunner {
         boards_(boards ? boards : &owned_boards_) {}
 
   /// Runs every environment under `system_root`.
-  [[nodiscard]] RegressionReport run_system(
-      std::string_view system_root, const soc::DerivativeSpec& spec,
-      sim::PlatformKind platform,
-      std::uint64_t max_instructions = 2'000'000);
-
-  /// Runs a single module environment (global libraries at `global_dir`).
-  [[nodiscard]] RegressionReport run_environment(
-      std::string_view env_dir, std::string_view global_dir,
-      const soc::DerivativeSpec& spec, sim::PlatformKind platform,
-      std::uint64_t max_instructions = 2'000'000);
+  [[nodiscard]] RegressionReport run_system(std::string_view system_root,
+                                            const soc::DerivativeSpec& spec,
+                                            sim::PlatformKind platform);
 
   /// Runs the full derivative × platform matrix over one system tree.
   /// Environment builds are shared across cells (they are target-neutral by
@@ -134,8 +128,7 @@ class RegressionRunner {
   /// each test's link. Reports come back in `cells` order, each internally
   /// in discovery order.
   [[nodiscard]] std::vector<RegressionReport> run_matrix(
-      std::string_view system_root, const std::vector<MatrixCell>& cells,
-      std::uint64_t max_instructions = 2'000'000);
+      std::string_view system_root, const std::vector<MatrixCell>& cells);
 
  private:
   const support::VirtualFileSystem& vfs_;
@@ -210,6 +203,18 @@ struct EnvBuildContext {
 [[nodiscard]] std::optional<assembler::Image> link_cell(
     const EnvBuildContext& env, const assembler::ObjectFile& test_object,
     const soc::DerivativeSpec& spec, support::DiagnosticEngine& diags);
+
+/// Runs one linked image on a board leased from `boards` for (spec,
+/// platform), within soc::kInstructionBudget: the one place an image
+/// becomes a record. Fills every outcome field, `stuck` and the X-read
+/// counts included; a load failure is a record with build_ok false and
+/// the reason in `detail`. `environment` and `test_id` stay empty for the
+/// caller to attach. The record depends only on the image, the spec's
+/// value and the platform, never on which board the pool lends.
+[[nodiscard]] TestRunRecord run_cell(const assembler::Image& image,
+                                     const soc::DerivativeSpec& spec,
+                                     sim::PlatformKind platform,
+                                     BoardPool& boards);
 
 /// A cell built to be inspected rather than run: its image, or the first
 /// build failure as the file at fault and a one-line reason.

@@ -1,16 +1,21 @@
 #include "advm/release.h"
 
+#include "advm/regression.h"
 #include "support/hash.h"
 
 namespace advm::core {
 
 using support::join_path;
 
+namespace {
+constexpr std::string_view kReleaseRoot = "/releases";
+}  // namespace
+
 SystemRelease ReleaseManager::create_system_release(
     const std::string& name, const SystemLayout& layout) {
   SystemRelease release;
   release.name = name;
-  release.root = join_path(release_root_, name);
+  release.root = join_path(kReleaseRoot, name);
   vfs_.remove_tree(release.root);
 
   support::Fnv1a composed;
@@ -64,14 +69,6 @@ bool ReleaseManager::verify(const SystemRelease& release) const {
     composed.update(label.content_hash);
   }
   return composed.digest() == release.composed_hash;
-}
-
-RegressionReport ReleaseManager::run_frozen(const SystemRelease& release,
-                                            const soc::DerivativeSpec& spec,
-                                            sim::PlatformKind platform,
-                                            std::uint64_t max_instructions) {
-  RegressionRunner runner(vfs_, jobs_, cache_, boards_);
-  return runner.run_system(release.root, spec, platform, max_instructions);
 }
 
 }  // namespace advm::core

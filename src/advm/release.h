@@ -8,20 +8,17 @@
 //  for each environment." (paper §3)
 //
 // A label here is a content-hashed snapshot of an environment subtree.
-// Frozen regressions run against the snapshot, so trunk churn on the
-// abstraction layer cannot perturb them — experiment E8 demonstrates this
-// and its control arm (running against the live tree) failing to be stable.
+// A frozen regression is RegressionRunner::run_system on the snapshot's
+// root, so trunk churn on the abstraction layer cannot perturb it —
+// experiment E8 demonstrates this and its control arm (running against the
+// live tree) failing to be stable.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "advm/boardpool.h"
 #include "advm/environment.h"
-#include "advm/objcache.h"
-#include "advm/regression.h"
 #include "support/vfs.h"
 
 namespace advm::core {
@@ -44,24 +41,17 @@ struct SystemRelease {
 
 class ReleaseManager {
  public:
-  /// `jobs` sizes the worker pool that sub-label verification and frozen
-  /// regressions fan out over (1 = serial, 0 = one per hardware thread).
-  /// Pass `cache`/`boards` to share one object cache and board pool with
-  /// other subsystems in the process; by default the manager owns its own
-  /// (shared across this manager's frozen regressions either way).
+  /// `jobs` sizes the worker pool sub-label verification fans out over
+  /// (1 = serial, 0 = one per hardware thread).
   explicit ReleaseManager(support::VirtualFileSystem& vfs,
-                          std::string release_root = "/releases",
-                          std::size_t jobs = 1, ObjectCache* cache = nullptr,
-                          BoardPool* boards = nullptr)
-      : vfs_(vfs),
-        release_root_(std::move(release_root)),
-        jobs_(jobs),
-        cache_(cache ? cache : &owned_cache_),
-        boards_(boards ? boards : &owned_boards_) {}
+                          std::size_t jobs = 1)
+      : vfs_(vfs), jobs_(jobs) {}
 
   /// Snapshots a whole system environment: one sub-label per module
   /// environment plus one for the global libraries; the composed hash
-  /// covers them all.
+  /// covers them all. The snapshot lands at /releases/<name>, and `root`
+  /// of the result is a system root any RegressionRunner regresses like
+  /// the live tree.
   SystemRelease create_system_release(const std::string& name,
                                       const SystemLayout& layout);
 
@@ -70,23 +60,9 @@ class ReleaseManager {
   [[nodiscard]] bool verify(const ReleaseLabel& label) const;
   [[nodiscard]] bool verify(const SystemRelease& release) const;
 
-  /// Runs the frozen snapshot's full regression on the worker pool. The
-  /// manager keeps one object cache across calls, so repeated verifies of
-  /// the same (immutable) snapshot reuse every object instead of
-  /// re-lexing — the report's cache counters show pure hits from the
-  /// second verify on.
-  [[nodiscard]] RegressionReport run_frozen(
-      const SystemRelease& release, const soc::DerivativeSpec& spec,
-      sim::PlatformKind platform, std::uint64_t max_instructions = 2'000'000);
-
  private:
   support::VirtualFileSystem& vfs_;
-  std::string release_root_;
   std::size_t jobs_ = 1;
-  ObjectCache owned_cache_;  ///< shared across this manager's regressions
-  ObjectCache* cache_ = nullptr;
-  BoardPool owned_boards_;
-  BoardPool* boards_ = nullptr;
 };
 
 }  // namespace advm::core

@@ -154,12 +154,6 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-std::string report_to_json(const RegressionReport& report) {
-  auto os = make_stream();
-  append_report(os, report);
-  return os.str();
-}
-
 std::string cache_counters_to_json(const ObjectCacheStats& stats) {
   auto os = make_stream();
   os << "{\"hits\":" << stats.hits << ",\"misses\":" << stats.misses

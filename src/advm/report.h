@@ -35,10 +35,6 @@ namespace advm::core {
 [[nodiscard]] std::string to_json(const ReleaseResult& result);
 [[nodiscard]] std::string to_json(const RandomResult& result);
 
-/// One regression report as a JSON object (embedded by run/matrix/release
-/// documents; exposed for callers composing their own documents).
-[[nodiscard]] std::string report_to_json(const RegressionReport& report);
-
 /// The five-key cache-counter object every report document embeds
 /// ({"hits":...,"misses":...,"bytes":...,"evictions":...,
 /// "persistent_hits":...}) — exposed so the serve daemon's stats document

@@ -93,19 +93,9 @@ Checked check_request(const SessionConfig& config,
   return checked;
 }
 
-}  // namespace
-
-Status SessionConfig::validate() const {
-  if (jobs > kMaxJobs) {
-    return Status::error(
-        "advm.bad-jobs",
-        "jobs value " + std::to_string(jobs) + " exceeds the limit " +
-            std::to_string(kMaxJobs) +
-            " (0 = one worker per hardware thread)");
-  }
-  return {};
-}
-
+/// The SystemLayout of the tree under `root`: the environments are
+/// exactly discover_environments(root); an Abstraction_Layer/ marks ADVM
+/// style.
 SystemLayout layout_from_tree(const support::VirtualFileSystem& vfs,
                               std::string_view root) {
   SystemLayout layout;
@@ -120,6 +110,19 @@ SystemLayout layout_from_tree(const support::VirtualFileSystem& vfs,
     layout.environments.push_back(std::move(env));
   }
   return layout;
+}
+
+}  // namespace
+
+Status SessionConfig::validate() const {
+  if (jobs > kMaxJobs) {
+    return Status::error(
+        "advm.bad-jobs",
+        "jobs value " + std::to_string(jobs) + " exceeds the limit " +
+            std::to_string(kMaxJobs) +
+            " (0 = one worker per hardware thread)");
+  }
+  return {};
 }
 
 BuildResult Session::run(const BuildRequest& request) {
@@ -164,9 +167,8 @@ RunResult Session::run(const RunRequest& request) {
   if (!result.status.ok()) return result;
 
   RegressionRunner runner(vfs_, config_.jobs, &cache_, &boards_);
-  result.report =
-      runner.run_system(request.root, *checked.specs.front(),
-                        checked.platforms.front(), request.max_instructions);
+  result.report = runner.run_system(request.root, *checked.specs.front(),
+                                    checked.platforms.front());
   return result;
 }
 
@@ -194,8 +196,7 @@ MatrixResult Session::run(const MatrixRequest& request) {
     }
   }
   RegressionRunner runner(vfs_, config_.jobs, &cache_, &boards_);
-  result.cells =
-      runner.run_matrix(request.root, cells, request.max_instructions);
+  result.cells = runner.run_matrix(request.root, cells);
   return result;
 }
 
@@ -253,13 +254,13 @@ ReleaseResult Session::run(const ReleaseRequest& request) {
   if (!result.status.ok()) return result;
 
   const SystemLayout layout = layout_from_tree(vfs_, request.root);
-  ReleaseManager manager(vfs_, "/releases", config_.jobs, &cache_,
-                         &boards_);
+  ReleaseManager manager(vfs_, config_.jobs);
   result.release = manager.create_system_release(request.name, layout);
   result.verified = manager.verify(result.release);
-  result.frozen =
-      manager.run_frozen(result.release, *checked.specs.front(),
-                         checked.platforms.front(), request.max_instructions);
+  RegressionRunner runner(vfs_, config_.jobs, &cache_, &boards_);
+  result.frozen = runner.run_system(result.release.root,
+                                    *checked.specs.front(),
+                                    checked.platforms.front());
   return result;
 }
 

@@ -24,6 +24,11 @@
 // creates the tree, skips the last). Every operation in one process
 // shares one cache and one board pool *by construction*.
 //
+// `run`, `matrix` and `release` all regress through one RegressionRunner
+// over the Session's cache and board pool (`release` on its snapshot's
+// root), so every record comes from core::run_cell within the one
+// soc::kInstructionBudget.
+//
 // SessionConfig holds exactly what a caller can set from the CLI or the
 // daemon: the worker-pool size and the persistent cache directory. The
 // object cache and the board pool are unbounded for the Session's life,
@@ -46,6 +51,7 @@
 #include "advm/regression.h"
 #include "advm/release.h"
 #include "advm/violations.h"
+#include "soc/board.h"
 #include "support/vfs.h"
 
 namespace advm::core {
@@ -94,7 +100,6 @@ struct RunRequest {
   std::string root = "/SYS";
   std::string derivative = "SC88-A";
   std::string platform = "golden-model";
-  std::uint64_t max_instructions = 2'000'000;
 };
 
 struct RunResult {
@@ -108,7 +113,10 @@ struct MatrixRequest {
   std::string root = "/SYS";
   std::vector<std::string> derivatives = {"SC88-A"};
   std::vector<std::string> platforms = {"golden-model"};
-  std::uint64_t max_instructions = 2'000'000;
+  /// Not a setting: every run uses soc::kInstructionBudget. Kept as a
+  /// member only because perfbench/replay.cpp reads
+  /// `MatrixRequest{}.max_instructions`.
+  static constexpr std::uint64_t max_instructions = soc::kInstructionBudget;
 };
 
 struct MatrixResult {
@@ -163,7 +171,6 @@ struct ReleaseRequest {
   std::string name = "R1";
   std::string derivative = "SC88-A";
   std::string platform = "golden-model";
-  std::uint64_t max_instructions = 2'000'000;
 };
 
 struct ReleaseResult {
@@ -237,11 +244,5 @@ class Session {
   ObjectCache cache_;
   BoardPool boards_;
 };
-
-/// Reconstructs a SystemLayout from a tree in the VFS: the environments
-/// are exactly discover_environments(root); an Abstraction_Layer/ marks
-/// ADVM style. Exposed for callers that assemble their own flows.
-[[nodiscard]] SystemLayout layout_from_tree(
-    const support::VirtualFileSystem& vfs, std::string_view root);
 
 }  // namespace advm::core

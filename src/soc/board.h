@@ -25,6 +25,12 @@
 
 namespace advm::soc {
 
+/// The instruction budget of every test run: a run that has not stopped
+/// after this many instructions ends with StopReason::CycleLimit. One
+/// value for every verb and platform, so a record never depends on who
+/// ran it.
+inline constexpr std::uint64_t kInstructionBudget = 2'000'000;
+
 /// Result of one test execution on one platform.
 struct RunOutcome {
   sim::RunResult machine;
@@ -59,7 +65,8 @@ class Board {
   [[nodiscard]] bool load(const assembler::Image& image, std::string* error);
 
   /// Runs to completion or `max_instructions`.
-  [[nodiscard]] RunOutcome run(std::uint64_t max_instructions = 2'000'000);
+  [[nodiscard]] RunOutcome run(
+      std::uint64_t max_instructions = kInstructionBudget);
 
   /// Returns the whole board to its power-on state: every device, both
   /// memories (contents and X-tracking), the IRQ fabric and the core. A

@@ -334,8 +334,9 @@ TEST_F(IntegrationTest, FrozenLabelRegressionSurvivesTrunkChurn) {
 TEST_F(IntegrationTest, TamperedSnapshotFailsVerification) {
   auto layout = build_system(vfs_, full_config(), derivative_a());
   for (std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-    ReleaseManager releases(vfs_, "/releases_j" + std::to_string(jobs), jobs);
-    SystemRelease release = releases.create_system_release("R1", layout);
+    ReleaseManager releases(vfs_, jobs);
+    SystemRelease release =
+        releases.create_system_release("R1_j" + std::to_string(jobs), layout);
     EXPECT_TRUE(releases.verify(release)) << "jobs=" << jobs;
     vfs_.write(release.root + "/PAGE_MODULE/TESTPLAN.TXT", "tampered");
     EXPECT_FALSE(releases.verify(release)) << "jobs=" << jobs;
@@ -344,16 +345,17 @@ TEST_F(IntegrationTest, TamperedSnapshotFailsVerification) {
 
 TEST_F(IntegrationTest, PooledFrozenRegressionMatchesColdSerialEverywhere) {
   // The release satellite of the assemble-once pipeline: a frozen-snapshot
-  // regression run on the worker pool with the manager's shared object
-  // cache must reproduce a cold serial run's outcome digest on every
-  // derivative.
+  // regression run on the worker pool with one shared object cache must
+  // reproduce a cold serial run's outcome digest on every derivative.
   auto layout = build_system(vfs_, full_config(), derivative_a());
-  ReleaseManager pooled(vfs_, "/releases", 8);
-  SystemRelease release = pooled.create_system_release("R1", layout);
-  ASSERT_TRUE(pooled.verify(release));
+  ReleaseManager releases(vfs_, 8);
+  SystemRelease release = releases.create_system_release("R1", layout);
+  ASSERT_TRUE(releases.verify(release));
 
+  RegressionRunner pooled(vfs_, 8);
   for (const DerivativeSpec* spec : advm::soc::all_derivatives()) {
-    auto frozen = pooled.run_frozen(release, *spec, PlatformKind::GoldenModel);
+    auto frozen =
+        pooled.run_system(release.root, *spec, PlatformKind::GoldenModel);
     auto cold = RegressionRunner(vfs_, 1)
                     .run_system(release.root, *spec, PlatformKind::GoldenModel);
     EXPECT_FALSE(frozen.records.empty());
@@ -362,16 +364,17 @@ TEST_F(IntegrationTest, PooledFrozenRegressionMatchesColdSerialEverywhere) {
 }
 
 TEST_F(IntegrationTest, RepeatedFrozenVerifiesReuseCachedObjects) {
-  // The snapshot is immutable, so the second verify through the same
-  // manager must be served entirely from the object cache.
+  // The snapshot is immutable, so the second frozen regression through
+  // the same runner must be served entirely from the object cache.
   auto layout = build_system(vfs_, full_config(), derivative_a());
-  ReleaseManager releases(vfs_, "/releases", 4);
-  SystemRelease release = releases.create_system_release("R1", layout);
+  SystemRelease release =
+      ReleaseManager(vfs_).create_system_release("R1", layout);
 
-  auto first = releases.run_frozen(release, derivative_a(),
-                                   PlatformKind::GoldenModel);
-  auto second = releases.run_frozen(release, derivative_b(),
-                                    PlatformKind::RtlSim);
+  RegressionRunner runner(vfs_, 4);
+  auto first = runner.run_system(release.root, derivative_a(),
+                                 PlatformKind::GoldenModel);
+  auto second = runner.run_system(release.root, derivative_b(),
+                                  PlatformKind::RtlSim);
   EXPECT_GT(first.cache.misses, 0u);
   EXPECT_EQ(second.cache.misses, 0u);  // target changed, objects did not
   EXPECT_EQ(second.cache.hits, first.cache.misses);

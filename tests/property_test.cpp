@@ -21,6 +21,7 @@
 #include "isa/instruction.h"
 #include "sim/bus.h"
 #include "sim/machine.h"
+#include "soc/board.h"
 #include "soc/derivative.h"
 #include "support/diagnostics.h"
 #include "support/vfs.h"
@@ -605,9 +606,10 @@ TEST(RunnerEdgeCases, RunawayTestIsStoppedAndFailsCleanly) {
             ".INCLUDE Globals.inc\n_main: JMP _main\n");
   core::RegressionRunner runner(vfs);
   auto report = runner.run_system(layout.root, soc::derivative_a(),
-                                  sim::PlatformKind::GoldenModel, 10000);
+                                  sim::PlatformKind::GoldenModel);
   ASSERT_EQ(report.records.size(), 1u);
   EXPECT_EQ(report.records[0].stop, sim::StopReason::CycleLimit);
+  EXPECT_EQ(report.records[0].instructions, soc::kInstructionBudget);
   EXPECT_FALSE(report.records[0].passed());
 }
 

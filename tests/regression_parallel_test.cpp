@@ -19,7 +19,11 @@
 #include "advm/boardpool.h"
 #include "advm/environment.h"
 #include "advm/regression.h"
+#include "asm/assembler.h"
+#include "asm/linker.h"
 #include "soc/derivative.h"
+#include "soc/global_layer.h"
+#include "support/diagnostics.h"
 #include "support/vfs.h"
 
 namespace {
@@ -36,6 +40,13 @@ SystemLayout build_test_system(support::VirtualFileSystem& vfs) {
       {"TIMER_MODULE", ModuleKind::Timer, 2, true},
       {"MEM_MODULE", ModuleKind::Memory, 2, true},
   };
+  return build_system(vfs, config, soc::derivative_a());
+}
+
+/// A system tree holding one environment, PAGE_MODULE with 4 tests.
+SystemLayout build_page_module_system(support::VirtualFileSystem& vfs) {
+  SystemConfig config;
+  config.environments = {{"PAGE_MODULE", ModuleKind::Register, 4, true}};
   return build_system(vfs, config, soc::derivative_a());
 }
 
@@ -164,6 +175,98 @@ TEST(BoardPool, StaleFreeBoardsAreEvictedEagerlyOnRelease) {
   EXPECT_EQ(stats.reused, 1u);
 }
 
+// --------------------------------------------------------------- run_cell --
+
+/// Assembles and links one self-contained test program for `spec`.
+assembler::Image link_program(std::string_view source,
+                              const soc::DerivativeSpec& spec) {
+  support::VirtualFileSystem vfs;
+  vfs.write("/global/" + std::string(soc::kRegisterDefsFile),
+            soc::register_defs_source(spec));
+  assembler::AssemblerOptions options;
+  options.include_dirs = {"/global"};
+  support::DiagnosticEngine diags;
+  assembler::Assembler assembler(vfs, diags, options);
+  auto object = assembler.assemble_source("/test.asm", source);
+  EXPECT_TRUE(object.has_value()) << diags.to_string();
+  std::optional<assembler::Image> image;
+  if (object) {
+    const std::vector<const assembler::ObjectFile*> objects{&object->object};
+    image = assembler::link(objects, link_options(spec), diags);
+  }
+  EXPECT_TRUE(image.has_value()) << diags.to_string();
+  return image ? std::move(*image) : assembler::Image{};
+}
+
+TEST(RunCell, PooledBoardGivesTheFreshBoardRecord) {
+  // The probe reads a RAM word and a register it never wrote, then passes.
+  // The scribbler writes that word and that register, fills the console
+  // and fails. A board the pool lent to the scribbler must run the probe
+  // exactly like a freshly built one: any state a reset leaves behind
+  // shows in the loaded value (state_digest), the console or the X-read
+  // counts.
+  const soc::DerivativeSpec& spec = soc::derivative_a();
+  const assembler::Image probe = link_program(
+      ".INCLUDE register_defs.inc\n"
+      "_main:\n"
+      " LOAD d1, [0x120000]\n"
+      " ADD d2, d1, d7\n"
+      " MOV d3, 0x70\n"
+      " STORE [SIMCON], d3\n"
+      " LOAD d4, 0x600D600D\n"
+      " STORE [SIMRES], d4\n"
+      " HALT\n",
+      spec);
+  const assembler::Image scribbler = link_program(
+      ".INCLUDE register_defs.inc\n"
+      "_main:\n"
+      " LOAD d7, 0xDEADBEEF\n"
+      " STORE [0x120000], d7\n"
+      " MOV d1, 0x11\n"
+      " MOV d2, 0x22\n"
+      " MOV d3, 0x78\n"
+      " STORE [SIMCON], d3\n"
+      " STORE [SIMCON], d3\n"
+      " LOAD d4, 0x0BAD0BAD\n"
+      " STORE [SIMRES], d4\n"
+      " HALT\n",
+      spec);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+
+  for (const sim::PlatformKind platform :
+       {sim::PlatformKind::GoldenModel, sim::PlatformKind::GateSim}) {
+    SCOPED_TRACE(sim::to_string(platform));
+    BoardPool fresh_pool;
+    const TestRunRecord fresh = run_cell(probe, spec, platform, fresh_pool);
+    EXPECT_TRUE(fresh.passed()) << fresh.detail;
+    EXPECT_TRUE(fresh.environment.empty());
+    EXPECT_TRUE(fresh.test_id.empty());
+
+    BoardPool pool;
+    const TestRunRecord dirty = run_cell(scribbler, spec, platform, pool);
+    EXPECT_EQ(dirty.verdict, soc::Verdict::Fail);
+    const TestRunRecord pooled = run_cell(probe, spec, platform, pool);
+    EXPECT_EQ(pool.stats().constructed, 1u);
+    EXPECT_EQ(pool.stats().reused, 1u);
+
+    EXPECT_EQ(pooled.build_ok, fresh.build_ok);
+    EXPECT_EQ(pooled.verdict, fresh.verdict);
+    EXPECT_EQ(pooled.stop, fresh.stop);
+    EXPECT_EQ(pooled.detail, fresh.detail);
+    EXPECT_EQ(pooled.instructions, fresh.instructions);
+    EXPECT_EQ(pooled.cycles, fresh.cycles);
+    EXPECT_EQ(pooled.state_digest, fresh.state_digest);
+    EXPECT_EQ(pooled.modeled_seconds, fresh.modeled_seconds);
+    EXPECT_EQ(pooled.stuck, fresh.stuck);
+    EXPECT_EQ(pooled.x_register_reads, fresh.x_register_reads);
+    EXPECT_EQ(pooled.x_ram_reads, fresh.x_ram_reads);
+    if (platform == sim::PlatformKind::GateSim) {
+      EXPECT_GT(fresh.x_register_reads, 0u);
+      EXPECT_GT(fresh.x_ram_reads, 0u);
+    }
+  }
+}
+
 // ------------------------------------------------- serial/parallel parity --
 
 TEST(ParallelRegression, ByteIdenticalReportAcrossAllDerivatives) {
@@ -201,16 +304,14 @@ TEST(ParallelRegression, OversizedPoolStillDeterministic) {
 
 TEST(ParallelRegression, EnvironmentRunnerMatchesSerial) {
   support::VirtualFileSystem vfs;
-  auto layout = build_test_system(vfs);
-  const std::string global_dir = layout.root + "/" + kGlobalLibrariesDir;
-  const std::string env_dir = layout.root + "/PAGE_MODULE";
+  auto layout = build_page_module_system(vfs);
 
   RegressionRunner serial(vfs, 1);
   RegressionRunner parallel(vfs, 8);
-  auto a = serial.run_environment(env_dir, global_dir, soc::derivative_a(),
-                                  sim::PlatformKind::GoldenModel);
-  auto b = parallel.run_environment(env_dir, global_dir, soc::derivative_a(),
-                                    sim::PlatformKind::GoldenModel);
+  auto a = serial.run_system(layout.root, soc::derivative_a(),
+                             sim::PlatformKind::GoldenModel);
+  auto b = parallel.run_system(layout.root, soc::derivative_a(),
+                               sim::PlatformKind::GoldenModel);
   EXPECT_FALSE(a.records.empty());
   EXPECT_EQ(format_report(a), format_report(b));
 }
@@ -430,7 +531,7 @@ TEST(ParallelRegression, SharedObjectBuildFailureNamesOffendingInclude) {
   // When a shared object fails to assemble because of a file it included,
   // the BUILD-FAIL detail must carry the include trail naming that file.
   support::VirtualFileSystem vfs;
-  auto layout = build_test_system(vfs);
+  auto layout = build_page_module_system(vfs);
 
   const std::string abstraction =
       layout.root + "/PAGE_MODULE/" + kAbstractionLayerDir;
@@ -439,9 +540,8 @@ TEST(ParallelRegression, SharedObjectBuildFailureNamesOffendingInclude) {
             " .INCLUDE Globals.inc\n .INCLUDE Broken.inc\n");
 
   RegressionRunner runner(vfs, 2);
-  auto report = runner.run_environment(
-      layout.root + "/PAGE_MODULE", layout.root + "/" + kGlobalLibrariesDir,
-      soc::derivative_a(), sim::PlatformKind::GoldenModel);
+  auto report = runner.run_system(layout.root, soc::derivative_a(),
+                                  sim::PlatformKind::GoldenModel);
 
   ASSERT_FALSE(report.records.empty());
   for (const auto& record : report.records) {

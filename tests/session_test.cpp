@@ -24,6 +24,7 @@
 #include "advm/regression.h"
 #include "advm/report.h"
 #include "advm/session.h"
+#include "soc/board.h"
 #include "soc/derivative.h"
 
 namespace {
@@ -241,7 +242,7 @@ TEST(Session, UnportedUartTestIsReportedStuckOutsideTheDigest) {
     ++stuck;
     EXPECT_EQ(r.environment, "UART_MODULE");
     EXPECT_EQ(r.stop, sim::StopReason::CycleLimit);
-    EXPECT_EQ(r.instructions, request.max_instructions);
+    EXPECT_EQ(r.instructions, soc::kInstructionBudget);
     EXPECT_EQ(r.stuck, "stuck polling uart+0x4 at ES_Uart_Send_Byte");
   }
   EXPECT_EQ(stuck, 2u) << format_report(result.report);

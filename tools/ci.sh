@@ -34,20 +34,20 @@ echo "==> sim-core lap (decoded-cache speedup, stuck-loop count)"
 # the stuck UART poll is fast-forwarded through more than 1.9M of its 2M
 # instructions (and no other kernel at all), AND the decoded arm holds a
 # >= 3x instr/s advantage on the compute kernel.
-cmake --build build -t bench_sim_core -j
+cmake --build build -t bench_sim_core -j "$(nproc)"
 ./build/bench/bench_sim_core > build/bench_sim_core.log
 tail -2 build/bench_sim_core.log
 
 echo "==> -Werror hygiene build"
 cmake --preset werror
-cmake --build build-werror -j
+cmake --build build-werror -j "$(nproc)"
 
 if [[ "${ADVM_CI_SKIP_SAN:-0}" != "1" ]]; then
   echo "==> ASan+UBSan lane (tier-1 ctest, instrumented end to end)"
   # The e2e suites spawn the real CLI, so the whole tree — libraries, CLI,
   # daemon, tests — runs instrumented. halt_on_error keeps UBSan fatal.
   cmake --preset asan
-  cmake --build build-asan -j
+  cmake --build build-asan -j "$(nproc)"
   (cd build-asan && \
    UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
    ctest -L tier1 --output-on-failure -j)
@@ -61,8 +61,8 @@ if [[ "${ADVM_CI_SKIP_SAN:-0}" != "1" ]]; then
   # process-wide source-name table (asm_identity_test) — a full TSan ctest
   # lap would mostly re-run single-threaded code slower.
   cmake --preset tsan
-  cmake --build build-tsan -j -t serve_test -t regression_parallel_test \
-    -t objcache_test -t asm_identity_test
+  cmake --build build-tsan -j "$(nproc)" -t serve_test \
+    -t regression_parallel_test -t objcache_test -t asm_identity_test
   for suite in serve_test regression_parallel_test objcache_test \
       asm_identity_test; do
     "./build-tsan/tests/${suite}"
