@@ -71,7 +71,10 @@ void append_record(std::ostringstream& os, const TestRunRecord& r) {
   os << "}";
 }
 
-void append_report(std::ostringstream& os, const RegressionReport& report) {
+/// `digest` is report.outcome_digest(), which the caller computes once per
+/// render: a matrix document prints each cell's digest twice.
+void append_report(std::ostringstream& os, const RegressionReport& report,
+                   std::uint64_t digest) {
   os << "{\"derivative\":";
   append_quoted(os, report.derivative);
   os << ",\"platform\":";
@@ -88,11 +91,22 @@ void append_report(std::ostringstream& os, const RegressionReport& report) {
   os << ",\"total_instructions\":" << report.total_instructions();
   os << ",\"total_modeled_seconds\":" << report.total_modeled_seconds();
   os << ",\"outcome_digest\":";
-  append_quoted(os, support::hash_to_string(report.outcome_digest()));
+  append_quoted(os, support::hash_to_string(digest));
   os << ",\"cache\":" << cache_counters_to_json(report.cache) << "}";
 }
 
-void append_rollup(std::ostringstream& os, const MatrixResult& result) {
+/// Each cell's outcome_digest(), in cell order.
+std::vector<std::uint64_t> cell_digests(const MatrixResult& result) {
+  std::vector<std::uint64_t> digests;
+  digests.reserve(result.cells.size());
+  for (const RegressionReport& cell : result.cells) {
+    digests.push_back(cell.outcome_digest());
+  }
+  return digests;
+}
+
+void append_rollup(std::ostringstream& os, const MatrixResult& result,
+                   const std::vector<std::uint64_t>& digests) {
   os << "[";
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const RegressionReport& cell = result.cells[i];
@@ -105,7 +119,7 @@ void append_rollup(std::ostringstream& os, const MatrixResult& result) {
     os << ",\"total\":" << cell.records.size();
     os << ",\"build_failures\":" << cell.build_failures();
     os << ",\"outcome_digest\":";
-    append_quoted(os, support::hash_to_string(cell.outcome_digest()));
+    append_quoted(os, support::hash_to_string(digests[i]));
     os << "}";
   }
   os << "]";
@@ -168,7 +182,7 @@ std::string error_to_json(std::string_view verb, const Status& status) {
 
 std::string rollup_to_json(const MatrixResult& result) {
   auto os = make_stream();
-  append_rollup(os, result);
+  append_rollup(os, result, cell_digests(result));
   return os.str();
 }
 
@@ -194,7 +208,7 @@ std::string to_json(const RunResult& result) {
   if (!result.status.ok()) return error_document("run", result.status);
   auto os = make_stream();
   os << "{\"ok\":true,\"verb\":\"run\",\"report\":";
-  append_report(os, result.report);
+  append_report(os, result.report, result.report.outcome_digest());
   os << "}";
   return os.str();
 }
@@ -206,14 +220,15 @@ std::string to_json(const MatrixResult& result) {
   // keys stay so existing consumers (and the goldens) keep their bytes.
   os << "{\"ok\":true,\"verb\":\"matrix\",\"backend\":\"thread\","
         "\"shards\":1";
+  const std::vector<std::uint64_t> digests = cell_digests(result);
   os << ",\"cells\":[";
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     if (i != 0) os << ",";
-    append_report(os, result.cells[i]);
+    append_report(os, result.cells[i], digests[i]);
   }
   os << "],\"all_passed\":" << (result.all_passed() ? "true" : "false")
      << ",\"rollup\":";
-  append_rollup(os, result);
+  append_rollup(os, result, digests);
   os << "}";
   return os.str();
 }
@@ -316,7 +331,7 @@ std::string to_json(const ReleaseResult& result) {
     os << "}";
   }
   os << "],\"frozen\":";
-  append_report(os, result.frozen);
+  append_report(os, result.frozen, result.frozen.outcome_digest());
   os << "}";
   return os.str();
 }

@@ -20,8 +20,9 @@
 // Request frames carry the verb in the header and the CLI's flag map as
 // the payload ({"dir":...,"options":{...}}, see serve::request_payload;
 // `exit`/`text` unused); response frames carry the verb back with the
-// CLI exit code, the human rendering in `text`, and the --format json
-// document as the payload.
+// CLI exit code and the one rendering the request's --format asks for:
+// the human text in `text`, or the --format json document as the payload
+// (the other stays empty, so a text response's payload line is `null`).
 #pragma once
 
 #include <cstdint>

@@ -24,29 +24,60 @@ std::string quoted(std::string_view s) {
   return out;
 }
 
+/// Whether the flags ask for the --format json document; otherwise the
+/// human text is what gets printed.
+bool wants_json(const Options& options) {
+  const auto it = options.find("format");
+  return it != options.end() && it->second == "json";
+}
+
+/// What a verb needs besides its typed request.
+struct Call {
+  const std::string& dir;           ///< disk directory of the tree
+  const std::string& import_error;  ///< disk-level import failure, if any
+  bool lint_gate;
+  bool json;  ///< --format json: render the document, not the text
+};
+
+/// Renders only the format the caller prints: the --format json document
+/// of `result`, or the human text that `text()` builds.
+template <typename Result, typename Text>
+VerbOutcome rendered(const Call& call, int exit, const Result& result,
+                     Text text) {
+  VerbOutcome outcome;
+  outcome.exit = exit;
+  if (call.json) {
+    outcome.json = to_json(result);
+  } else {
+    outcome.text = text();
+  }
+  return outcome;
+}
+
 /// The render_error contract: a result whose Status failed renders as
 /// its own document (to_json carries the error member), the bare message
 /// as the text (stderr material), exit code 2. A root-validation failure
 /// caused by an unreadable disk tree reports the disk-level message.
 template <typename Result>
-VerbOutcome error_outcome(Result result, const std::string& import_error) {
-  if (!import_error.empty() && result.status.code == "advm.bad-root") {
-    result.status = Status::error("advm.import-failed", import_error);
+VerbOutcome error_outcome(Result result, const Call& call) {
+  if (!call.import_error.empty() && result.status.code == "advm.bad-root") {
+    result.status = Status::error("advm.import-failed", call.import_error);
   }
-  VerbOutcome outcome;
-  outcome.exit = 2;
-  outcome.json = to_json(result);
-  outcome.text = result.status.message + "\n";
-  return outcome;
+  return rendered(call, 2, result,
+                  [&] { return result.status.message + "\n"; });
 }
 
 /// A failure before any typed result exists (a disk side effect that
 /// threw, an unknown verb): the shared error document.
-VerbOutcome status_outcome(std::string_view verb, const Status& status) {
+VerbOutcome status_outcome(bool json, std::string_view verb,
+                           const Status& status) {
   VerbOutcome outcome;
   outcome.exit = 2;
-  outcome.json = error_to_json(verb, status);
-  outcome.text = status.message + "\n";
+  if (json) {
+    outcome.json = error_to_json(verb, status);
+  } else {
+    outcome.text = status.message + "\n";
+  }
   return outcome;
 }
 
@@ -142,26 +173,18 @@ Status build_typed(const VerbRequest& request, TypedVerb* out) {
   return {};
 }
 
-/// What a verb needs besides its typed request.
-struct Call {
-  const std::string& dir;           ///< disk directory of the tree
-  const std::string& import_error;  ///< disk-level import failure, if any
-  bool lint_gate;
-};
-
 VerbOutcome do_verb(Session& session, const BuildRequest& build,
                     const Call& call) {
   BuildResult result = session.run(build);
-  if (!result.status.ok()) return error_outcome(std::move(result), {});
+  if (!result.status.ok()) return error_outcome(std::move(result), call);
   const std::size_t written =
       support::export_to_disk(session.vfs(), kVfsRoot, call.dir);
-  VerbOutcome outcome;
-  outcome.json = to_json(result);
-  std::ostringstream text;
-  text << "created " << call.dir << " for " << result.derivative << ": "
-       << written << " files, " << result.tests << " tests\n";
-  outcome.text = text.str();
-  return outcome;
+  return rendered(call, 0, result, [&] {
+    std::ostringstream text;
+    text << "created " << call.dir << " for " << result.derivative << ": "
+         << written << " files, " << result.tests << " tests\n";
+    return text.str();
+  });
 }
 
 /// The --lint pre-run gate: lint the tree for every derivative the run
@@ -170,22 +193,20 @@ VerbOutcome do_verb(Session& session, const BuildRequest& build,
 /// failed lint, nullopt when the gate passes.
 std::optional<VerbOutcome> lint_gate_outcome(
     Session& session, const std::vector<std::string>& derivatives,
-    const std::string& import_error) {
+    const Call& call) {
   for (const std::string& derivative : derivatives) {
     LintRequest lint;
     lint.root = kVfsRoot;
     lint.derivative = derivative;
     LintResult result = session.run(lint);
     if (!result.status.ok()) {
-      return error_outcome(std::move(result), import_error);
+      return error_outcome(std::move(result), call);
     }
     if (!result.report.clean()) {
-      VerbOutcome outcome;
-      outcome.exit = 1;
-      outcome.json = to_json(result);
-      outcome.text = format_lint_report(result.report) +
-                     "lint gate failed: refusing to run\n";
-      return outcome;
+      return rendered(call, 1, result, [&] {
+        return format_lint_report(result.report) +
+               "lint gate failed: refusing to run\n";
+      });
     }
   }
   return std::nullopt;
@@ -194,110 +215,97 @@ std::optional<VerbOutcome> lint_gate_outcome(
 VerbOutcome do_verb(Session& session, const RunRequest& run,
                     const Call& call) {
   if (call.lint_gate) {
-    if (auto gate =
-            lint_gate_outcome(session, {run.derivative}, call.import_error)) {
+    if (auto gate = lint_gate_outcome(session, {run.derivative}, call)) {
       return *gate;
     }
   }
   RunResult result = session.run(run);
   if (!result.status.ok()) {
-    return error_outcome(std::move(result), call.import_error);
+    return error_outcome(std::move(result), call);
   }
-  VerbOutcome outcome;
-  outcome.exit = result.report.all_passed() ? 0 : 1;
-  outcome.json = to_json(result);
-  outcome.text = format_report(result.report);
-  return outcome;
+  return rendered(call, result.report.all_passed() ? 0 : 1, result,
+                  [&] { return format_report(result.report); });
 }
 
 VerbOutcome do_verb(Session& session, const MatrixRequest& matrix,
                     const Call& call) {
   if (call.lint_gate) {
-    if (auto gate = lint_gate_outcome(session, matrix.derivatives,
-                                      call.import_error)) {
+    if (auto gate = lint_gate_outcome(session, matrix.derivatives, call)) {
       return *gate;
     }
   }
   MatrixResult result = session.run(matrix);
   if (!result.status.ok()) {
-    return error_outcome(std::move(result), call.import_error);
+    return error_outcome(std::move(result), call);
   }
-  VerbOutcome outcome;
-  outcome.exit = result.all_passed() ? 0 : 1;
-  outcome.json = to_json(result);
-  std::ostringstream text;
-  for (const auto& cell : result.cells) {
-    text << format_report(cell) << "\n";
-  }
-  text << format_matrix_rollup(result);
-  outcome.text = text.str();
-  return outcome;
+  return rendered(call, result.all_passed() ? 0 : 1, result, [&] {
+    std::ostringstream text;
+    for (const auto& cell : result.cells) {
+      text << format_report(cell) << "\n";
+    }
+    text << format_matrix_rollup(result);
+    return text.str();
+  });
 }
 
 VerbOutcome do_verb(Session& session, const PortRequest& port,
                     const Call& call) {
   PortResult result = session.run(port);
   if (!result.status.ok()) {
-    return error_outcome(std::move(result), call.import_error);
+    return error_outcome(std::move(result), call);
   }
   support::export_to_disk(session.vfs(), kVfsRoot, call.dir);
-  VerbOutcome outcome;
-  outcome.json = to_json(result);
-  std::ostringstream text;
-  text << "ported " << call.dir << " to " << result.target << "\n"
-       << "  global layer: " << result.repair.global_layer.files_touched()
-       << " files\n"
-       << "  abstraction layer: "
-       << result.repair.abstraction_layer.files_touched() << " files, "
-       << result.repair.abstraction_layer.lines().total() << " lines\n"
-       << "  test layer: " << result.repair.test_layer.files_touched()
-       << " files (ADVM environments: expected 0)\n";
-  outcome.text = text.str();
-  return outcome;
+  return rendered(call, 0, result, [&] {
+    std::ostringstream text;
+    text << "ported " << call.dir << " to " << result.target << "\n"
+         << "  global layer: " << result.repair.global_layer.files_touched()
+         << " files\n"
+         << "  abstraction layer: "
+         << result.repair.abstraction_layer.files_touched() << " files, "
+         << result.repair.abstraction_layer.lines().total() << " lines\n"
+         << "  test layer: " << result.repair.test_layer.files_touched()
+         << " files (ADVM environments: expected 0)\n";
+    return text.str();
+  });
 }
 
 VerbOutcome do_verb(Session& session, const CheckRequest& check,
                     const Call& call) {
   CheckResult result = session.run(check);
   if (!result.status.ok()) {
-    return error_outcome(std::move(result), call.import_error);
+    return error_outcome(std::move(result), call);
   }
-  VerbOutcome outcome;
-  outcome.exit = result.report.clean() ? 0 : 1;
-  outcome.json = to_json(result);
-  std::ostringstream text;
-  if (result.report.clean()) {
-    text << "clean: no abstraction violations\n";
-  } else {
-    for (const auto& v : result.report.violations) {
-      text << v.file;
-      if (v.loc.valid()) text << ":" << v.loc.line;
-      text << ": [" << v.code << "] " << v.detail << "\n";
+  return rendered(call, result.report.clean() ? 0 : 1, result, [&] {
+    std::ostringstream text;
+    if (result.report.clean()) {
+      text << "clean: no abstraction violations\n";
+    } else {
+      for (const auto& v : result.report.violations) {
+        text << v.file;
+        if (v.loc.valid()) text << ":" << v.loc.line;
+        text << ": [" << v.code << "] " << v.detail << "\n";
+      }
+      text << result.report.violations.size() << " violation(s)\n";
     }
-    text << result.report.violations.size() << " violation(s)\n";
-  }
-  outcome.text = text.str();
-  return outcome;
+    return text.str();
+  });
 }
 
 VerbOutcome do_verb(Session& session, const LintRequest& lint,
                     const Call& call) {
   LintResult result = session.run(lint);
   if (!result.status.ok()) {
-    return error_outcome(std::move(result), call.import_error);
+    return error_outcome(std::move(result), call);
   }
-  VerbOutcome outcome;
-  outcome.exit = result.report.clean() ? 0 : 1;
-  outcome.json = to_json(result);
-  outcome.text = format_lint_report(result.report);
-  return outcome;
+  return rendered(call, result.report.clean() ? 0 : 1, result,
+                  [&] { return format_lint_report(result.report); });
 }
 
 VerbOutcome do_verb(Session& session, const ReleaseRequest& release,
                     const Call& call) {
   ReleaseResult result = session.run(release);
   if (!result.status.ok()) {
-    return error_outcome(std::move(result), call.import_error);
+    return error_outcome(std::move(result), call);
   }
   // Persist the frozen snapshot next to the live tree (outside it, so
   // discovery and future releases never pick it up as an environment). A
@@ -307,37 +315,35 @@ VerbOutcome do_verb(Session& session, const ReleaseRequest& release,
       call.dir + ".releases/" + result.release.name;
   support::export_to_disk(session.vfs(), result.release.root, snapshot_dir);
 
-  VerbOutcome outcome;
-  outcome.exit = result.verified && result.frozen.all_passed() ? 0 : 1;
-  outcome.json = to_json(result);
-  std::ostringstream text;
-  text << format_report(result.frozen);
-  text << "release " << result.release.name << ": "
-       << result.release.sub_labels.size() << " sub-labels, composed "
-       << support::hash_to_string(result.release.composed_hash)
-       << (result.verified ? " (verified)" : " (TAMPERED)") << ", snapshot "
-       << snapshot_dir << "\n";
-  outcome.text = text.str();
-  return outcome;
+  const int exit = result.verified && result.frozen.all_passed() ? 0 : 1;
+  return rendered(call, exit, result, [&] {
+    std::ostringstream text;
+    text << format_report(result.frozen);
+    text << "release " << result.release.name << ": "
+         << result.release.sub_labels.size() << " sub-labels, composed "
+         << support::hash_to_string(result.release.composed_hash)
+         << (result.verified ? " (verified)" : " (TAMPERED)")
+         << ", snapshot " << snapshot_dir << "\n";
+    return text.str();
+  });
 }
 
 VerbOutcome do_verb(Session& session, const RandomRequest& random,
                     const Call& call) {
   RandomResult result = session.run(random);
   if (!result.status.ok()) {
-    return error_outcome(std::move(result), call.import_error);
+    return error_outcome(std::move(result), call);
   }
   support::export_to_disk(session.vfs(), kVfsRoot, call.dir);
-  VerbOutcome outcome;
-  outcome.json = to_json(result);
-  std::ostringstream text;
-  text << "seed " << result.seed << ": regenerated " << result.regenerated
-       << " Globals.inc instance(s); TEST1_TARGET_PAGE="
-       << result.values.at(GlobalDefineNames::kTest1TargetPage)
-       << " TEST2_TARGET_PAGE="
-       << result.values.at(GlobalDefineNames::kTest2TargetPage) << "\n";
-  outcome.text = text.str();
-  return outcome;
+  return rendered(call, 0, result, [&] {
+    std::ostringstream text;
+    text << "seed " << result.seed << ": regenerated " << result.regenerated
+         << " Globals.inc instance(s); TEST1_TARGET_PAGE="
+         << result.values.at(GlobalDefineNames::kTest1TargetPage)
+         << " TEST2_TARGET_PAGE="
+         << result.values.at(GlobalDefineNames::kTest2TargetPage) << "\n";
+    return text.str();
+  });
 }
 
 }  // namespace
@@ -407,18 +413,19 @@ Status session_config(const Options& options, SessionConfig* config) {
 
 VerbOutcome execute_verb(Session& session, const VerbRequest& request,
                          const std::string& import_error) {
+  const bool json = wants_json(request.options);
   TypedVerb typed;
   if (Status status = build_typed(request, &typed); !status.ok()) {
-    return status_outcome(request.verb, status);
+    return status_outcome(json, request.verb, status);
   }
   // Checked like a local run's, whichever process this is; the session
   // already runs with its own jobs and cache directory.
   SessionConfig flags;
   if (Status status = session_config(request.options, &flags);
       !status.ok()) {
-    return status_outcome(request.verb, status);
+    return status_outcome(json, request.verb, status);
   }
-  const Call call{request.dir, import_error, typed.lint_gate};
+  const Call call{request.dir, import_error, typed.lint_gate, json};
   try {
     return std::visit(
         [&](const auto& typed_request) {
@@ -429,7 +436,7 @@ VerbOutcome execute_verb(Session& session, const VerbRequest& request,
     // Disk side effects (export/import) throw; surface them through the
     // shared error contract instead of unwinding into the caller's serve
     // loop (daemon) or main() (CLI).
-    return status_outcome(request.verb,
+    return status_outcome(json, request.verb,
                           Status::error("advm.export-failed", e.what()));
   }
 }

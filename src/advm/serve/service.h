@@ -83,11 +83,11 @@ template <typename Count>
 /// build diagnostics included — the same attached as local.
 inline constexpr const char* kVfsRoot = "/SYS";
 
-/// What executing a verb produced: the CLI exit code, the --format json
-/// document, and the human text rendering. Exactly one of json/text is
-/// printed by the caller depending on --format; on exit code 2 the text
-/// is the bare error message and belongs on stderr (the render_status /
-/// render_error contract).
+/// What executing a verb produced: the CLI exit code and the one rendering
+/// its --format flag asks for — the JSON document under --format json, the
+/// human text otherwise; the other member stays empty. On exit code 2 the
+/// text is the bare error message and belongs on stderr (the
+/// render_status / render_error contract).
 struct VerbOutcome {
   int exit = 0;
   std::string json;
@@ -99,7 +99,8 @@ struct VerbOutcome {
 /// session_config (the session's own config is what runs), validates via
 /// the typed Session API, applies the verb's disk side
 /// effects (init/port/random export the tree to request.dir, release
-/// exports the snapshot next to it), and renders both output formats.
+/// exports the snapshot next to it), and renders the output format that
+/// the request's --format flag names.
 /// The tree must already be imported under kVfsRoot for verbs that read
 /// one; a failed import is passed via `import_error` so root-validation
 /// failures report the disk-level message.

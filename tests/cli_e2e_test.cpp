@@ -7,9 +7,11 @@
 // errors and boolean flags never swallow the next argument, with identical
 // output whether a verb runs locally or on an attached `advm serve` daemon.
 //
-// ADVM_CLI_PATH and ADVM_GOLDEN_DIR are injected by tests/CMakeLists.txt.
+// ADVM_CLI_PATH, ADVM_GOLDEN_DIR and ADVM_CLI_DYNAMIC_REASON are injected
+// by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
+#include <elf.h>
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -17,6 +19,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -325,6 +328,33 @@ TEST_F(CliE2E, UsageAndBadArgumentsExitNonZero) {
   EXPECT_EQ(worker.exit_code, 2);
   EXPECT_NE(worker.err.find("unknown verb 'worker'"), std::string::npos)
       << worker.err;
+}
+
+// Every verb is a fresh process, so the CLI links statically: no ld.so
+// pass over libstdc++ on each start (tools/CMakeLists.txt). A dynamic
+// executable is one with a PT_INTERP program header naming its loader.
+TEST_F(CliE2E, CliIsLinkedStatically) {
+  const std::string dynamic_reason = ADVM_CLI_DYNAMIC_REASON;
+  if (!dynamic_reason.empty()) {
+    GTEST_SKIP() << "the CLI links dynamically here: " << dynamic_reason;
+  }
+  std::ifstream in(ADVM_CLI_PATH, std::ios::binary);
+  ASSERT_TRUE(in) << "cannot open " << ADVM_CLI_PATH;
+  Elf64_Ehdr header{};
+  in.read(reinterpret_cast<char*>(&header), sizeof header);
+  ASSERT_TRUE(in && std::memcmp(header.e_ident, ELFMAG, SELFMAG) == 0 &&
+              header.e_ident[EI_CLASS] == ELFCLASS64)
+      << ADVM_CLI_PATH << " is not a 64-bit ELF file";
+  ASSERT_EQ(header.e_phentsize, sizeof(Elf64_Phdr));
+  ASSERT_GT(header.e_phnum, 0);
+  for (unsigned i = 0; i < header.e_phnum; ++i) {
+    Elf64_Phdr program{};
+    in.seekg(static_cast<std::streamoff>(header.e_phoff + i * sizeof program));
+    in.read(reinterpret_cast<char*>(&program), sizeof program);
+    ASSERT_TRUE(in) << "truncated program header table";
+    EXPECT_NE(program.p_type, static_cast<Elf64_Word>(PT_INTERP))
+        << ADVM_CLI_PATH << " is dynamically linked (PT_INTERP header)";
+  }
 }
 
 TEST_F(CliE2E, UnknownFlagsAreTypedBadOptionsLocallyAndAttached) {

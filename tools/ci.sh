@@ -15,6 +15,12 @@
 #      and clang-tidy, each skippable for quick gates.
 #   5. clean tree: the run rewrites no tracked or unignored file.
 #
+# Lanes 1-3 build the `advm` CLI statically linked, as perfbench does; the
+# sanitizer lanes build it dynamically, because the ASan and TSan runtimes
+# need a dynamic executable (tools/CMakeLists.txt). The tier-1 test
+# CliE2E.CliIsLinkedStatically checks the static link and skips, naming
+# why, in the ASan lane.
+#
 # Speed is not gated here: tools/bench_pairs.py compares a change with its
 # parent under BENCHMARK.json's bounds.
 #
